@@ -38,7 +38,7 @@ def write_schema_file(path: Path):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--pairs", type=int, default=2000)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0, help="corpus and split seed")
     ap.add_argument("--n-trees", type=int, default=60)
     ap.add_argument("--learning-rate", type=float, default=0.1)
     ap.add_argument("--out", type=Path, default=None, help="artifact directory")
@@ -57,7 +57,7 @@ def main():
     schemas.mkdir(exist_ok=True)
     write_schema_file(schemas / f"{SYNTH_SCHEMA.db_id}.json")
 
-    config = GbdtConfig(n_trees=args.n_trees, learning_rate=args.learning_rate, seed=args.seed)
+    config = GbdtConfig(n_trees=args.n_trees, learning_rate=args.learning_rate)
     result = run_experiment(
         out / "dataset.jsonl",
         schemas,

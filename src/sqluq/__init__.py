@@ -23,8 +23,7 @@ from sqluq.gbdt import (
 from sqluq.labeler import (
     EquivalenceContext,
     LabelMap,
-    align_and_label,
-    label_with_ablation,
+    label_with_context,
     recursively_equivalent,
     shallow_equivalent,
 )
@@ -54,13 +53,12 @@ __all__ = [
     "SqlNode",
     "UnsupportedConstruct",
     "WithinDatabase",
-    "align_and_label",
     "build_alias_map",
     "build_index",
     "eval_by_kind",
     "featurize_node",
     "featurize_tree",
-    "label_with_ablation",
+    "label_with_context",
     "load_dataset",
     "load_schema",
     "make_split",

@@ -49,7 +49,6 @@ class NodeKind(Enum):
     TABLE_ALIAS = "TableAlias"
     SUBQUERY = "Subquery"
     ALIAS = "Alias"
-    PAREN = "Paren"
     OTHER = "Other"
 
 
@@ -62,6 +61,15 @@ CONTENT_KINDS = frozenset(
         NodeKind.COLUMN,
         NodeKind.FUNC,
         NodeKind.AGG,
+    }
+)
+
+# Binary operators: exactly two operands, in source order.
+BINARY_OP_KINDS = frozenset(
+    {
+        NodeKind.EQ, NodeKind.NEQ, NodeKind.GT, NodeKind.LT, NodeKind.GTE,
+        NodeKind.LTE, NodeKind.LIKE, NodeKind.ADD, NodeKind.SUB, NodeKind.MUL,
+        NodeKind.DIV,
     }
 )
 
@@ -119,6 +127,13 @@ class SqlNode:
     def descriptor(self) -> tuple[str, str | None]:
         return (self.kind.value, self.content)
 
+    def qualifier(self) -> str | None:
+        """The qualifier of a column or star reference (`x` in `x.a`)."""
+        for child in self.children:
+            if child.kind is NodeKind.IDENTIFIER and FLAG_QUALIFIER in child.flags:
+                return child.content
+        return None
+
     def __repr__(self):  # compact, content-first
         inner = f"({self.content})" if self.content is not None else ""
         return f"{self.kind.value}{inner}#{self.id}"
@@ -153,6 +168,7 @@ class NodeIndex:
         return None if pid is None else self.nodes[pid]
 
     def ancestors(self, node: SqlNode):
+        """Parent, grandparent, ... up to the root."""
         cur = self.parent_of(node)
         while cur is not None:
             yield cur
@@ -328,6 +344,9 @@ _COMPARISON_OPS = {
     ">=": NodeKind.GTE,
     "<=": NodeKind.LTE,
 }
+
+# Connectives from loosest to tightest binding.
+_CONNECTIVES = (("or", NodeKind.OR), ("and", NodeKind.AND))
 
 _UNSUPPORTED_KEYWORDS = {
     "between", "exists", "case", "union", "intersect", "except", "with",
@@ -558,34 +577,21 @@ class _Parser:
                          flags=tok.case_flags())
 
     # expression precedence: OR < AND < NOT < comparison < additive < multiplicative
-    def parse_expr(self) -> SqlNode:
-        return self.parse_or()
-
-    def parse_or(self) -> SqlNode:
-        first = self.parse_and()
-        if not self.at_kw("or"):
-            return first
-        operands = [first]
-        while self.at_kw("or"):
+    def parse_expr(self, level: int = 0) -> SqlNode:
+        """The n-ary connective _CONNECTIVES[level]; past the last level, NOT."""
+        if level == len(_CONNECTIVES):
+            return self.parse_not()
+        word, kind = _CONNECTIVES[level]
+        operands = [self.parse_expr(level + 1)]
+        while self.at_kw(word):
             self.next()
-            operands.append(self.parse_and())
+            operands.append(self.parse_expr(level + 1))
+        if len(operands) == 1:
+            return operands[0]
         flat: list[SqlNode] = []
-        for op in operands:  # n-ary normalization of chained OR
-            flat.extend(op.children if op.kind is NodeKind.OR else [op])
-        return self.node(NodeKind.OR, None, flat, (flat[0].span[0], flat[-1].span[1]))
-
-    def parse_and(self) -> SqlNode:
-        first = self.parse_not()
-        if not self.at_kw("and"):
-            return first
-        operands = [first]
-        while self.at_kw("and"):
-            self.next()
-            operands.append(self.parse_not())
-        flat: list[SqlNode] = []
-        for op in operands:
-            flat.extend(op.children if op.kind is NodeKind.AND else [op])
-        return self.node(NodeKind.AND, None, flat, (flat[0].span[0], flat[-1].span[1]))
+        for op in operands:  # n-ary normalization of chained AND/OR
+            flat.extend(op.children if op.kind is kind else [op])
+        return self.node(kind, None, flat, (flat[0].span[0], flat[-1].span[1]))
 
     def parse_not(self) -> SqlNode:
         if self.at_kw("not"):

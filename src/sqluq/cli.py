@@ -8,23 +8,22 @@ from __future__ import annotations
 
 import json
 import sys
-from pathlib import Path
 
 import click
 
-from sqluq.ast_core import ParseError, UnsupportedConstruct, build_alias_map, parse_sql
+from sqluq import labeler
+from sqluq.ast_core import ParseError, UnsupportedConstruct, parse_sql
 from sqluq.corpus import CASES, run_corpus
-from sqluq.featurizer import MANIFEST, featurize_tree
-from sqluq.gbdt import GbdtConfig, GbdtModel, predict_proba, render_eval_table
-from sqluq.labeler import label_with_ablation
+from sqluq.gbdt import GbdtConfig, GbdtModel, ManifestMismatch, render_eval_table
 from sqluq.pipeline import (
     MissingSchema,
     UnknownDbId,
-    label_and_featurize,
-    load_dataset,
-    load_schemas,
+    label_dataset,
+    node_row,
     parse_split_spec,
+    predict_sql,
     run_experiment,
+    write_features,
 )
 from sqluq.schema import SchemaFormatError, load_schema
 
@@ -35,35 +34,6 @@ EXIT_IO = 2
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
-
-
-def _config_from(n_trees: int, learning_rate: float, max_leaves: int,
-                 min_samples_leaf: int, seed: int) -> GbdtConfig:
-    try:
-        return GbdtConfig(
-            n_trees=n_trees,
-            learning_rate=learning_rate,
-            max_leaves=max_leaves,
-            min_samples_leaf=min_samples_leaf,
-            seed=seed,
-        )
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-
-
-_config_options = [
-    click.option("--n-trees", default=100, show_default=True),
-    click.option("--learning-rate", default=0.05, show_default=True),
-    click.option("--max-leaves", default=31, show_default=True),
-    click.option("--min-samples-leaf", default=20, show_default=True),
-    click.option("--seed", default=0, show_default=True),
-]
-
-
-def _with_config_options(fn):
-    for opt in reversed(_config_options):
-        fn = opt(fn)
-    return fn
 
 
 @click.group()
@@ -82,21 +52,15 @@ def label_cmd(generated: str, gold: str, no_rescue: bool):
         gold_tree = parse_sql(gold)
     except (ParseError, UnsupportedConstruct) as exc:
         _fail(EXIT_VALIDATION, str(exc))
-    label_map = label_with_ablation(gen_tree, gold_tree, enable_rescue=not no_rescue)
+    label_map, _ = labeler.label_with_context(gen_tree, gold_tree, enable_rescue=not no_rescue)
     click.echo(json.dumps({"format": "sqluq-labeled-nodes", "version": 1}))
     for node in gen_tree.walk():
-        click.echo(
-            json.dumps(
-                {
-                    "node_id": node.id,
-                    "kind": node.kind.value,
-                    "content": node.content,
-                    "span": list(node.span),
-                    "label": label_map.labels[node.id],
-                    "provenance": label_map.provenance[node.id].value,
-                }
-            )
+        row = node_row(
+            node,
+            label=label_map.labels[node.id],
+            provenance=label_map.provenance[node.id].value,
         )
+        click.echo(json.dumps(row))
 
 
 @main.command("featurize")
@@ -105,47 +69,14 @@ def label_cmd(generated: str, gold: str, no_rescue: bool):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def featurize_cmd(dataset_path: str, schemas_dir: str, out_dir: str):
     """Write per-node feature rows and the feature manifest."""
-    out = Path(out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        loaded = load_dataset(dataset_path)
-        schemas = load_schemas(schemas_dir, {r.db_id for r in loaded.records})
+        labeled, skipped, _ = label_dataset(dataset_path, schemas_dir)
+        n_rows = write_features(out_dir, labeled)
     except (MissingSchema, SchemaFormatError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
     except OSError as exc:
         _fail(EXIT_IO, str(exc))
-    skipped = [(f"line {ln}", reason) for ln, reason in loaded.skipped]
-    rows = []
-    for record in loaded.records:
-        try:
-            lq = label_and_featurize(record, schemas[record.db_id])
-        except (ParseError, UnsupportedConstruct) as exc:
-            skipped.append((record.query_id, str(exc)))
-            continue
-        for nr in lq.node_records:
-            rows.append(
-                {
-                    "query_id": nr.query_id,
-                    "db_id": nr.db_id,
-                    "node_id": nr.node_id,
-                    "kind": nr.node_kind,
-                    "label": nr.label,
-                    "logprob_score": nr.logprob_score,
-                    "features": [float(x) for x in nr.features],
-                }
-            )
-    rows.sort(key=lambda r: (r["query_id"], r["node_id"]))
-    try:
-        with open(out / "features.jsonl", "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"format": "sqluq-features", "version": 1}) + "\n")
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")
-        (out / "feature_manifest.json").write_text(
-            json.dumps(MANIFEST.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
-    click.echo(f"wrote {len(rows)} node rows; skipped {len(skipped)} records")
+    click.echo(f"wrote {n_rows} node rows; skipped {len(skipped)} records")
     for qid, reason in skipped:
         click.echo(f"  skipped {qid}: {reason}", err=True)
 
@@ -155,29 +86,16 @@ def featurize_cmd(dataset_path: str, schemas_dir: str, out_dir: str):
 @click.option("--schemas", "schemas_dir", required=True, type=click.Path())
 @click.option("--split", "split_text", default="within:0.8", show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@_with_config_options
+@click.option("--n-trees", default=100, show_default=True)
+@click.option("--learning-rate", default=0.05, show_default=True)
+@click.option("--max-leaves", default=31, show_default=True)
+@click.option("--min-samples-leaf", default=20, show_default=True)
 def train_cmd(dataset_path, schemas_dir, split_text, out_dir, n_trees,
-              learning_rate, max_leaves, min_samples_leaf, seed):
-    """Train a model on the train side of the split and save artifacts."""
-    config = _config_from(n_trees, learning_rate, max_leaves, min_samples_leaf, seed)
-    _run_eval(dataset_path, schemas_dir, split_text, out_dir, config, announce="trained")
-
-
-@main.command("eval")
-@click.option("--dataset", "dataset_path", required=True, type=click.Path())
-@click.option("--schemas", "schemas_dir", required=True, type=click.Path())
-@click.option("--split", "split_text", default="within:0.8", show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path())
-@_with_config_options
-def eval_cmd(dataset_path, schemas_dir, split_text, out_dir, n_trees,
-             learning_rate, max_leaves, min_samples_leaf, seed):
-    """Train on the split and print the per-kind evaluation table."""
-    config = _config_from(n_trees, learning_rate, max_leaves, min_samples_leaf, seed)
-    _run_eval(dataset_path, schemas_dir, split_text, out_dir, config, announce="evaluated")
-
-
-def _run_eval(dataset_path, schemas_dir, split_text, out_dir, config, announce):
+              learning_rate, max_leaves, min_samples_leaf):
+    """Train on the split, print the per-kind evaluation table, save artifacts."""
     try:
+        config = GbdtConfig(n_trees=n_trees, learning_rate=learning_rate,
+                            max_leaves=max_leaves, min_samples_leaf=min_samples_leaf)
         split = parse_split_spec(split_text)
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
@@ -191,9 +109,13 @@ def _run_eval(dataset_path, schemas_dir, split_text, out_dir, config, announce):
         _fail(EXIT_IO, str(exc))
     click.echo(render_eval_table(result.eval_rows))
     click.echo(
-        f"{announce}: {result.records_labeled} records "
+        f"trained and evaluated: {result.records_labeled} records "
         f"({result.records_skipped} skipped) -> {result.out_dir}"
     )
+
+
+# `eval` is the same command as `train`: both train, evaluate and save.
+main.add_command(train_cmd, "eval")
 
 
 @main.command("predict")
@@ -210,25 +132,12 @@ def predict_cmd(model_path: str, schema_path: str, sql: str):
     except OSError as exc:
         _fail(EXIT_IO, str(exc))
     try:
-        tree = parse_sql(sql)
-    except (ParseError, UnsupportedConstruct) as exc:
+        nodes, proba = predict_sql(model, sql, schema)
+    except (ParseError, UnsupportedConstruct, ManifestMismatch) as exc:
         _fail(EXIT_VALIDATION, str(exc))
-    aliases = build_alias_map(tree)
-    nodes, matrix = featurize_tree(tree, aliases, schema)
-    proba = predict_proba(model, matrix)
     click.echo(json.dumps({"format": "sqluq-predictions", "version": 1}))
     for node, p in zip(nodes, proba):
-        click.echo(
-            json.dumps(
-                {
-                    "node_id": node.id,
-                    "kind": node.kind.value,
-                    "content": node.content,
-                    "span": list(node.span),
-                    "p_error": round(float(p), 6),
-                }
-            )
-        )
+        click.echo(json.dumps(node_row(node, p_error=round(float(p), 6))))
 
 
 @main.command("corpus-test")

@@ -17,8 +17,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from sqluq import labeler
 from sqluq.ast_core import parse_sql
-from sqluq.labeler import LabelMap, error_descriptors, label_with_ablation
+from sqluq.labeler import LabelMap, error_descriptors
 
 Descriptor = tuple[str, str | None]
 
@@ -153,7 +154,7 @@ def check_case(case: CorpusCase, enable_rescue: bool = True) -> CaseResult:
     """Label one pair and compare the blamed set against the expectation."""
     gen = parse_sql(case.generated)
     gold = parse_sql(case.gold)
-    label_map = label_with_ablation(gen, gold, enable_rescue=enable_rescue)
+    label_map, _ = labeler.label_with_context(gen, gold, enable_rescue=enable_rescue)
     blamed = tuple(error_descriptors(gen, label_map))
     blamed_counts = Counter(blamed)
     required_counts = Counter(case.required)

@@ -21,11 +21,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import chain
 
 import numpy as np
 
 from sqluq.ast_core import (
     AliasMap,
+    BINARY_OP_KINDS,
     FLAG_ALL_CAPS,
     FLAG_MIXED_CASE,
     FLAG_NULL,
@@ -43,14 +45,6 @@ from sqluq.schema import DataType, Schema, ScopeFrame, column_ambiguous, resolve
 LEVENSHTEIN_SENTINEL = 64
 
 KIND_ORDER: tuple[NodeKind, ...] = tuple(NodeKind)
-
-_BINARY_OP_KINDS = frozenset(
-    {
-        NodeKind.EQ, NodeKind.NEQ, NodeKind.GT, NodeKind.LT, NodeKind.GTE,
-        NodeKind.LTE, NodeKind.LIKE, NodeKind.ADD, NodeKind.SUB, NodeKind.MUL,
-        NodeKind.DIV,
-    }
-)
 
 
 class Compat(IntEnum):
@@ -185,10 +179,7 @@ def _operand_type(node: SqlNode, frame: ScopeFrame, schema: Schema) -> DataType 
             return None
         return DataType.TEXT if FLAG_STRING in node.flags else DataType.NUMERIC
     if node.kind is NodeKind.COLUMN:
-        qualifier = None
-        for child in node.children:
-            if child.kind is NodeKind.IDENTIFIER and FLAG_QUALIFIER in child.flags:
-                qualifier = child.content
+        qualifier = node.qualifier()
         if qualifier is not None:
             table = frame.aliases.resolve(qualifier) or qualifier
             return schema.column_type(table, node.content)
@@ -214,7 +205,7 @@ _COMPAT_CLASSES = {
 
 def operand_type_compat(op_node: SqlNode, frame: ScopeFrame, schema: Schema) -> Compat:
     """Type agreement of a binary operator's operands."""
-    if op_node.kind not in _BINARY_OP_KINDS or len(op_node.children) < 2:
+    if op_node.kind not in BINARY_OP_KINDS or len(op_node.children) < 2:
         return Compat.UNKNOWN
     left = _operand_type(op_node.children[0], frame, schema)
     right = _operand_type(op_node.children[1], frame, schema)
@@ -248,12 +239,7 @@ def _name_pattern_bits(node: SqlNode, name: str) -> tuple[int, int, int, int]:
 
 
 def _enclosing_select(node: SqlNode, index: NodeIndex) -> SqlNode | None:
-    cur = index.parent_of(node)
-    while cur is not None:
-        if cur.kind is NodeKind.SELECT:
-            return cur
-        cur = index.parent_of(cur)
-    return None
+    return next((a for a in index.ancestors(node) if a.kind is NodeKind.SELECT), None)
 
 
 _CLAUSE_KINDS = frozenset(
@@ -281,14 +267,14 @@ def _aggregate_context(node: SqlNode, index: NodeIndex) -> int:
     items = _projection_items(select)
     in_projection = False
     under_aggregate = False
-    cur: SqlNode | None = node
-    while cur is not None and cur is not select:
+    for cur in chain((node,), index.ancestors(node)):
+        if cur is select:
+            break
         if cur.kind is NodeKind.AGG:
             under_aggregate = True
         if any(cur is item for item in items):
             in_projection = True
             break
-        cur = index.parent_of(cur)
     if not in_projection or under_aggregate:
         return 0
     has_aggregate = any(
@@ -346,11 +332,7 @@ def featurize_node(
             schema.has_column(node.content, t) for t in frame.known_tables()
         )
         vec[_IDX["column_in_scope"]] = float(in_scope)
-        qualifier = next(
-            (c.content for c in node.children
-             if c.kind is NodeKind.IDENTIFIER and FLAG_QUALIFIER in c.flags),
-            None,
-        )
+        qualifier = node.qualifier()
         if qualifier is not None:
             known = (
                 frame.aliases.resolve(qualifier) is not None
@@ -379,9 +361,9 @@ def featurize_node(
 
     vec[_IDX["aggregate_context"]] = float(_aggregate_context(node, index))
 
-    if node.kind in _BINARY_OP_KINDS:
+    if node.kind in BINARY_OP_KINDS:
         vec[_IDX["operand_type_compat"]] = float(operand_type_compat(node, frame, schema))
-    if parent is not None and parent.kind in _BINARY_OP_KINDS:
+    if parent is not None and parent.kind in BINARY_OP_KINDS:
         parent_frame = resolve_scope(tree, parent, aliases, schema, index=index)
         vec[_IDX["parent_type_compat"]] = float(
             operand_type_compat(parent, parent_frame, schema)

@@ -5,7 +5,7 @@ of the training prevalence, and each round fits a regression tree to the
 negative gradients using second-order (gradient/hessian) leaf values,
 stepping by the learning rate.  Trees grow best-first up to a leaf
 budget, with exact greedy split search over sorted unique feature
-values.  Training is deterministic: identical records, config, and seed
+values.  Training uses no randomness: identical records and config
 reproduce the model bit for bit.
 """
 
@@ -44,7 +44,6 @@ class GbdtConfig:
     learning_rate: float = 0.05
     max_leaves: int = 31
     min_samples_leaf: int = 20
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -114,7 +113,6 @@ class GbdtModel:
                 "learning_rate": self.config.learning_rate,
                 "max_leaves": self.config.max_leaves,
                 "min_samples_leaf": self.config.min_samples_leaf,
-                "seed": self.config.seed,
             },
             "base_score": self.base_score,
             "manifest_hash": self.manifest_hash,
@@ -139,27 +137,20 @@ class GbdtModel:
     @classmethod
     def from_json(cls, text: str) -> "GbdtModel":
         doc = json.loads(text)
-        if doc.get("format") != "sqluq-gbdt-model":
+        if not isinstance(doc, dict) or doc.get("format") != "sqluq-gbdt-model":
             raise ValueError("not a model file")
-        config = GbdtConfig(**doc["config"])
-        trees = [
-            Tree(
-                feature=t["feature"],
-                threshold=t["threshold"],
-                left=t["left"],
-                right=t["right"],
-                value=t["value"],
+        try:
+            return cls(
+                config=GbdtConfig(**doc["config"]),
+                base_score=doc["base_score"],
+                trees=[Tree(**t) for t in doc["trees"]],
+                manifest_hash=doc["manifest_hash"],
+                feature_count=doc["feature_count"],
+                train_loss_curve=doc.get("train_loss_curve", []),
             )
-            for t in doc["trees"]
-        ]
-        return cls(
-            config=config,
-            base_score=doc["base_score"],
-            trees=trees,
-            manifest_hash=doc["manifest_hash"],
-            feature_count=doc["feature_count"],
-            train_loss_curve=doc.get("train_loss_curve", []),
-        )
+        except (KeyError, TypeError) as exc:
+            # a missing field, or a config/tree key this version lacks
+            raise ValueError(f"malformed model file: {exc!r}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "GbdtModel":
@@ -185,7 +176,6 @@ class _Leaf:
     rows: np.ndarray  # bool mask over all training rows
     grad_sum: float
     hess_sum: float
-    depth: int
     # populated by _best_split
     gain: float = -1.0
     feature: int = -1
@@ -261,7 +251,7 @@ def _grow_tree(
         return len(tree.feature) - 1
 
     root_rows = np.ones(X.shape[0], dtype=bool)
-    root = _Leaf(rows=root_rows, grad_sum=float(grad.sum()), hess_sum=float(hess.sum()), depth=0)
+    root = _Leaf(rows=root_rows, grad_sum=float(grad.sum()), hess_sum=float(hess.sum()))
     _best_split(root, X, grad, hess, sorted_idx, config.min_samples_leaf)
     root_id = new_node()
     open_leaves: list[tuple[_Leaf, int]] = [(root, root_id)]
@@ -280,13 +270,8 @@ def _grow_tree(
         right_rows = leaf.rows & ~go_left
         gl = float(grad[left_rows].sum())
         hl = float(hess[left_rows].sum())
-        left_leaf = _Leaf(rows=left_rows, grad_sum=gl, hess_sum=hl, depth=leaf.depth + 1)
-        right_leaf = _Leaf(
-            rows=right_rows,
-            grad_sum=leaf.grad_sum - gl,
-            hess_sum=leaf.hess_sum - hl,
-            depth=leaf.depth + 1,
-        )
+        left_leaf = _Leaf(rows=left_rows, grad_sum=gl, hess_sum=hl)
+        right_leaf = _Leaf(rows=right_rows, grad_sum=leaf.grad_sum - gl, hess_sum=leaf.hess_sum - hl)
         _best_split(left_leaf, X, grad, hess, sorted_idx, config.min_samples_leaf)
         _best_split(right_leaf, X, grad, hess, sorted_idx, config.min_samples_leaf)
         left_id = new_node()

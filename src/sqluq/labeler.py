@@ -22,6 +22,7 @@ from enum import Enum
 
 from sqluq.ast_core import (
     AliasMap,
+    BINARY_OP_KINDS,
     NodeKind,
     SqlNode,
     build_alias_map,
@@ -54,22 +55,6 @@ ANTI_SYMMETRIC_PAIRS = frozenset(
         (NodeKind.LT, NodeKind.GT),
         (NodeKind.GTE, NodeKind.LTE),
         (NodeKind.LTE, NodeKind.GTE),
-    }
-)
-
-_BINARY_OP_KINDS = frozenset(
-    {
-        NodeKind.EQ,
-        NodeKind.NEQ,
-        NodeKind.GT,
-        NodeKind.LT,
-        NodeKind.GTE,
-        NodeKind.LTE,
-        NodeKind.LIKE,
-        NodeKind.ADD,
-        NodeKind.SUB,
-        NodeKind.MUL,
-        NodeKind.DIV,
     }
 )
 
@@ -141,13 +126,6 @@ def _pair_children(node: SqlNode) -> list[SqlNode]:
     return [_unwrap(c) for c in node.children]
 
 
-def _qualifier_of(column: SqlNode) -> str | None:
-    for child in column.children:
-        if child.kind is NodeKind.IDENTIFIER and "qualifier" in child.flags:
-            return child.content
-    return None
-
-
 def _resolve_qualifier(name: str, aliases: AliasMap) -> str:
     """An alias resolves to its base table; anything else names itself."""
     return aliases.entries.get(name, name)
@@ -174,7 +152,7 @@ def shallow_equivalent(
     if kind is NodeKind.COLUMN:
         if a.content != b.content:
             return False, frozenset()
-        qa, qb = _qualifier_of(a), _qualifier_of(b)
+        qa, qb = a.qualifier(), b.qualifier()
         if qa is None or qb is None:
             return True, modes
         if qa == qb:
@@ -229,7 +207,7 @@ def recursively_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> b
             result = False
         elif not ca:
             result = True
-        elif a.kind in _BINARY_OP_KINDS and len(ca) == 2:
+        elif a.kind in BINARY_OP_KINDS and len(ca) == 2:
             result = False
             if "direct" in modes:
                 result = recursively_equivalent(ca[0], cb[0], ctx) and recursively_equivalent(
@@ -265,17 +243,14 @@ def make_context(gen: SqlNode, gold: SqlNode) -> EquivalenceContext:
     return EquivalenceContext(build_alias_map(gen), build_alias_map(gold))
 
 
-def label_with_ablation(gen: SqlNode, gold: SqlNode, enable_rescue: bool) -> LabelMap:
-    """Full labeling with the global rescue pass optionally disabled."""
-    label_map, _ = label_with_context(gen, gold, enable_rescue=enable_rescue)
-    return label_map
-
-
 def label_with_context(
     gen: SqlNode, gold: SqlNode, enable_rescue: bool = True
 ) -> tuple[LabelMap, EquivalenceContext]:
-    """As label_with_ablation, also returning the equivalence context
-    (useful for inspecting memoization behaviour)."""
+    """Label every generated node against the gold tree.
+
+    enable_rescue=False skips the global rescue pass (the ablation).  The
+    equivalence context comes back too, for its memo hit/miss counts.
+    """
     ctx = make_context(gen, gold)
     gen_nodes = preorder(gen)
     labels = {n.id: ERROR for n in gen_nodes}
@@ -327,11 +302,6 @@ def label_with_context(
             prov[node.id] = prov[inner.id]
 
     return LabelMap(labels=labels, provenance=prov), ctx
-
-
-def align_and_label(gen: SqlNode, gold: SqlNode) -> LabelMap:
-    """Label every generated node against the gold tree (rescue enabled)."""
-    return label_with_ablation(gen, gold, enable_rescue=True)
 
 
 def error_descriptors(tree: SqlNode, label_map: LabelMap) -> list[tuple[str, str | None]]:

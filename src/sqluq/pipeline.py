@@ -8,8 +8,8 @@ Schemas live one JSON file per db_id inside a schemas directory.
 
 run_experiment parses, labels, and featurizes every record (skipping and
 reporting unparseable ones), trains on the train split, and emits the
-per-kind evaluation table plus serialized artifacts.  Identical inputs
-and seeds reproduce identical outputs.
+per-kind evaluation table plus serialized artifacts.  Identical inputs,
+split and config reproduce identical outputs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sqluq.ast_core import ParseError, UnsupportedConstruct, build_alias_map, parse_sql
+from sqluq import labeler
+from sqluq.ast_core import ParseError, SqlNode, UnsupportedConstruct, build_alias_map, parse_sql
 from sqluq.featurizer import MANIFEST, NodeRecord, featurize_tree, node_logprob_score
 from sqluq.gbdt import (
     EvalRow,
@@ -33,7 +34,6 @@ from sqluq.gbdt import (
     render_eval_table,
     train,
 )
-from sqluq.labeler import label_with_ablation
 from sqluq.schema import Schema, load_schema
 
 DATASET_FORMAT = "sqluq-dataset"
@@ -252,7 +252,7 @@ def label_and_featurize(
     """Label one generated/gold pair and featurize every generated node."""
     gen = parse_sql(record.generated_sql)
     gold = parse_sql(record.gold_sql)
-    label_map = label_with_ablation(gen, gold, enable_rescue=enable_rescue)
+    label_map, _ = labeler.label_with_context(gen, gold, enable_rescue=enable_rescue)
     aliases = build_alias_map(gen)
     nodes, matrix = featurize_tree(gen, aliases, schema)
     node_records = []
@@ -278,11 +278,79 @@ def label_and_featurize(
     )
 
 
+def label_dataset(
+    dataset_path: str | Path, schemas_dir: str | Path
+) -> tuple[list[LabeledQuery], list[tuple[str, str]], int]:
+    """Load a dataset and its schemas, then label and featurize every record.
+
+    Returns the labeled queries sorted by query_id, the skipped lines and
+    records as (query_id or "line N", reason), and the input record count.
+    """
+    loaded = load_dataset(dataset_path)
+    schemas = load_schemas(schemas_dir, {r.db_id for r in loaded.records})
+    labeled: list[LabeledQuery] = []
+    skipped = [(f"line {ln}", reason) for ln, reason in loaded.skipped]
+    for record in loaded.records:
+        try:
+            labeled.append(label_and_featurize(record, schemas[record.db_id]))
+        except (ParseError, UnsupportedConstruct) as exc:
+            skipped.append((record.query_id, str(exc)))
+    labeled.sort(key=lambda lq: lq.record.query_id)
+    return labeled, skipped, len(loaded.records) + len(loaded.skipped)
+
+
+def predict_sql(model: GbdtModel, sql: str, schema: Schema) -> tuple[list[SqlNode], np.ndarray]:
+    """Every node of one generated query with its predicted error probability."""
+    tree = parse_sql(sql)
+    nodes, matrix = featurize_tree(tree, build_alias_map(tree), schema)
+    return nodes, predict_proba(model, matrix)
+
+
+def node_row(node: SqlNode, **fields) -> dict:
+    """Serialized output row of one node: id, kind, content, span, then fields."""
+    return {
+        "node_id": node.id,
+        "kind": node.kind.value,
+        "content": node.content,
+        "span": list(node.span),
+        **fields,
+    }
+
+
 def _write_jsonl(path: Path, fmt: str, rows: list[dict]):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"format": fmt, "version": 1}) + "\n")
         for row in rows:
             fh.write(json.dumps(row) + "\n")
+
+
+def _write_manifest(out: Path):
+    (out / "feature_manifest.json").write_text(
+        json.dumps(MANIFEST.to_dict(), indent=2) + "\n", encoding="utf-8"
+    )
+
+
+def write_features(out_dir: str | Path, labeled: list[LabeledQuery]) -> int:
+    """Write features.jsonl and the feature manifest; returns the row count."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = [
+        {
+            "query_id": nr.query_id,
+            "db_id": nr.db_id,
+            "node_id": nr.node_id,
+            "kind": nr.node_kind,
+            "label": nr.label,
+            "logprob_score": nr.logprob_score,
+            "features": [float(x) for x in nr.features],
+        }
+        for lq in labeled
+        for nr in lq.node_records
+    ]
+    rows.sort(key=lambda r: (r["query_id"], r["node_id"]))
+    _write_jsonl(out / "features.jsonl", "sqluq-features", rows)
+    _write_manifest(out)
+    return len(rows)
 
 
 def run_experiment(
@@ -294,20 +362,7 @@ def run_experiment(
 ) -> ExperimentResult:
     """Parse, label, featurize, split, train, and evaluate one dataset."""
     config = config or GbdtConfig()
-    loaded = load_dataset(dataset_path)
-    records = loaded.records
-    schemas = load_schemas(schemas_dir, {r.db_id for r in records})
-
-    labeled: list[LabeledQuery] = []
-    skipped: list[tuple[str, str]] = [
-        (f"line {ln}", reason) for ln, reason in loaded.skipped
-    ]
-    for record in records:
-        try:
-            labeled.append(label_and_featurize(record, schemas[record.db_id]))
-        except (ParseError, UnsupportedConstruct) as exc:
-            skipped.append((record.query_id, str(exc)))
-    labeled.sort(key=lambda lq: lq.record.query_id)
+    labeled, skipped, records_in = label_dataset(dataset_path, schemas_dir)
 
     usable = [lq.record for lq in labeled]
     train_ids, test_ids = make_split(usable, split)
@@ -321,7 +376,7 @@ def run_experiment(
     result = ExperimentResult(
         eval_rows=eval_rows,
         model=model,
-        records_in=len(records) + len(loaded.skipped),
+        records_in=records_in,
         records_labeled=len(labeled),
         records_skipped=len(skipped),
         skipped=skipped,
@@ -333,9 +388,7 @@ def run_experiment(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         model.save(out / "model.json")
-        (out / "feature_manifest.json").write_text(
-            json.dumps(MANIFEST.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        _write_manifest(out)
         pred_rows = []
         for lq in labeled:
             if lq.record.query_id not in test_set:
@@ -349,14 +402,13 @@ def run_experiment(
                     {
                         "query_id": nr.query_id,
                         "db_id": nr.db_id,
-                        "node_id": nr.node_id,
-                        "kind": nr.node_kind,
-                        "content": node.content,
-                        "span": list(node.span),
-                        "label": nr.label,
-                        "provenance": prov,
-                        "p_error": round(float(p), 6),
-                        "logprob_score": nr.logprob_score,
+                        **node_row(
+                            node,
+                            label=nr.label,
+                            provenance=prov,
+                            p_error=round(float(p), 6),
+                            logprob_score=nr.logprob_score,
+                        ),
                     }
                 )
         pred_rows.sort(key=lambda r: (r["query_id"], r["node_id"]))
@@ -390,22 +442,3 @@ def run_experiment(
         (out / "report.txt").write_text(render_eval_table(eval_rows) + "\n", encoding="utf-8")
         result.out_dir = out
     return result
-
-
-def label_records_to_rows(labeled: LabeledQuery) -> list[dict]:
-    """Serialized per-node labeling output for one query."""
-    rows = []
-    for nr, node, prov in zip(
-        labeled.node_records, labeled.nodes, labeled.label_provenance
-    ):
-        rows.append(
-            {
-                "node_id": nr.node_id,
-                "kind": nr.node_kind,
-                "content": node.content,
-                "span": list(node.span),
-                "label": nr.label,
-                "provenance": prov,
-            }
-        )
-    return rows

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 from sqluq.ast_core import AliasMap, NodeIndex, NodeKind, SqlNode, build_index
@@ -116,9 +117,6 @@ class Schema:
                 return col.data_type
         return None
 
-    def tables_with_column(self, name: str) -> set[str]:
-        return set(self._column_tables.get(name.casefold(), ()))
-
     def identifier_names(self) -> list[str]:
         """Every table and column name, case-folded, sorted, deduplicated."""
         names = {t.name.casefold() for t in self.tables}
@@ -200,12 +198,7 @@ def resolve_scope(
     """Tables visible to `node`: its query level plus enclosing levels."""
     if index is None:
         index = build_index(tree)
-    levels: list[SqlNode] = []
-    cur: SqlNode | None = node
-    while cur is not None:
-        if cur.kind is NodeKind.SELECT:
-            levels.append(cur)
-        cur = index.parent_of(cur)
+    levels = [a for a in chain((node,), index.ancestors(node)) if a.kind is NodeKind.SELECT]
     if not levels and tree.kind is NodeKind.SELECT:
         levels.append(tree)
     seen: set[str] = set()

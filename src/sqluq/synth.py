@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from sqluq import labeler
 from sqluq.ast_core import parse_sql, preorder
 from sqluq.pipeline import DatasetRecord
 from sqluq.schema import ColumnDef, DataType as _DT, Schema, TableDef
@@ -304,14 +305,12 @@ def build_planted_corpus(
 
 def planted_agreement(pairs: list[PlantedPair]) -> float:
     """Node-level agreement between the labeler and the planted truth."""
-    from sqluq.labeler import align_and_label
-
     agree = 0
     total = 0
     for pair in pairs:
         gen = parse_sql(pair.record.generated_sql)
         gold = parse_sql(pair.record.gold_sql)
-        label_map = align_and_label(gen, gold)
+        label_map, _ = labeler.label_with_context(gen, gold)
         for node in preorder(gen):
             expected = 1 if node.id in pair.expected_error_ids else 0
             agree += int(label_map.labels[node.id] == expected)

@@ -18,7 +18,7 @@ from sqluq.gbdt import (
     roc_auc,
     train_matrix,
 )
-from sqluq.labeler import align_and_label, label_with_ablation
+from sqluq.labeler import label_with_context
 from sqluq.pipeline import WithinDatabase, run_experiment, write_dataset
 from sqluq.synth import SYNTH_SCHEMA, build_planted_corpus, planted_agreement
 
@@ -73,41 +73,41 @@ def test_criterion_3_equivalence_property_suite():
 
         sql = random_draft(rng).render()
         tree = parse_sql(sql)
-        lm = align_and_label(tree, parse_sql(sql))
+        lm = label_with_context(tree, parse_sql(sql))[0]
         check("identity", set(lm.labels.values()) == {0}, sql)
 
         gen_sql = random_draft(rng).render()
         gold = random_draft(rng)
         check(
             "symmetric-swap",
-            align_and_label(parse_sql(gen_sql), parse_sql(gold.render())).labels
-            == align_and_label(
+            label_with_context(parse_sql(gen_sql), parse_sql(gold.render()))[0].labels
+            == label_with_context(
                 parse_sql(gen_sql), parse_sql(swap_symmetric_operands(gold).render())
-            ).labels,
+            )[0].labels,
             (gen_sql, gold.render()),
         )
         check(
             "antisymmetric-flip",
-            align_and_label(parse_sql(gen_sql), parse_sql(gold.render())).labels
-            == align_and_label(
+            label_with_context(parse_sql(gen_sql), parse_sql(gold.render()))[0].labels
+            == label_with_context(
                 parse_sql(gen_sql), parse_sql(flip_antisymmetric(gold).render())
-            ).labels,
+            )[0].labels,
             (gen_sql, gold.render()),
         )
 
         aliased_gold = random_draft(rng, with_alias_prob=1.0)
         check(
             "alias-rename",
-            align_and_label(parse_sql(gen_sql), parse_sql(aliased_gold.render())).labels
-            == align_and_label(
+            label_with_context(parse_sql(gen_sql), parse_sql(aliased_gold.render()))[0].labels
+            == label_with_context(
                 parse_sql(gen_sql), parse_sql(rename_alias(aliased_gold, "zz9").render())
-            ).labels,
+            )[0].labels,
             (gen_sql, aliased_gold.render()),
         )
 
         gen_draft = random_draft(rng)
         extended = add_gold_only_material(gen_draft, rng)
-        lm_omit = align_and_label(parse_sql(gen_draft.render()), parse_sql(extended.render()))
+        lm_omit = label_with_context(parse_sql(gen_draft.render()), parse_sql(extended.render()))[0]
         check(
             "omission-neutrality",
             set(lm_omit.labels.values()) == {0},
@@ -119,8 +119,8 @@ def test_criterion_3_equivalence_property_suite():
         gold_tree = parse_sql(pair_gold)
         check(
             "monotone-rescue",
-            label_with_ablation(gen_tree, gold_tree, True).error_ids()
-            <= label_with_ablation(gen_tree, gold_tree, False).error_ids(),
+            label_with_context(gen_tree, gold_tree, True)[0].error_ids()
+            <= label_with_context(gen_tree, gold_tree, False)[0].error_ids(),
             (pair_gen, pair_gold),
         )
 
@@ -155,7 +155,7 @@ def test_criterion_5_gbdt_sanity():
 
     X = rng.randn(400, 5)
     y = (X[:, 1] > 0.0).astype(float)
-    sep_config = GbdtConfig(n_trees=40, learning_rate=0.2, min_samples_leaf=5, seed=1)
+    sep_config = GbdtConfig(n_trees=40, learning_rate=0.2, min_samples_leaf=5)
     sep_model = train_matrix(X, y, sep_config)
     sep_auc = roc_auc(predict_proba(sep_model, X), y)
     assert sep_auc == 1.0
@@ -211,7 +211,7 @@ def test_criterion_6_planted_error_recovery(tmp_path):
         tmp_path / "dataset.jsonl",
         schemas,
         WithinDatabase(train_fraction=0.8, seed=0),
-        config=GbdtConfig(n_trees=60, learning_rate=0.1, seed=0),
+        config=GbdtConfig(n_trees=60, learning_rate=0.1),
     )
     elapsed = time.perf_counter() - start
     all_row = result.eval_rows[0]

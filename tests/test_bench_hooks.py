@@ -1,0 +1,59 @@
+"""The benchmark's traced run wraps sqluq names; these must stay in place.
+
+perfbench/spans.py replaces module attributes such as
+``pipeline.parse_sql`` and ``labeler.label_with_context`` with timing
+wrappers.  A refactor that renames one of them, or that calls it through
+a from-import the wrapper cannot reach, fails here instead of in the
+traced benchmark.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from sqluq import gbdt, pipeline
+from sqluq.synth import SYNTH_SCHEMA, build_planted_corpus
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_target_is_a_module_attribute(spans):
+    for owner, attr, *_ in spans.TARGETS:
+        assert callable(owner.__dict__.get(attr)), f"{owner.__name__}.{attr} is not bound"
+
+
+def test_tracer_installs_and_restores(spans):
+    originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, *_ in spans.TARGETS]
+    load = gbdt.GbdtModel.__dict__["load"]
+    with spans.Tracer().installed():
+        for owner, attr, original in originals:
+            assert owner.__dict__[attr].__wrapped__ is original, f"{owner.__name__}.{attr}"
+    for owner, attr, original in originals:
+        assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr}"
+    assert gbdt.GbdtModel.__dict__["load"] is load
+
+
+def test_traced_labeling_reaches_every_layer(spans):
+    record = build_planted_corpus(1, seed=0)[0].record
+    with spans.Tracer().installed() as tracer:
+        pipeline.label_and_featurize(record, SYNTH_SCHEMA)
+    names = [s.name for s in tracer.spans]
+    assert names[0] == "pipeline.label_and_featurize"
+    assert names.count("ast_core.parse") == 2
+    assert names.count("labeler.label") == 1
+    assert "ast_core.alias_map" in names
+    assert "featurizer.featurize" in names

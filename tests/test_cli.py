@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from sqluq.cli import main
+from sqluq.featurizer import MANIFEST
 
 
 @pytest.fixture
@@ -161,3 +162,49 @@ def test_train_writes_model(runner, workspace):
     model_doc = json.loads((out / "model.json").read_text())
     assert model_doc["format"] == "sqluq-gbdt-model"
     assert model_doc["config"]["n_trees"] == 4
+
+
+def _write_model(path, manifest_hash, feature_count, **config_extra):
+    config = {"n_trees": 1, "learning_rate": 0.05, "max_leaves": 31,
+              "min_samples_leaf": 20, **config_extra}
+    path.write_text(json.dumps({
+        "format": "sqluq-gbdt-model", "version": 1, "config": config,
+        "base_score": 0.0, "manifest_hash": manifest_hash,
+        "feature_count": feature_count, "trees": [],
+    }), encoding="utf-8")
+    return path
+
+
+def _predict(runner, workspace, model_path):
+    _, _, schemas = workspace
+    return runner.invoke(
+        main,
+        ["predict", "--model", str(model_path), "--schema", str(schemas / "db1.json"),
+         "--sql", "SELECT a FROM t"],
+    )
+
+
+def test_predict_model_from_another_manifest_exit_code_1(runner, workspace):
+    tmp_path = workspace[0]
+    model = _write_model(tmp_path / "model.json", "0" * 16, MANIFEST.length)
+    result = _predict(runner, workspace, model)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: model built under manifest")
+
+
+def test_predict_model_without_config_exit_code_1(runner, workspace):
+    tmp_path = workspace[0]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"format": "sqluq-gbdt-model"}), encoding="utf-8")
+    result = _predict(runner, workspace, model)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: malformed model file")
+
+
+def test_predict_model_with_training_seed_exit_code_1(runner, workspace):
+    # an older model file: its config has a training seed, its manifest 91 columns
+    tmp_path = workspace[0]
+    model = _write_model(tmp_path / "model.json", "32b5c080441d07a3", 91, seed=0)
+    result = _predict(runner, workspace, model)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: malformed model file")

@@ -85,7 +85,7 @@ class TestTraining:
         rng = np.random.RandomState(3)
         X = rng.randn(200, 5)
         y = (X[:, 1] > 0).astype(float)
-        config = GbdtConfig(n_trees=15, learning_rate=0.1, seed=42)
+        config = GbdtConfig(n_trees=15, learning_rate=0.1)
         first = train_matrix(X, y, config)
         second = train_matrix(X.copy(), y.copy(), config)
         assert first.to_json() == second.to_json()

@@ -1,9 +1,7 @@
 from sqluq.ast_core import NodeKind, parse_sql, preorder
 from sqluq.labeler import (
     Provenance,
-    align_and_label,
     error_descriptors,
-    label_with_ablation,
     label_with_context,
     make_context,
     recursively_equivalent,
@@ -135,14 +133,14 @@ class TestAlignAndLabel:
             "SELECT x.v FROM (SELECT v FROM t1) AS x WHERE x.v IN (1, 2)",
         ):
             tree = parse_sql(sql)
-            lm = align_and_label(tree, parse_sql(sql))
+            lm = label_with_context(tree, parse_sql(sql))[0]
             assert set(lm.labels.values()) == {0}
             assert set(lm.labels) == {n.id for n in preorder(tree)}
 
     def test_wrong_table_blames_table_and_identifier(self):
         gen = parse_sql("SELECT name FROM artists")
         gold = parse_sql("SELECT name FROM artist")
-        lm = align_and_label(gen, gold)
+        lm = label_with_context(gen, gold)[0]
         assert sorted(error_descriptors(gen, lm)) == [
             ("Identifier", "artists"),
             ("Table", "artists"),
@@ -150,12 +148,12 @@ class TestAlignAndLabel:
 
     def test_wrong_literal_blames_literal_only(self):
         gen = parse_sql("SELECT * FROM t WHERE a = 1")
-        lm = align_and_label(gen, parse_sql("SELECT * FROM t WHERE a = 2"))
+        lm = label_with_context(gen, parse_sql("SELECT * FROM t WHERE a = 2"))[0]
         assert error_descriptors(gen, lm) == [("Literal", "1")]
 
     def test_inserted_order_by_blamed_with_children(self):
         gen = parse_sql("SELECT * FROM t ORDER BY a")
-        lm = align_and_label(gen, parse_sql("SELECT * FROM t"))
+        lm = label_with_context(gen, parse_sql("SELECT * FROM t"))[0]
         assert sorted(error_descriptors(gen, lm)) == [
             ("Column", "a"),
             ("Identifier", "a"),
@@ -166,28 +164,28 @@ class TestAlignAndLabel:
     def test_inserted_join_blamed(self):
         gen = parse_sql("SELECT a FROM t JOIN s ON t.x = s.x")
         gold = parse_sql("SELECT a FROM t")
-        lm = align_and_label(gen, gold)
+        lm = label_with_context(gen, gold)[0]
         join = find(gen, NodeKind.JOIN)
         assert lm.labels[join.id] == 1
 
     def test_inserted_limit_blamed(self):
         gen = parse_sql("SELECT a FROM t LIMIT 3")
         gold = parse_sql("SELECT a FROM t")
-        lm = align_and_label(gen, gold)
+        lm = label_with_context(gen, gold)[0]
         limit = find(gen, NodeKind.LIMIT)
         assert lm.labels[limit.id] == 1
 
     def test_wholly_inserted_where_container_stays_blamed(self):
         gen = parse_sql("SELECT a FROM t WHERE a = 1")
         gold = parse_sql("SELECT a FROM t")
-        lm = align_and_label(gen, gold)
+        lm = label_with_context(gen, gold)[0]
         where = find(gen, NodeKind.WHERE)
         assert lm.labels[where.id] == 1
 
     def test_provenance_values(self):
         gen = parse_sql("SELECT name FROM artists")
         gold = parse_sql("SELECT name FROM artist")
-        lm = align_and_label(gen, gold)
+        lm = label_with_context(gen, gold)[0]
         provs = {lm.provenance[n.id] for n in preorder(gen)}
         assert Provenance.SUPPRESSED in provs
         assert Provenance.RESCUED in provs
@@ -196,14 +194,14 @@ class TestAlignAndLabel:
     def test_label_map_domain_is_exactly_gen_nodes(self):
         gen = parse_sql("SELECT a FROM t")
         gold = parse_sql("SELECT a, b, c FROM t WHERE a = 1 ORDER BY b")
-        lm = align_and_label(gen, gold)
+        lm = label_with_context(gen, gold)[0]
         assert set(lm.labels) == {n.id for n in preorder(gen)}
         assert set(lm.labels.values()) == {0}
 
     def test_select_item_alias_mirrors_wrapped_expression(self):
         gen = parse_sql("SELECT wage AS w FROM emp")
         gold = parse_sql("SELECT salary AS s FROM emp")
-        lm = align_and_label(gen, gold)
+        lm = label_with_context(gen, gold)[0]
         alias = find(gen, NodeKind.ALIAS)
         col = find(gen, NodeKind.COLUMN, "wage")
         assert lm.labels[alias.id] == lm.labels[col.id] == 1
@@ -211,7 +209,7 @@ class TestAlignAndLabel:
     def test_alias_wrapper_correct_when_expression_correct(self):
         gen = parse_sql("SELECT salary AS w FROM emp")
         gold = parse_sql("SELECT salary FROM emp")
-        lm = align_and_label(gen, gold)
+        lm = label_with_context(gen, gold)[0]
         assert set(lm.labels.values()) == {0}
 
 
@@ -225,18 +223,18 @@ class TestRescueAblation:
         for gen_sql, gold_sql in cases:
             gen = parse_sql(gen_sql)
             gold = parse_sql(gold_sql)
-            with_rescue = label_with_ablation(gen, gold, enable_rescue=True)
-            without = label_with_ablation(gen, gold, enable_rescue=False)
+            with_rescue = label_with_context(gen, gold, enable_rescue=True)[0]
+            without = label_with_context(gen, gold, enable_rescue=False)[0]
             assert with_rescue.error_ids() <= without.error_ids()
 
     def test_rescue_off_overblames_documented_siblings(self):
         gen = parse_sql("SELECT * FROM t WHERE a = 1")
         gold = parse_sql("SELECT * FROM t WHERE a = 2")
-        without = label_with_ablation(gen, gold, enable_rescue=False)
+        without = label_with_context(gen, gold, enable_rescue=False)[0]
         blamed = set(error_descriptors(gen, without))
         assert {("Star", None), ("Table", "t"), ("Column", "a")} <= blamed
 
     def test_rescue_off_identity_still_clean(self):
         gen = parse_sql("SELECT name FROM people")
-        lm = label_with_ablation(gen, parse_sql("SELECT name FROM people"), enable_rescue=False)
+        lm = label_with_context(gen, parse_sql("SELECT name FROM people"), enable_rescue=False)[0]
         assert set(lm.labels.values()) == {0}

@@ -204,7 +204,7 @@ class TestRunExperiment:
             gen = gold if i % 3 else gold.replace("a >", "b >").replace("SELECT b FROM t", "SELECT zz FROM t")
             lines.append(record_line(f"q{i}", gen=gen, gold=gold))
         path = self._dataset(tmp_path, lines)
-        config = GbdtConfig(n_trees=4, min_samples_leaf=1, seed=9)
+        config = GbdtConfig(n_trees=4, min_samples_leaf=1)
         out1 = tmp_path / "out1"
         out2 = tmp_path / "out2"
         run_experiment(path, schemas_dir, WithinDatabase(0.5, seed=2), config, out1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from sqluq.ast_core import parse_sql, preorder
-from sqluq.labeler import align_and_label, label_with_ablation
+from sqluq.labeler import label_with_context
 
 from querygen import (
     add_gold_only_material,
@@ -23,7 +23,7 @@ PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 def labels_of(gen_sql: str, gold_sql: str) -> dict[int, int]:
-    return align_and_label(parse_sql(gen_sql), parse_sql(gold_sql)).labels
+    return label_with_context(parse_sql(gen_sql), parse_sql(gold_sql))[0].labels
 
 
 @PROPERTY_SETTINGS
@@ -31,7 +31,7 @@ def labels_of(gen_sql: str, gold_sql: str) -> dict[int, int]:
 def test_identity_labels_everything_correct(seed):
     sql = random_draft(random.Random(seed)).render()
     tree = parse_sql(sql)
-    label_map = align_and_label(tree, parse_sql(sql))
+    label_map = label_with_context(tree, parse_sql(sql))[0]
     assert set(label_map.labels.values()) == {0}
     assert set(label_map.labels) == {n.id for n in preorder(tree)}
 
@@ -82,6 +82,6 @@ def test_monotone_rescue(seed):
     gen_sql, gold_sql = random_pair(random.Random(seed))
     gen = parse_sql(gen_sql)
     gold = parse_sql(gold_sql)
-    with_rescue = label_with_ablation(gen, gold, enable_rescue=True)
-    without = label_with_ablation(gen, gold, enable_rescue=False)
+    with_rescue = label_with_context(gen, gold, enable_rescue=True)[0]
+    without = label_with_context(gen, gold, enable_rescue=False)[0]
     assert with_rescue.error_ids() <= without.error_ids()

@@ -2,7 +2,7 @@ import json
 
 from sqluq.ast_core import parse_sql, preorder
 from sqluq.gbdt import GbdtConfig
-from sqluq.labeler import align_and_label
+from sqluq.labeler import label_with_context
 from sqluq.pipeline import WithinDatabase, run_experiment, write_dataset
 from sqluq.synth import SYNTH_SCHEMA, build_planted_corpus, planted_agreement
 
@@ -33,7 +33,7 @@ def test_unmutated_pairs_label_clean():
         if pair.mutation != "none":
             continue
         gen = parse_sql(pair.record.generated_sql)
-        lm = align_and_label(gen, parse_sql(pair.record.gold_sql))
+        lm = label_with_context(gen, parse_sql(pair.record.gold_sql))[0]
         assert set(lm.labels.values()) == {0}
 
 
