@@ -137,8 +137,12 @@ class NodeRecord:
     logprob_score: float | None = None
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance (insert, delete, substitute)."""
+def levenshtein(a: str, b: str, cutoff: int | None = None) -> int:
+    """Unit-cost edit distance (insert, delete, substitute).
+
+    With a cutoff, a distance below it is exact; otherwise the result is
+    some value at or above the cutoff.  A DP row's minimum never falls in
+    later rows, so the scan stops once that minimum reaches the cutoff."""
     if a == b:
         return 0
     if not a:
@@ -151,6 +155,8 @@ def levenshtein(a: str, b: str) -> int:
         for j, cb in enumerate(b, start=1):
             cost = 0 if ca == cb else 1
             cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
+        if cutoff is not None and min(cur) >= cutoff:
+            return min(cur)
         prev = cur
     return prev[-1]
 
@@ -164,7 +170,9 @@ def nearest_schema_identifier(name: str, schema: Schema) -> tuple[str, int]:
     folded = name.casefold()
     best_name, best_dist = None, None
     for cand in candidates:  # sorted, so first minimum wins ties
-        d = levenshtein(folded, cand)
+        if best_dist is not None and abs(len(cand) - len(folded)) >= best_dist:
+            continue  # the length gap alone is as far as the best
+        d = levenshtein(folded, cand, cutoff=best_dist)
         if best_dist is None or d < best_dist:
             best_name, best_dist = cand, d
             if d == 0:

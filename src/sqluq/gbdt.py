@@ -4,9 +4,17 @@ The ensemble is fit by logistic loss: the score starts at the log-odds
 of the training prevalence, and each round fits a regression tree to the
 negative gradients using second-order (gradient/hessian) leaf values,
 stepping by the learning rate.  Trees grow best-first up to a leaf
-budget, with exact greedy split search over sorted unique feature
-values.  Training uses no randomness: identical records and config
+budget.  Split search is still exact greedy: it reads per-leaf
+gradient, hessian and count histograms whose bins are each column's
+unique values, so its candidate thresholds are the midpoints of adjacent
+values present in the leaf, as in a scan over the sorted rows.  Ties go
+to the highest gain, then the lowest feature index, then the lowest
+threshold.  Training uses no randomness: identical records and config
 reproduce the model bit for bit.
+
+A model packs all its trees into one set of flat arrays when it is
+built, validating them, and scores rows in blocks, walking every (row,
+tree) pair at once.
 """
 
 from __future__ import annotations
@@ -65,28 +73,99 @@ class Tree:
     right: list[int]
     value: list[float]
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=np.float64)
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        feature = np.asarray(self.feature)
-        threshold = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        value = np.asarray(self.value)
-        active = np.arange(X.shape[0])
-        while active.size:
-            cur = node[active]
-            is_leaf = left[cur] < 0
-            if is_leaf.any():
-                done = active[is_leaf]
-                out[done] = value[node[done]]
-                active = active[~is_leaf]
-                cur = node[active]
-            if not active.size:
-                break
-            go_left = X[active, feature[cur]] <= threshold[cur]
-            node[active] = np.where(go_left, left[cur], right[cur])
-        return out
+
+# Rows scored together: bounds the (rows, trees) working arrays.
+_SCORE_BLOCK_ROWS = 64
+
+
+@dataclass(frozen=True)
+class _Ensemble:
+    """Every tree of a model in one set of flat arrays.  Leaves loop to
+    themselves, so walking any (row, tree) pair for ``depth`` steps ends at
+    its leaf."""
+
+    feature: np.ndarray  # split column; 0 at leaves
+    threshold: np.ndarray
+    child: np.ndarray  # child[2 * i + (x <= threshold[i])]: right, then left
+    value: np.ndarray  # leaf value times the learning rate
+    roots: np.ndarray
+    depth: int
+
+    def score(self, X: np.ndarray, base_score: float) -> np.ndarray:
+        """base_score plus every tree's scaled leaf value, added tree by
+        tree in model order, for the rows of X."""
+        n_rows, n_cols = X.shape
+        node = np.repeat(self.roots[None, :], n_rows, axis=0)
+        if self.depth:
+            cells = np.ascontiguousarray(X).ravel()
+            row_start = np.arange(n_rows)[:, None] * n_cols
+            for _ in range(self.depth):
+                go_left = cells[row_start + self.feature[node]] <= self.threshold[node]
+                node = self.child[2 * node + go_left]
+        acc = np.empty((n_rows, self.roots.size + 1), dtype=np.float64)
+        acc[:, 0] = base_score
+        acc[:, 1:] = self.value[node]
+        return np.cumsum(acc, axis=1, out=acc)[:, -1]
+
+
+def _node_array(values, kinds: str, n: int, name: str) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.shape != (n,) or arr.dtype.kind not in kinds:
+        raise ValueError(f"{name} must be a list of {n} numbers")
+    return arr
+
+
+def _pack(trees: list[Tree], feature_count: int, learning_rate: float) -> _Ensemble:
+    """Concatenate the trees' node arrays.  Raises ValueError for a tree
+    that is not a well-formed binary tree over ``feature_count`` features."""
+    if not isinstance(feature_count, int) or feature_count < 0:
+        raise ValueError(f"feature_count must be a non-negative integer, got {feature_count!r}")
+    features, thresholds, values = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0)]
+    children, roots = [np.zeros((0, 2), np.intp)], []
+    start = 0
+    for k, tree in enumerate(trees):
+        n = len(tree.feature)
+        if n == 0:
+            raise ValueError(f"tree {k} has no nodes")
+        feature = _node_array(tree.feature, "i", n, f"tree {k} feature")
+        threshold = _node_array(tree.threshold, "if", n, f"tree {k} threshold")
+        left = _node_array(tree.left, "i", n, f"tree {k} left")
+        right = _node_array(tree.right, "i", n, f"tree {k} right")
+        value = _node_array(tree.value, "if", n, f"tree {k} value")
+        ids = np.arange(n)
+        leaf = (left == -1) & (right == -1)
+        if not np.all(leaf | (ids < left) & (left < n) & (ids < right) & (right < n)):
+            raise ValueError(f"tree {k}: the children of node i must lie in (i, {n})")
+        if not np.all(leaf | (feature >= 0) & (feature < feature_count)):
+            raise ValueError(f"tree {k}: a feature index is outside [0, {feature_count})")
+        if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
+            raise ValueError(f"tree {k}: a threshold or value is not finite")
+        roots.append(start)
+        features.append(np.where(leaf, 0, feature))
+        thresholds.append(threshold)
+        # a leaf is its own child on both sides
+        children.append(start + np.stack([np.where(leaf, ids, right), np.where(leaf, ids, left)], 1))
+        values.append(learning_rate * value)
+        start += n
+    child = np.concatenate(children).ravel().astype(np.int32)
+    roots = np.array(roots, dtype=np.int32)
+    # longest root-to-leaf path: children lie after their parent, so this ends
+    depth = 0
+    frontier = roots
+    while True:
+        frontier = frontier[child[2 * frontier] != frontier]
+        if not frontier.size:
+            break
+        frontier = np.unique(np.concatenate([child[2 * frontier], child[2 * frontier + 1]]))
+        depth += 1
+    return _Ensemble(
+        feature=np.concatenate(features).astype(np.intp),
+        threshold=np.concatenate(thresholds).astype(np.float64),
+        child=child,
+        value=np.concatenate(values).astype(np.float64),
+        roots=roots,
+        depth=depth,
+    )
 
 
 @dataclass
@@ -97,11 +176,21 @@ class GbdtModel:
     manifest_hash: str
     feature_count: int
     train_loss_curve: list[float] = field(default_factory=list)
+    # built once from the fields above; models are never changed after
+    _ensemble: _Ensemble = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not np.isfinite(self.base_score):
+            raise ValueError("base_score is not finite")
+        self._ensemble = _pack(self.trees, self.feature_count, self.config.learning_rate)
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        score = np.full(X.shape[0], self.base_score, dtype=np.float64)
-        for tree in self.trees:
-            score += self.config.learning_rate * tree.predict(X)
+        """Raw score of each row of the 2-D X: base_score plus the scaled
+        leaf value of every tree."""
+        score = np.empty(X.shape[0], dtype=np.float64)
+        for lo in range(0, X.shape[0], _SCORE_BLOCK_ROWS):
+            hi = lo + _SCORE_BLOCK_ROWS
+            score[lo:hi] = self._ensemble.score(X[lo:hi], self.base_score)
         return score
 
     def to_json(self) -> str:
@@ -151,6 +240,9 @@ class GbdtModel:
         except (KeyError, TypeError) as exc:
             # a missing field, or a config/tree key this version lacks
             raise ValueError(f"malformed model file: {exc!r}") from exc
+        except ValueError as exc:
+            # an invalid config value or tree structure
+            raise ValueError(f"malformed model file: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "GbdtModel":
@@ -173,13 +265,15 @@ def _log_loss(y: np.ndarray, score: np.ndarray) -> float:
 
 @dataclass
 class _Leaf:
-    rows: np.ndarray  # bool mask over all training rows
+    rows: np.ndarray  # sorted indices of the leaf's training rows
     grad_sum: float
     hess_sum: float
     # populated by _best_split
     gain: float = -1.0
     feature: int = -1
     threshold: float = 0.0
+    # (3, bins) histogram, kept while the leaf may still be split
+    hist: np.ndarray | None = None
 
 
 def _leaf_value(g: float, h: float) -> float:
@@ -187,60 +281,95 @@ def _leaf_value(g: float, h: float) -> float:
     return float(np.clip(v, -_MAX_LEAF_VALUE, _MAX_LEAF_VALUE))
 
 
-def _best_split(
-    leaf: _Leaf,
-    X: np.ndarray,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    sorted_idx: np.ndarray,
-    min_samples_leaf: int,
-):
-    """Exact greedy search over sorted unique values of every feature."""
-    n_rows = int(leaf.rows.sum())
+@dataclass(frozen=True)
+class _Bins:
+    """Each non-constant column's sorted unique values, one histogram bin
+    per value.  Bins are numbered flat, column after column; ``pad`` lays
+    them out as (column, value), padded with the spare last bin, which no
+    row falls in."""
+
+    columns: np.ndarray  # original index of each binned column
+    values: list[np.ndarray]
+    codes: np.ndarray  # (rows, binned columns): the flat bin of each cell
+    pad: np.ndarray
+    size: int  # bins, the spare one included
+
+
+def _bin_columns(X: np.ndarray) -> _Bins:
+    # a constant column never splits, so it gets no bins
+    columns = np.flatnonzero(X.min(axis=0) != X.max(axis=0))
+    # intp, not int32: bincount would convert int32 codes on every call
+    codes = np.empty((X.shape[0], columns.size), dtype=np.intp)
+    values, starts = [], []
+    n_bins = 0
+    for k, j in enumerate(columns):
+        uniq, codes[:, k] = np.unique(X[:, j], return_inverse=True)
+        codes[:, k] += n_bins
+        values.append(uniq)
+        starts.append(n_bins)
+        n_bins += uniq.size
+    pad = np.full((columns.size, max(map(len, values), default=0)), n_bins)
+    for k, uniq in enumerate(values):
+        pad[k, : uniq.size] = np.arange(starts[k], starts[k] + uniq.size)
+    return _Bins(columns=columns, values=values, codes=codes, pad=pad, size=n_bins + 1)
+
+
+def _histogram(bins: _Bins, rows: np.ndarray | slice, grad: np.ndarray,
+               hess: np.ndarray) -> np.ndarray:
+    """(3, bins) sums of gradient, hessian and row count of the given rows."""
+    cells = bins.codes[rows].ravel()
+    width = bins.codes.shape[1]
+    return np.stack([
+        np.bincount(cells, weights=np.repeat(grad[rows], width), minlength=bins.size),
+        np.bincount(cells, weights=np.repeat(hess[rows], width), minlength=bins.size),
+        np.bincount(cells, minlength=bins.size),
+    ])
+
+
+def _best_split(leaf: _Leaf, hist: np.ndarray, bins: _Bins, min_samples_leaf: int):
+    """Exact greedy split search over the leaf's histogram, whose bins are
+    each column's unique values.  The candidate thresholds are the
+    midpoints of adjacent values present in the leaf.  Ties go to the
+    highest gain, then the lowest feature index, then the lowest threshold."""
+    n_rows = leaf.rows.size
     leaf.gain = -1.0
-    if n_rows < 2 * min_samples_leaf:
+    if n_rows < 2 * min_samples_leaf or bins.pad.size == 0:
         return
     parent_obj = leaf.grad_sum**2 / (leaf.hess_sum + _EPS_HESSIAN)
-    for j in range(X.shape[1]):
-        order = sorted_idx[:, j]
-        sel = order[leaf.rows[order]]  # leaf's rows in feature-sorted order
-        vals = X[sel, j]
-        if vals[0] == vals[-1]:
-            continue
-        g_cum = np.cumsum(grad[sel])
-        h_cum = np.cumsum(hess[sel])
-        g_tot = g_cum[-1]
-        h_tot = h_cum[-1]
-        # split after position i: left = sel[:i+1]; only at value boundaries
-        boundary = np.nonzero(vals[:-1] != vals[1:])[0]
-        if boundary.size == 0:
-            continue
-        counts = boundary + 1
-        legal = (counts >= min_samples_leaf) & (n_rows - counts >= min_samples_leaf)
-        boundary = boundary[legal]
-        if boundary.size == 0:
-            continue
-        gl = g_cum[boundary]
-        hl = h_cum[boundary]
-        gr = g_tot - gl
-        hr = h_tot - hl
-        gains = gl**2 / (hl + _EPS_HESSIAN) + gr**2 / (hr + _EPS_HESSIAN) - parent_obj
-        k = int(np.argmax(gains))
-        if gains[k] > leaf.gain:
-            leaf.gain = float(gains[k])
-            leaf.feature = j
-            b = boundary[k]
-            leaf.threshold = float((vals[b] + vals[b + 1]) / 2.0)
+    # Running sums per column, one row each, so that columns splitting the
+    # leaf alike get bit-identical gains.  A subtracted histogram can keep
+    # rounding residue in an empty bin; zeroed, an empty bin leaves the sums
+    # as they were, so they run over the leaf's non-empty bins only, and its
+    # gain repeats that of the bin before it, which argmax sees first.
+    padded = hist[:, bins.pad]
+    padded[:, padded[2] == 0] = 0.0
+    gl, hl, cl = np.cumsum(padded, axis=2)
+    gr = gl[:, -1:] - gl
+    hr = hl[:, -1:] - hl
+    gains = gl**2 / (hl + _EPS_HESSIAN) + gr**2 / (hr + _EPS_HESSIAN) - parent_obj
+    side = max(min_samples_leaf, 1)  # rows each side needs
+    legal = (cl >= side) & (cl <= n_rows - side)
+    f, b = divmod(int(np.argmax(np.where(legal, gains, -np.inf))), gains.shape[1])
+    if not legal[f, b]:
+        return
+    count = padded[2, f]
+    upper = b + 1 + int(np.flatnonzero(count[b + 1 :])[0])
+    vals = bins.values[f]
+    leaf.gain = float(gains[f, b])
+    leaf.feature = int(bins.columns[f])
+    leaf.threshold = float((vals[b] + vals[upper]) / 2.0)
 
 
 def _grow_tree(
     X: np.ndarray,
+    bins: _Bins,
     grad: np.ndarray,
     hess: np.ndarray,
-    sorted_idx: np.ndarray,
     config: GbdtConfig,
-) -> Tree:
+) -> tuple[Tree, np.ndarray]:
+    """Grow one tree best-first; also return each training row's leaf value."""
     tree = Tree(feature=[], threshold=[], left=[], right=[], value=[])
+    min_leaf = config.min_samples_leaf
 
     def new_node() -> int:
         tree.feature.append(-1)
@@ -250,9 +379,14 @@ def _grow_tree(
         tree.value.append(0.0)
         return len(tree.feature) - 1
 
-    root_rows = np.ones(X.shape[0], dtype=bool)
+    def search(leaf: _Leaf, hist: np.ndarray):
+        _best_split(leaf, hist, bins, min_leaf)
+        if leaf.gain > _MIN_GAIN:
+            leaf.hist = hist
+
+    root_rows = np.arange(X.shape[0])
     root = _Leaf(rows=root_rows, grad_sum=float(grad.sum()), hess_sum=float(hess.sum()))
-    _best_split(root, X, grad, hess, sorted_idx, config.min_samples_leaf)
+    search(root, _histogram(bins, slice(None), grad, hess))  # a view, not a copy
     root_id = new_node()
     open_leaves: list[tuple[_Leaf, int]] = [(root, root_id)]
     n_leaves = 1
@@ -265,15 +399,18 @@ def _grow_tree(
         if best < 0:
             break
         leaf, node_id = open_leaves.pop(best)
-        go_left = X[:, leaf.feature] <= leaf.threshold
-        left_rows = leaf.rows & go_left
-        right_rows = leaf.rows & ~go_left
+        go_left = X[leaf.rows, leaf.feature] <= leaf.threshold
+        left_rows = leaf.rows[go_left]
+        right_rows = leaf.rows[~go_left]
         gl = float(grad[left_rows].sum())
         hl = float(hess[left_rows].sum())
         left_leaf = _Leaf(rows=left_rows, grad_sum=gl, hess_sum=hl)
         right_leaf = _Leaf(rows=right_rows, grad_sum=leaf.grad_sum - gl, hess_sum=leaf.hess_sum - hl)
-        _best_split(left_leaf, X, grad, hess, sorted_idx, config.min_samples_leaf)
-        _best_split(right_leaf, X, grad, hess, sorted_idx, config.min_samples_leaf)
+        small, large = sorted((left_leaf, right_leaf), key=lambda c: c.rows.size)
+        if large.rows.size >= 2 * min_leaf:  # else neither child can split
+            small_hist = _histogram(bins, small.rows, grad, hess)
+            search(small, small_hist)
+            search(large, leaf.hist - small_hist)
         left_id = new_node()
         right_id = new_node()
         tree.feature[node_id] = leaf.feature
@@ -283,9 +420,11 @@ def _grow_tree(
         open_leaves.append((left_leaf, left_id))
         open_leaves.append((right_leaf, right_id))
         n_leaves += 1
+    row_value = np.empty(X.shape[0], dtype=np.float64)
     for leaf, node_id in open_leaves:
         tree.value[node_id] = _leaf_value(leaf.grad_sum, leaf.hess_sum)
-    return tree
+        row_value[leaf.rows] = tree.value[node_id]
+    return tree, row_value
 
 
 def train_matrix(X: np.ndarray, y: np.ndarray, config: GbdtConfig | None = None,
@@ -301,32 +440,32 @@ def train_matrix(X: np.ndarray, y: np.ndarray, config: GbdtConfig | None = None,
     prevalence = float(y.mean())
     clipped = min(max(prevalence, _PREVALENCE_CLIP), 1.0 - _PREVALENCE_CLIP)
     base = float(np.log(clipped / (1.0 - clipped)))
-    model = GbdtModel(
-        config=config,
-        base_score=base,
-        trees=[],
-        manifest_hash=manifest_hash,
-        feature_count=X.shape[1],
-    )
+    score = np.full(y.shape, base, dtype=np.float64)
+    trees: list[Tree] = []
+    loss_curve = [_log_loss(y, score)]
     if prevalence in (0.0, 1.0):
         warnings.warn(
             "all training labels identical; returning a constant model",
             DegenerateLabels,
         )
-        model.train_loss_curve = [_log_loss(y, np.full(y.shape, base))]
-        return model
-    sorted_idx = np.argsort(X, axis=0, kind="stable")
-    score = np.full(y.shape, base, dtype=np.float64)
-    model.train_loss_curve.append(_log_loss(y, score))
-    for _ in range(config.n_trees):
-        p = _sigmoid(score)
-        grad = p - y
-        hess = np.maximum(p * (1.0 - p), _EPS_HESSIAN)
-        tree = _grow_tree(X, grad, hess, sorted_idx, config)
-        score += config.learning_rate * tree.predict(X)
-        model.trees.append(tree)
-        model.train_loss_curve.append(_log_loss(y, score))
-    return model
+    else:
+        bins = _bin_columns(X)
+        for _ in range(config.n_trees):
+            p = _sigmoid(score)
+            grad = p - y
+            hess = np.maximum(p * (1.0 - p), _EPS_HESSIAN)
+            tree, row_value = _grow_tree(X, bins, grad, hess, config)
+            score += config.learning_rate * row_value
+            trees.append(tree)
+            loss_curve.append(_log_loss(y, score))
+    return GbdtModel(
+        config=config,
+        base_score=base,
+        trees=trees,
+        manifest_hash=manifest_hash,
+        feature_count=X.shape[1],
+        train_loss_curve=loss_curve,
+    )
 
 
 def train(records: list[NodeRecord], config: GbdtConfig | None = None) -> GbdtModel:

@@ -76,6 +76,7 @@ class Schema:
     tables: tuple[TableDef, ...]
     _table_index: dict[str, TableDef] = field(init=False, repr=False)
     _column_tables: dict[str, set[str]] = field(init=False, repr=False)
+    _identifier_names: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._table_index = {}
@@ -94,6 +95,9 @@ class Schema:
                     )
                 seen.add(ckey)
                 self._column_tables.setdefault(ckey, set()).add(key)
+        self._identifier_names = tuple(
+            sorted(self._table_index.keys() | self._column_tables.keys())
+        )
 
     def has_table(self, name: str) -> bool:
         return name.casefold() in self._table_index
@@ -117,12 +121,9 @@ class Schema:
                 return col.data_type
         return None
 
-    def identifier_names(self) -> list[str]:
+    def identifier_names(self) -> tuple[str, ...]:
         """Every table and column name, case-folded, sorted, deduplicated."""
-        names = {t.name.casefold() for t in self.tables}
-        for t in self.tables:
-            names.update(c.name.casefold() for c in t.columns)
-        return sorted(names)
+        return self._identifier_names
 
 
 def load_schema(path: str | Path) -> Schema:

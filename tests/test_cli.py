@@ -164,13 +164,13 @@ def test_train_writes_model(runner, workspace):
     assert model_doc["config"]["n_trees"] == 4
 
 
-def _write_model(path, manifest_hash, feature_count, **config_extra):
+def _write_model(path, manifest_hash, feature_count, trees=(), **config_extra):
     config = {"n_trees": 1, "learning_rate": 0.05, "max_leaves": 31,
               "min_samples_leaf": 20, **config_extra}
     path.write_text(json.dumps({
         "format": "sqluq-gbdt-model", "version": 1, "config": config,
         "base_score": 0.0, "manifest_hash": manifest_hash,
-        "feature_count": feature_count, "trees": [],
+        "feature_count": feature_count, "trees": list(trees),
     }), encoding="utf-8")
     return path
 
@@ -205,6 +205,17 @@ def test_predict_model_with_training_seed_exit_code_1(runner, workspace):
     # an older model file: its config has a training seed, its manifest 91 columns
     tmp_path = workspace[0]
     model = _write_model(tmp_path / "model.json", "32b5c080441d07a3", 91, seed=0)
+    result = _predict(runner, workspace, model)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: malformed model file")
+
+
+def test_predict_model_with_feature_out_of_range_exit_code_1(runner, workspace):
+    tmp_path = workspace[0]
+    stump = {"feature": [999, -1, -1], "threshold": [0.5, 0.0, 0.0],
+             "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, -1.0, 1.0]}
+    model = _write_model(tmp_path / "model.json", MANIFEST.version_hash, MANIFEST.length,
+                         trees=[stump])
     result = _predict(runner, workspace, model)
     assert result.exit_code == 1
     assert result.stderr.startswith("error: malformed model file")

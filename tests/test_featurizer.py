@@ -14,7 +14,7 @@ from sqluq.featurizer import (
     node_logprob_score,
     operand_type_compat,
 )
-from sqluq.schema import ColumnDef, DataType, Schema, TableDef, resolve_scope
+from sqluq.schema import ColumnDef, DataType, Schema, SchemaFormatError, TableDef, resolve_scope
 
 
 @pytest.fixture
@@ -94,6 +94,18 @@ class TestLevenshtein:
             b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
             assert levenshtein(a, b) == oracle(a, b)
 
+    def test_cutoff_is_exact_below_and_a_lower_bound_at_or_above(self):
+        import random
+
+        rng = random.Random(5)
+        for _ in range(500):
+            a = "".join(rng.choice("abc") for _ in range(rng.randint(0, 9)))
+            b = "".join(rng.choice("abc") for _ in range(rng.randint(0, 9)))
+            cutoff = rng.randint(0, 8)
+            exact = levenshtein(a, b)
+            cut = levenshtein(a, b, cutoff=cutoff)
+            assert cut == exact if exact < cutoff else cutoff <= cut <= exact
+
 
 class TestNearestIdentifier:
     def test_typo_one_away(self, org_schema):
@@ -122,6 +134,32 @@ class TestNearestIdentifier:
     def test_empty_schema_raises(self):
         with pytest.raises(EmptySchema):
             nearest_schema_identifier("x", Schema(db_id="e", tables=()))
+
+    def test_pruned_search_matches_full_scan_with_ties(self):
+        import random
+
+        rng = random.Random(4)
+        alphabet = "abc_"
+
+        def word(lo, hi):
+            return "".join(rng.choice(alphabet) for _ in range(rng.randint(lo, hi)))
+
+        ties = 0
+        for _ in range(300):
+            tables = tuple(
+                TableDef(word(1, 6), tuple(ColumnDef(word(1, 8), DataType.TEXT)
+                                           for _ in range(rng.randint(0, 4))))
+                for _ in range(rng.randint(1, 4))
+            )
+            try:
+                schema = Schema(db_id="r", tables=tables)
+            except SchemaFormatError:
+                continue  # a duplicate name
+            name = word(0, 9)
+            full = sorted((levenshtein(name, c), c) for c in schema.identifier_names())
+            ties += len(full) > 1 and full[0][0] == full[1][0]
+            assert nearest_schema_identifier(name, schema) == (full[0][1], full[0][0])
+        assert ties >= 30
 
 
 class TestShape:

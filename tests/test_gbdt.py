@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,12 @@ from sqluq.gbdt import (
     GbdtModel,
     ManifestMismatch,
     SingleClass,
+    Tree,
+    _best_split,
+    _bin_columns,
+    _histogram,
+    _Leaf,
+    _sigmoid,
     eval_by_kind,
     predict_proba,
     render_eval_table,
@@ -241,3 +249,196 @@ class TestEvalByKind:
         rows = {r.node_kind: r for r in eval_by_kind(self._model(records), records)}
         assert rows["Star"].auc_model is None
         assert "n/a" in render_eval_table(list(rows.values()))
+
+
+def exact_greedy_candidates(X, grad, hess, rows, min_samples_leaf):
+    """Every legal split of the leaf ``rows`` (a bool mask) with its gain,
+    by the exact greedy scan over rows in feature-sorted order that the
+    histogram search replaced: {(feature, threshold): gain}."""
+    eps = 1e-16
+    sorted_idx = np.argsort(X, axis=0, kind="stable")
+    n_rows = int(rows.sum())
+    if n_rows < 2 * min_samples_leaf:
+        return {}
+    grad_sum = float(grad[rows].sum())
+    hess_sum = float(hess[rows].sum())
+    parent_obj = grad_sum**2 / (hess_sum + eps)
+    found = {}
+    for j in range(X.shape[1]):
+        order = sorted_idx[:, j]
+        sel = order[rows[order]]
+        vals = X[sel, j]
+        g_cum = np.cumsum(grad[sel])
+        h_cum = np.cumsum(hess[sel])
+        for b in np.nonzero(vals[:-1] != vals[1:])[0]:
+            count = b + 1
+            if count < min_samples_leaf or n_rows - count < min_samples_leaf:
+                continue
+            gl, hl = g_cum[b], h_cum[b]
+            gr, hr = g_cum[-1] - gl, h_cum[-1] - hl
+            gain = gl**2 / (hl + eps) + gr**2 / (hr + eps) - parent_obj
+            found[(j, float((vals[b] + vals[b + 1]) / 2.0))] = float(gain)
+    return found
+
+
+def histogram_split(X, grad, hess, idx, min_samples_leaf, subtract=False, rng=None):
+    """(gain, feature, threshold) of the histogram search on leaf rows idx.
+    With subtract, the leaf's histogram comes down a chain of nested row
+    sets from all rows, each one's the previous one's minus the rest's, as
+    a leaf's larger child gets it in training."""
+    bins = _bin_columns(X)
+    if subtract:
+        rows = np.arange(X.shape[0])
+        hist = _histogram(bins, rows, grad, hess)
+        while rows.size > idx.size:
+            keep = np.union1d(idx, rows[rng.rand(rows.size) < 0.7])
+            hist = hist - _histogram(bins, np.setdiff1d(rows, keep), grad, hess)
+            rows = keep
+    else:
+        hist = _histogram(bins, idx, grad, hess)
+    leaf = _Leaf(rows=idx, grad_sum=float(grad[idx].sum()), hess_sum=float(hess[idx].sum()))
+    _best_split(leaf, hist, bins, min_samples_leaf)
+    return leaf.gain, leaf.feature, leaf.threshold
+
+
+class TestSplitSearch:
+    def test_matches_exact_greedy_oracle(self):
+        rng = np.random.RandomState(11)
+        unique_best = 0
+        for case in range(300):
+            n = rng.randint(2, 60)
+            X = rng.randint(0, rng.randint(1, 6), size=(n, rng.randint(1, 6))).astype(float)
+            grad = rng.randn(n)
+            hess = rng.uniform(0.05, 0.25, n)
+            mask = rng.rand(n) < rng.uniform(0.3, 1.0)
+            mask[rng.randint(n)] = True
+            idx = np.flatnonzero(mask)
+            min_samples_leaf = rng.randint(0, 6)
+            found = exact_greedy_candidates(X, grad, hess, mask, min_samples_leaf)
+            for subtract in (False, True):
+                gain, feature, threshold = histogram_split(
+                    X, grad, hess, idx, min_samples_leaf, subtract, rng
+                )
+                if not found:
+                    assert gain == -1.0, case
+                    continue
+                ranked = sorted(found.values(), reverse=True)
+                assert (feature, threshold) in found, case
+                assert gain == pytest.approx(found[feature, threshold], rel=1e-9)
+                assert gain == pytest.approx(ranked[0], rel=1e-9)
+                if len(ranked) == 1 or ranked[1] < ranked[0] * (1 - 1e-9):
+                    # a clear winner: the very same split
+                    best = max(found, key=found.get)
+                    assert (feature, threshold) == best, case
+                    unique_best += not subtract
+        assert unique_best >= 150
+
+    def test_threshold_is_midpoint_of_values_present_in_leaf(self):
+        # the column holds 0, 1 and 2; the leaf holds only the 0s and 2s
+        rng = np.random.RandomState(15)
+        X = np.array([[0.0], [1.0], [2.0]] * 40)
+        idx = np.flatnonzero(X[:, 0] != 1.0)
+        for _ in range(40):
+            grad = np.where(X[:, 0] == 0.0, -1.0, 1.0) * rng.uniform(0.1, 0.9, 120)
+            hess = rng.uniform(0.05, 0.25, 120)
+            for subtract in (False, True):
+                gain, feature, threshold = histogram_split(
+                    X, grad, hess, idx, 1, subtract, rng
+                )
+                assert (feature, threshold) == (0, 1.0)
+                assert gain > 0
+
+    def test_identical_columns_split_on_lower_index(self):
+        rng = np.random.RandomState(12)
+        col = rng.randint(0, 4, 80).astype(float)
+        X = np.stack([rng.randint(0, 2, 80), col, col], axis=1).astype(float)
+        y = (col + rng.rand(80) > 2.0).astype(float)
+        model = train_matrix(X, y, GbdtConfig(n_trees=10, min_samples_leaf=3))
+        used = {f for t in model.trees for f, l in zip(t.feature, t.left) if l != -1}
+        assert 1 in used and 2 not in used
+
+
+def traverse_oracle(model, X):
+    """Per-tree, per-row traversal, adding trees in model order."""
+    score = np.full(X.shape[0], model.base_score, dtype=np.float64)
+    for tree in model.trees:
+        out = np.empty(X.shape[0], dtype=np.float64)
+        for r in range(X.shape[0]):
+            i = 0
+            while tree.left[i] != -1:
+                go_left = X[r, tree.feature[i]] <= tree.threshold[i]
+                i = tree.left[i] if go_left else tree.right[i]
+            out[r] = tree.value[i]
+        score += model.config.learning_rate * out
+    return score
+
+
+class TestPackedEnsemble:
+    def _data(self, n=600, f=5):
+        rng = np.random.RandomState(13)
+        X = rng.randint(0, 6, size=(n, f)).astype(float)
+        y = ((X[:, 0] + X[:, 3] + rng.rand(n) * 3) > 6).astype(float)
+        X_new = rng.randint(-1, 8, size=(n, f)).astype(float)
+        X_new[0, :] = np.nan  # NaN never goes left
+        return X, y, X_new
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            GbdtConfig(n_trees=3, max_leaves=2, min_samples_leaf=1),
+            GbdtConfig(n_trees=25, learning_rate=0.3, min_samples_leaf=1),
+            GbdtConfig(n_trees=40, max_leaves=8, min_samples_leaf=30),
+        ],
+    )
+    def test_trained_models_match_oracle(self, config):
+        X, y, X_new = self._data()
+        model = train_matrix(X, y, config)
+        for data in (X, X_new):
+            assert np.array_equal(model.decision_function(data), traverse_oracle(model, data))
+        restored = GbdtModel.from_json(model.to_json())
+        assert np.array_equal(restored.decision_function(X_new), traverse_oracle(model, X_new))
+
+    def test_root_leaf_tree_and_zero_trees(self):
+        _, _, X_new = self._data(n=40)
+        leaf = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[0.7])
+        for trees in ([leaf, leaf], []):
+            model = GbdtModel(config=GbdtConfig(), base_score=-0.3, trees=trees,
+                              manifest_hash="h", feature_count=5)
+            assert np.array_equal(model.decision_function(X_new), traverse_oracle(model, X_new))
+
+    def test_single_row_input(self):
+        X, y, X_new = self._data()
+        model = train_matrix(X, y, GbdtConfig(n_trees=20, min_samples_leaf=2))
+        for row in X_new[:20]:
+            expected = float(_sigmoid(traverse_oracle(model, row[None, :]))[0])
+            assert predict_proba(model, row, manifest_hash=model.manifest_hash) == expected
+
+
+def _model_doc():
+    rng = np.random.RandomState(14)
+    X = rng.randn(120, 3)
+    y = (X[:, 0] > 0).astype(float)
+    return json.loads(train_matrix(X, y, GbdtConfig(n_trees=2, min_samples_leaf=5)).to_json())
+
+
+@pytest.mark.parametrize(
+    "field, index, value",
+    [
+        ("feature", 0, 999),  # past feature_count
+        ("feature", 0, -1),  # a leaf's marker on an internal node
+        ("left", 0, 0),  # a child loop: the walk would never end
+        ("right", 0, 10_000),  # past the last node
+        ("threshold", 0, float("inf")),
+        ("value", -1, float("nan")),
+        ("value", None, None),  # one entry short
+    ],
+)
+def test_from_json_rejects_malformed_tree(field, index, value):
+    doc = _model_doc()
+    tree = doc["trees"][1]
+    if index is None:
+        tree[field].pop()
+    else:
+        tree[field][index] = value
+    with pytest.raises(ValueError, match="malformed model file"):
+        GbdtModel.from_json(json.dumps(doc))
