@@ -7,11 +7,10 @@ from sqluq.ast_core import (
     SqlNode,
     UnsupportedConstruct,
     build_alias_map,
-    build_index,
     parse_sql,
     preorder,
 )
-from sqluq.featurizer import MANIFEST, NodeRecord, featurize_node, featurize_tree
+from sqluq.featurizer import MANIFEST, NodeRecord, featurize_tree
 from sqluq.gbdt import (
     GbdtConfig,
     GbdtModel,
@@ -35,7 +34,7 @@ from sqluq.pipeline import (
     make_split,
     run_experiment,
 )
-from sqluq.schema import Schema, load_schema, resolve_scope
+from sqluq.schema import Schema, load_schema
 
 __all__ = [
     "AliasMap",
@@ -54,9 +53,7 @@ __all__ = [
     "UnsupportedConstruct",
     "WithinDatabase",
     "build_alias_map",
-    "build_index",
     "eval_by_kind",
-    "featurize_node",
     "featurize_tree",
     "label_with_context",
     "load_dataset",
@@ -66,7 +63,6 @@ __all__ = [
     "predict_proba",
     "preorder",
     "recursively_equivalent",
-    "resolve_scope",
     "roc_auc",
     "run_experiment",
     "shallow_equivalent",

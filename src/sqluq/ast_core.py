@@ -155,37 +155,6 @@ class AliasMap:
         return self.entries.get(name)
 
 
-@dataclass
-class NodeIndex:
-    """Parent/sibling structure computed once per tree."""
-
-    nodes: list[SqlNode]
-    parent: list[int | None]
-    sibling_index: list[int]
-
-    def parent_of(self, node: SqlNode) -> SqlNode | None:
-        pid = self.parent[node.id]
-        return None if pid is None else self.nodes[pid]
-
-    def ancestors(self, node: SqlNode):
-        """Parent, grandparent, ... up to the root."""
-        cur = self.parent_of(node)
-        while cur is not None:
-            yield cur
-            cur = self.parent_of(cur)
-
-
-def build_index(tree: SqlNode) -> NodeIndex:
-    nodes = preorder(tree)
-    parent: list[int | None] = [None] * len(nodes)
-    sibling: list[int] = [0] * len(nodes)
-    for node in nodes:
-        for i, child in enumerate(node.children):
-            parent[child.id] = node.id
-            sibling[child.id] = i
-    return NodeIndex(nodes=nodes, parent=parent, sibling_index=sibling)
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer
 # ---------------------------------------------------------------------------
@@ -781,14 +750,12 @@ def _finalize(root: SqlNode) -> SqlNode:
     return root
 
 
-def parse_sql(text: str, dialect: str = "sqlite") -> SqlNode:
+def parse_sql(text: str) -> SqlNode:
     """Parse SQL text into a normalized tree.
 
-    Raises ParseError for invalid syntax, UnsupportedConstruct for valid
-    SQL outside the supported subset, and ValueError for unknown dialects.
+    Raises ParseError for invalid syntax and UnsupportedConstruct for valid
+    SQL outside the supported subset.
     """
-    if dialect != "sqlite":
-        raise ValueError(f"unknown dialect: {dialect!r}")
     if not text or not text.strip():
         raise ParseError("empty input", 0)
     tokens = tokenize(text)

@@ -14,6 +14,11 @@ Every node, regardless of kind, maps to the same ordered feature list:
 Features that do not apply to a node hold documented defaults (booleans
 0, sizes 0, edit distance the sentinel 64, compatibility the neutral
 class) so the classifier always receives an identically shaped input.
+
+featurize_tree makes one preorder walk per tree.  The level-dependent
+features read facts built once per query level, when the walk enters its
+SELECT: the level's scope frame and whether its SELECT list holds an
+aggregate while it has no GROUP BY.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import chain
 
 import numpy as np
 
@@ -34,13 +38,10 @@ from sqluq.ast_core import (
     FLAG_QUALIFIER,
     FLAG_STRING,
     FLAG_TABLE_NAME,
-    NodeIndex,
     NodeKind,
     SqlNode,
-    build_index,
-    preorder,
 )
-from sqluq.schema import DataType, Schema, ScopeFrame, column_ambiguous, resolve_scope
+from sqluq.schema import DataType, Schema, ScopeFrame, column_ambiguous
 
 LEVENSHTEIN_SENTINEL = 64
 
@@ -246,10 +247,6 @@ def _name_pattern_bits(node: SqlNode, name: str) -> tuple[int, int, int, int]:
     return has_digit, has_underscore, all_caps, mixed
 
 
-def _enclosing_select(node: SqlNode, index: NodeIndex) -> SqlNode | None:
-    return next((a for a in index.ancestors(node) if a.kind is NodeKind.SELECT), None)
-
-
 _CLAUSE_KINDS = frozenset(
     {
         NodeKind.FROM, NodeKind.WHERE, NodeKind.GROUP_BY, NodeKind.HAVING,
@@ -257,38 +254,13 @@ _CLAUSE_KINDS = frozenset(
     }
 )
 
-
-def _projection_items(select: SqlNode) -> list[SqlNode]:
-    return [c for c in select.children if c.kind not in _CLAUSE_KINDS]
-
-
-def _aggregate_context(node: SqlNode, index: NodeIndex) -> int:
-    """1 when a bare column sits in a SELECT list that mixes in an
-    aggregate call but the query level has no GROUP BY."""
-    if node.kind is not NodeKind.COLUMN:
-        return 0
-    select = _enclosing_select(node, index)
-    if select is None:
-        return 0
+def _bare_aggregate(select: SqlNode) -> bool:
+    """True when the SELECT list holds an aggregate call (at any depth,
+    nested subqueries included) and the query level has no GROUP BY."""
     if any(c.kind is NodeKind.GROUP_BY for c in select.children):
-        return 0
-    items = _projection_items(select)
-    in_projection = False
-    under_aggregate = False
-    for cur in chain((node,), index.ancestors(node)):
-        if cur is select:
-            break
-        if cur.kind is NodeKind.AGG:
-            under_aggregate = True
-        if any(cur is item for item in items):
-            in_projection = True
-            break
-    if not in_projection or under_aggregate:
-        return 0
-    has_aggregate = any(
-        d.kind is NodeKind.AGG for item in items for d in item.walk()
-    )
-    return int(has_aggregate)
+        return False
+    items = [c for c in select.children if c.kind not in _CLAUSE_KINDS]
+    return any(d.kind is NodeKind.AGG for item in items for d in item.walk())
 
 
 def _schema_validity(node: SqlNode, frame: ScopeFrame, schema: Schema) -> tuple[int, str | None]:
@@ -308,95 +280,103 @@ def _schema_validity(node: SqlNode, frame: ScopeFrame, schema: Schema) -> tuple[
     return 0, None
 
 
-def featurize_node(
+def _node_row(
     node: SqlNode,
-    tree: SqlNode,
-    aliases: AliasMap,
+    parent: SqlNode | None,
+    sibling: int,
+    frame: ScopeFrame,
+    aggregate_context: bool,
     schema: Schema,
-    index: NodeIndex | None = None,
-) -> np.ndarray:
-    """Feature vector for one node; identical layout for every node."""
-    if index is None:
-        index = build_index(tree)
-    vec = np.array(MANIFEST.defaults, dtype=np.float64)
-
-    vec[_IDX[f"kind={node.kind.value}"]] = 1.0
-    vec[_IDX["depth"]] = float(node.depth)
-    parent = index.parent_of(node)
+) -> list[float]:
+    """One node's feature row; identical layout for every node."""
+    row = list(MANIFEST.defaults)
+    row[_IDX[f"kind={node.kind.value}"]] = 1.0
+    row[_IDX["depth"]] = float(node.depth)
     if parent is None:
-        vec[_IDX["parent_kind=none"]] = 1.0
+        row[_IDX["parent_kind=none"]] = 1.0
     else:
-        vec[_IDX[f"parent_kind={parent.kind.value}"]] = 1.0
-    vec[_IDX["child_count"]] = float(len(node.children))
-    vec[_IDX["sibling_index"]] = float(index.sibling_index[node.id])
-
-    frame = resolve_scope(tree, node, aliases, schema, index=index)
+        row[_IDX[f"parent_kind={parent.kind.value}"]] = 1.0
+    row[_IDX["child_count"]] = float(len(node.children))
+    row[_IDX["sibling_index"]] = float(sibling)
 
     valid, lexical_name = _schema_validity(node, frame, schema)
-    vec[_IDX["schema_valid"]] = float(valid)
+    row[_IDX["schema_valid"]] = float(valid)
 
     if node.kind is NodeKind.COLUMN:
         in_scope = any(
             schema.has_column(node.content, t) for t in frame.known_tables()
         )
-        vec[_IDX["column_in_scope"]] = float(in_scope)
+        row[_IDX["column_in_scope"]] = float(in_scope)
         qualifier = node.qualifier()
         if qualifier is not None:
             known = (
                 frame.aliases.resolve(qualifier) is not None
                 or qualifier in frame.table_names()
             )
-            vec[_IDX["qualifier_scope_valid"]] = float(known)
+            row[_IDX["qualifier_scope_valid"]] = float(known)
         else:
-            vec[_IDX["column_ambiguous"]] = float(
+            row[_IDX["column_ambiguous"]] = float(
                 column_ambiguous(node.content, frame, schema)
             )
 
     if lexical_name is not None:
         if valid:
-            vec[_IDX["levenshtein_nearest"]] = 0.0
+            row[_IDX["levenshtein_nearest"]] = 0.0
         else:
             try:
                 _, dist = nearest_schema_identifier(lexical_name, schema)
-                vec[_IDX["levenshtein_nearest"]] = float(min(dist, LEVENSHTEIN_SENTINEL))
+                row[_IDX["levenshtein_nearest"]] = float(min(dist, LEVENSHTEIN_SENTINEL))
             except EmptySchema:
                 pass  # keep the sentinel
         bits = _name_pattern_bits(node, lexical_name)
-        vec[_IDX["name_has_digit"]] = float(bits[0])
-        vec[_IDX["name_has_underscore"]] = float(bits[1])
-        vec[_IDX["name_all_caps"]] = float(bits[2])
-        vec[_IDX["name_mixed_case"]] = float(bits[3])
+        row[_IDX["name_has_digit"]] = float(bits[0])
+        row[_IDX["name_has_underscore"]] = float(bits[1])
+        row[_IDX["name_all_caps"]] = float(bits[2])
+        row[_IDX["name_mixed_case"]] = float(bits[3])
 
-    vec[_IDX["aggregate_context"]] = float(_aggregate_context(node, index))
+    row[_IDX["aggregate_context"]] = float(aggregate_context)
 
     if node.kind in BINARY_OP_KINDS:
-        vec[_IDX["operand_type_compat"]] = float(operand_type_compat(node, frame, schema))
+        row[_IDX["operand_type_compat"]] = float(operand_type_compat(node, frame, schema))
     if parent is not None and parent.kind in BINARY_OP_KINDS:
-        parent_frame = resolve_scope(tree, parent, aliases, schema, index=index)
-        vec[_IDX["parent_type_compat"]] = float(
-            operand_type_compat(parent, parent_frame, schema)
-        )
+        # an operand is never a SELECT, so the parent shares the node's frame
+        row[_IDX["parent_type_compat"]] = float(operand_type_compat(parent, frame, schema))
 
     if node.kind is NodeKind.LIKE and len(node.children) >= 2:
         pattern = node.children[1]
         if pattern.kind is NodeKind.LITERAL and FLAG_STRING in pattern.flags:
-            vec[_IDX["like_has_wildcard"]] = float("%" in pattern.content or "_" in pattern.content)
-            vec[_IDX["like_pattern_length"]] = float(len(pattern.content))
+            row[_IDX["like_has_wildcard"]] = float("%" in pattern.content or "_" in pattern.content)
+            row[_IDX["like_pattern_length"]] = float(len(pattern.content))
     if node.kind is NodeKind.IN:
         items = node.children[1:]
         if not (len(items) == 1 and items[0].kind is NodeKind.SUBQUERY):
-            vec[_IDX["in_list_size"]] = float(len(items))
-
-    return vec
+            row[_IDX["in_list_size"]] = float(len(items))
+    return row
 
 
 def featurize_tree(
     tree: SqlNode, aliases: AliasMap, schema: Schema
 ) -> tuple[list[SqlNode], np.ndarray]:
-    """All nodes of one tree, featurized against a shared index."""
-    index = build_index(tree)
-    nodes = preorder(tree)
-    matrix = np.empty((len(nodes), MANIFEST.length), dtype=np.float64)
-    for i, node in enumerate(nodes):
-        matrix[i] = featurize_node(node, tree, aliases, schema, index=index)
-    return nodes, matrix
+    """Every node of one tree in preorder, and one feature row per node in
+    the same order."""
+    nodes: list[SqlNode] = []
+    rows: list[list[float]] = []
+    # (node, parent, sibling index, scope frame, level's bare-aggregate bit,
+    #  projected: inside its level's SELECT list and outside any aggregate call)
+    stack = [(tree, None, 0, ScopeFrame(tables=(), aliases=aliases), False, False)]
+    while stack:
+        node, parent, sibling, frame, bare_agg, projected = stack.pop()
+        is_select = node.kind is NodeKind.SELECT
+        if is_select:
+            frame = frame.enter(node, schema)
+            bare_agg = _bare_aggregate(node)
+        aggregate_context = node.kind is NodeKind.COLUMN and bare_agg and projected
+        nodes.append(node)
+        rows.append(_node_row(node, parent, sibling, frame, aggregate_context, schema))
+        for i in range(len(node.children) - 1, -1, -1):
+            child = node.children[i]
+            in_list = child.kind not in _CLAUSE_KINDS if is_select else projected
+            stack.append(
+                (child, node, i, frame, bare_agg, in_list and child.kind is not NodeKind.AGG)
+            )
+    return nodes, np.array(rows, dtype=np.float64)

@@ -23,6 +23,8 @@ from enum import Enum
 from sqluq.ast_core import (
     AliasMap,
     BINARY_OP_KINDS,
+    FLAG_QUALIFIER,
+    FLAG_TABLE_NAME,
     NodeKind,
     SqlNode,
     build_alias_map,
@@ -165,8 +167,8 @@ def shallow_equivalent(
     if kind is NodeKind.IDENTIFIER:
         # Qualifier and table-name identifiers compare alias-normalized so
         # consistent alias renames never create content errors.
-        a_ref = "qualifier" in a.flags or "table_name" in a.flags
-        b_ref = "qualifier" in b.flags or "table_name" in b.flags
+        a_ref = FLAG_QUALIFIER in a.flags or FLAG_TABLE_NAME in a.flags
+        b_ref = FLAG_QUALIFIER in b.flags or FLAG_TABLE_NAME in b.flags
         if a_ref and b_ref:
             base_a = _resolve_qualifier(a.content, ctx.gen_aliases)
             base_b = _resolve_qualifier(b.content, ctx.gold_aliases)
@@ -174,13 +176,12 @@ def shallow_equivalent(
         return (a.content == b.content), modes
     if kind is NodeKind.LITERAL:
         return (a.content == b.content and a.flags == b.flags), modes
-    if kind in (NodeKind.TABLE, NodeKind.FUNC, NodeKind.AGG):
+    if kind in (
+        NodeKind.TABLE, NodeKind.FUNC, NodeKind.AGG, NodeKind.OTHER, NodeKind.ORDERED,
+        NodeKind.JOIN,
+    ):
         return (a.content == b.content), modes
-    if kind in (NodeKind.OTHER, NodeKind.ORDERED, NodeKind.JOIN):
-        return (a.content == b.content), modes
-    if kind is NodeKind.TABLE_ALIAS:
-        # alias names themselves never trigger content errors
-        return True, modes
+    # other kinds, alias names included, never trigger content errors
     return True, modes
 
 
@@ -249,7 +250,8 @@ def label_with_context(
     """Label every generated node against the gold tree.
 
     enable_rescue=False skips the global rescue pass (the ablation).  The
-    equivalence context comes back too, for its memo hit/miss counts.
+    equivalence context comes back too, for its alias maps and its memo
+    hit/miss counts.
     """
     ctx = make_context(gen, gold)
     gen_nodes = preorder(gen)

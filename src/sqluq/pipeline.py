@@ -252,9 +252,8 @@ def label_and_featurize(
     """Label one generated/gold pair and featurize every generated node."""
     gen = parse_sql(record.generated_sql)
     gold = parse_sql(record.gold_sql)
-    label_map, _ = labeler.label_with_context(gen, gold, enable_rescue=enable_rescue)
-    aliases = build_alias_map(gen)
-    nodes, matrix = featurize_tree(gen, aliases, schema)
+    label_map, ctx = labeler.label_with_context(gen, gold, enable_rescue=enable_rescue)
+    nodes, matrix = featurize_tree(gen, ctx.gen_aliases, schema)
     node_records = []
     provenance = []
     for i, node in enumerate(nodes):

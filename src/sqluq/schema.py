@@ -1,8 +1,10 @@
-"""Database schema loading, indexing, and scope resolution.
+"""Database schema loading, indexing, and per-query-level scope frames.
 
 Schemas ground the consistency features: does an identifier exist, is a
 qualifier visible in scope, could an unqualified column be ambiguous,
-and what coarse data type does a column carry.  Unknown tables and
+and what coarse data type does a column carry.  A ScopeFrame lists the
+tables one query level sees; `ScopeFrame.enter` builds a nested level's
+frame from its SELECT and the enclosing level's frame.  Unknown tables and
 columns never raise during featurization; they surface as zeroed
 validity features, which is exactly the signal the classifier needs.
 """
@@ -12,10 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from pathlib import Path
 
-from sqluq.ast_core import AliasMap, NodeIndex, NodeKind, SqlNode, build_index
+from sqluq.ast_core import AliasMap, NodeKind, SqlNode
 
 
 class DataType(Enum):
@@ -155,7 +156,7 @@ def load_schema(path: str | Path) -> Schema:
 
 @dataclass
 class ScopeFrame:
-    """Base tables visible to one node, innermost query level first.
+    """Base tables visible at one query level, innermost level first.
 
     Tables that do not exist in the schema are kept but flagged unknown.
     """
@@ -169,8 +170,16 @@ class ScopeFrame:
     def known_tables(self) -> list[str]:
         return [name for name, known in self.tables if known]
 
-    def has_unknown(self) -> bool:
-        return any(not known for _, known in self.tables)
+    def enter(self, select: SqlNode, schema: Schema) -> ScopeFrame:
+        """The frame of `select`, a query level nested in this one: its own
+        FROM/JOIN tables, then this frame's tables it does not list (outer
+        levels cover correlated references)."""
+        own = dict.fromkeys(_query_level_tables(select))
+        return ScopeFrame(
+            tables=tuple((name, schema.has_table(name)) for name in own)
+            + tuple(t for t in self.tables if t[0] not in own),
+            aliases=self.aliases,
+        )
 
 
 def _query_level_tables(select_node: SqlNode) -> list[str]:
@@ -187,29 +196,6 @@ def _query_level_tables(select_node: SqlNode) -> list[str]:
 
     visit(select_node, False)
     return names
-
-
-def resolve_scope(
-    tree: SqlNode,
-    node: SqlNode,
-    aliases: AliasMap,
-    schema: Schema,
-    index: NodeIndex | None = None,
-) -> ScopeFrame:
-    """Tables visible to `node`: its query level plus enclosing levels."""
-    if index is None:
-        index = build_index(tree)
-    levels = [a for a in chain((node,), index.ancestors(node)) if a.kind is NodeKind.SELECT]
-    if not levels and tree.kind is NodeKind.SELECT:
-        levels.append(tree)
-    seen: set[str] = set()
-    frame: list[tuple[str, bool]] = []
-    for level in levels:  # innermost first; outer levels cover correlated refs
-        for name in _query_level_tables(level):
-            if name not in seen:
-                seen.add(name)
-                frame.append((name, schema.has_table(name)))
-    return ScopeFrame(tables=tuple(frame), aliases=aliases)
 
 
 def column_ambiguous(name: str, frame: ScopeFrame, schema: Schema) -> bool:

@@ -6,7 +6,6 @@ from sqluq.ast_core import (
     ParseError,
     UnsupportedConstruct,
     build_alias_map,
-    build_index,
     parse_sql,
     preorder,
 )
@@ -55,12 +54,10 @@ def test_preorder_ids_contiguous_and_depths():
     )
     nodes = preorder(tree)
     assert [n.id for n in nodes] == list(range(len(nodes)))
-    index = build_index(tree)
     for node in nodes:
         for child in node.children:
             assert child.depth == node.depth + 1
             assert node.span[0] <= child.span[0] <= child.span[1] <= node.span[1]
-            assert index.parent_of(child) is node
 
 
 def test_span_soundness_identifiers_and_literals():
@@ -159,11 +156,6 @@ def test_parse_error_has_position():
     with pytest.raises(ParseError) as err:
         parse_sql("SELECT FROM t")
     assert err.value.position == 7
-
-
-def test_unknown_dialect_rejected():
-    with pytest.raises(ValueError):
-        parse_sql("SELECT 1", dialect="postgres")
 
 
 def test_limit_and_offset():

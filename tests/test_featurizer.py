@@ -1,20 +1,41 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
-from sqluq.ast_core import NodeKind, build_alias_map, build_index, parse_sql, preorder
+from sqluq.ast_core import (
+    BINARY_OP_KINDS,
+    FLAG_STRING,
+    NodeKind,
+    build_alias_map,
+    parse_sql,
+    preorder,
+)
 from sqluq.featurizer import (
+    _IDX,
     Compat,
     EmptySchema,
     LEVENSHTEIN_SENTINEL,
     MANIFEST,
-    featurize_node,
+    _name_pattern_bits,
+    _schema_validity,
     featurize_tree,
     levenshtein,
     nearest_schema_identifier,
     node_logprob_score,
     operand_type_compat,
 )
-from sqluq.schema import ColumnDef, DataType, Schema, SchemaFormatError, TableDef, resolve_scope
+from sqluq.schema import (
+    ColumnDef,
+    DataType,
+    Schema,
+    SchemaFormatError,
+    ScopeFrame,
+    TableDef,
+    _query_level_tables,
+    column_ambiguous,
+)
+from sqluq.synth import SYNTH_SCHEMA
 
 
 @pytest.fixture
@@ -39,7 +60,7 @@ def feat(sql, node_pick, schema):
     tree = parse_sql(sql)
     aliases = build_alias_map(tree)
     node = node_pick(tree)
-    return featurize_node(node, tree, aliases, schema), tree, node
+    return featurize_tree(tree, aliases, schema)[1][node.id], tree, node
 
 
 def by_kind(kind, content=None):
@@ -315,8 +336,7 @@ class TestTypeCompat:
         tree = parse_sql(sql)
         aliases = build_alias_map(tree)
         node = by_kind(kind)(tree)
-        index = build_index(tree)
-        frame = resolve_scope(tree, node, aliases, org_schema, index=index)
+        frame = ScopeFrame(tables=(), aliases=aliases).enter(tree, org_schema)
         return node, frame
 
     def test_numeric_column_vs_number(self, org_schema):
@@ -362,3 +382,170 @@ class TestLogprobScore:
         spans = [(5, 8, -0.2), (8, 10, -0.4), (10, 14, -0.6), (14, 20, -5.0)]
         expected = (-0.2 + -0.4 + -0.6) / 3
         assert node_logprob_score(col, spans) == pytest.approx(expected)
+
+
+# Reference: the per-node featurizer that featurize_tree replaced.  Every
+# node climbs its ancestors to rebuild its query level's scope frame and
+# aggregate context; featurize_tree must match it bit for bit.
+
+_CLAUSES = frozenset(
+    {
+        NodeKind.FROM, NodeKind.WHERE, NodeKind.GROUP_BY, NodeKind.HAVING,
+        NodeKind.ORDER_BY, NodeKind.LIMIT,
+    }
+)
+
+
+def ref_parents(tree):
+    parent, sibling = {tree.id: None}, {tree.id: 0}
+    for node in preorder(tree):
+        for i, child in enumerate(node.children):
+            parent[child.id], sibling[child.id] = node, i
+    return parent, sibling
+
+
+def ref_ancestors(node, parent):
+    cur = parent[node.id]
+    while cur is not None:
+        yield cur
+        cur = parent[cur.id]
+
+
+def ref_resolve_scope(tree, node, aliases, schema, parent):
+    levels = [a for a in chain((node,), ref_ancestors(node, parent)) if a.kind is NodeKind.SELECT]
+    if not levels and tree.kind is NodeKind.SELECT:
+        levels.append(tree)
+    seen, frame = set(), []
+    for level in levels:  # innermost first
+        for name in _query_level_tables(level):
+            if name not in seen:
+                seen.add(name)
+                frame.append((name, schema.has_table(name)))
+    return ScopeFrame(tables=tuple(frame), aliases=aliases)
+
+
+def ref_aggregate_context(node, parent):
+    if node.kind is not NodeKind.COLUMN:
+        return 0
+    select = next((a for a in ref_ancestors(node, parent) if a.kind is NodeKind.SELECT), None)
+    if select is None or any(c.kind is NodeKind.GROUP_BY for c in select.children):
+        return 0
+    items = [c for c in select.children if c.kind not in _CLAUSES]
+    in_projection = under_aggregate = False
+    for cur in chain((node,), ref_ancestors(node, parent)):
+        if cur is select:
+            break
+        if cur.kind is NodeKind.AGG:
+            under_aggregate = True
+        if any(cur is item for item in items):
+            in_projection = True
+            break
+    if not in_projection or under_aggregate:
+        return 0
+    return int(any(d.kind is NodeKind.AGG for item in items for d in item.walk()))
+
+
+def ref_featurize_node(node, tree, aliases, schema, parent, sibling):
+    vec = np.array(MANIFEST.defaults, dtype=np.float64)
+    vec[_IDX[f"kind={node.kind.value}"]] = 1.0
+    vec[_IDX["depth"]] = float(node.depth)
+    up = parent[node.id]
+    vec[_IDX["parent_kind=none" if up is None else f"parent_kind={up.kind.value}"]] = 1.0
+    vec[_IDX["child_count"]] = float(len(node.children))
+    vec[_IDX["sibling_index"]] = float(sibling[node.id])
+    frame = ref_resolve_scope(tree, node, aliases, schema, parent)
+    valid, lexical_name = _schema_validity(node, frame, schema)
+    vec[_IDX["schema_valid"]] = float(valid)
+    if node.kind is NodeKind.COLUMN:
+        vec[_IDX["column_in_scope"]] = float(
+            any(schema.has_column(node.content, t) for t in frame.known_tables())
+        )
+        qualifier = node.qualifier()
+        if qualifier is not None:
+            vec[_IDX["qualifier_scope_valid"]] = float(
+                frame.aliases.resolve(qualifier) is not None
+                or qualifier in frame.table_names()
+            )
+        else:
+            vec[_IDX["column_ambiguous"]] = float(column_ambiguous(node.content, frame, schema))
+    if lexical_name is not None:
+        if valid:
+            vec[_IDX["levenshtein_nearest"]] = 0.0
+        else:
+            try:
+                _, dist = nearest_schema_identifier(lexical_name, schema)
+                vec[_IDX["levenshtein_nearest"]] = float(min(dist, LEVENSHTEIN_SENTINEL))
+            except EmptySchema:
+                pass
+        for name, bit in zip(
+            ("name_has_digit", "name_has_underscore", "name_all_caps", "name_mixed_case"),
+            _name_pattern_bits(node, lexical_name),
+        ):
+            vec[_IDX[name]] = float(bit)
+    vec[_IDX["aggregate_context"]] = float(ref_aggregate_context(node, parent))
+    if node.kind in BINARY_OP_KINDS:
+        vec[_IDX["operand_type_compat"]] = float(operand_type_compat(node, frame, schema))
+    if up is not None and up.kind in BINARY_OP_KINDS:
+        up_frame = ref_resolve_scope(tree, up, aliases, schema, parent)
+        vec[_IDX["parent_type_compat"]] = float(operand_type_compat(up, up_frame, schema))
+    if node.kind is NodeKind.LIKE and len(node.children) >= 2:
+        pattern = node.children[1]
+        if pattern.kind is NodeKind.LITERAL and FLAG_STRING in pattern.flags:
+            vec[_IDX["like_has_wildcard"]] = float("%" in pattern.content or "_" in pattern.content)
+            vec[_IDX["like_pattern_length"]] = float(len(pattern.content))
+    if node.kind is NodeKind.IN:
+        items = node.children[1:]
+        if not (len(items) == 1 and items[0].kind is NodeKind.SUBQUERY):
+            vec[_IDX["in_list_size"]] = float(len(items))
+    return vec
+
+
+ORACLE_QUERIES = (
+    "SELECT e.name, d.name FROM employee AS e JOIN department AS d ON e.name = d.name "
+    "WHERE e.salary > 10",
+    "SELECT name FROM employee JOIN department ON employee.name = department.name",
+    "SELECT z.name, e.salary FROM employee AS e WHERE e.hired > '2020-01-01'",
+    "SELECT name FROM (SELECT name, salary FROM employee WHERE salary > 3) AS s "
+    "WHERE s.salary < 9",
+    "SELECT name FROM department WHERE name IN (SELECT name FROM employee WHERE salary = 5)",
+    "SELECT d.name FROM department AS d WHERE d.name IN "
+    "(SELECT e.name FROM employee AS e WHERE e.name = d.name AND salary = 'x')",
+    "SELECT name, (SELECT max(salary) FROM employee WHERE salary > 0) FROM department",
+    "SELECT (SELECT max(salary) FROM employee WHERE salary > 0) FROM department",
+    "SELECT name, sum(salary) FROM employee",
+    "SELECT name, count(*) FROM employee GROUP BY name HAVING count(*) > 1",
+    "SELECT name, salary + max(salary) FROM employee",
+    "SELECT DISTINCT name FROM employee WHERE name NOT LIKE '%x_' AND salary NOT IN (1, 2, 3)",
+    "SELECT salary * 2 - hired / 3 FROM employee WHERE salary + 1 > 'a' OR name = 4",
+    "SELECT s.city, sum(x.amount) FROM store AS s JOIN sale AS x ON s.store_id = x.sale_id "
+    "WHERE x.channel IN ('web', 'shop') GROUP BY s.city ORDER BY s.city LIMIT 3",
+    "SELECT title, price FROM product WHERE price IN (SELECT max(amount) FROM sale "
+    "WHERE quantity > price) AND category LIKE 'a%'",
+    "SELECT " + ", ".join(["name", "salary"] * 75) + " FROM employee WHERE "
+    + " AND ".join(f"salary > {i}" for i in range(150)),
+)
+
+
+def test_featurize_tree_matches_per_node_reference(org_schema):
+    seen = {name: set() for name in (
+        "aggregate_context", "column_ambiguous", "qualifier_scope_valid",
+        "parent_type_compat", "in_list_size",
+    )}
+    for schema in (SYNTH_SCHEMA, org_schema):
+        for sql in ORACLE_QUERIES:
+            tree = parse_sql(sql)
+            aliases = build_alias_map(tree)
+            parent, sibling = ref_parents(tree)
+            nodes, matrix = featurize_tree(tree, aliases, schema)
+            assert [n.id for n in nodes] == list(range(len(nodes)))
+            expected = np.array(
+                [ref_featurize_node(n, tree, aliases, schema, parent, sibling) for n in nodes]
+            )
+            assert matrix.tobytes() == expected.tobytes(), sql
+            for name, values in seen.items():
+                values.update(matrix[:, _IDX[name]].tolist())
+    assert 1.0 in seen["aggregate_context"]
+    assert 1.0 in seen["column_ambiguous"]
+    assert 1.0 in seen["qualifier_scope_valid"]
+    assert float(Compat.INCOMPATIBLE) in seen["parent_type_compat"]
+    assert seen["in_list_size"] - {0.0}

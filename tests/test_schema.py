@@ -8,11 +8,11 @@ from sqluq.schema import (
     DataType,
     Schema,
     SchemaFormatError,
+    ScopeFrame,
     TableDef,
     coarsen_type,
     column_ambiguous,
     load_schema,
-    resolve_scope,
 )
 
 
@@ -35,6 +35,18 @@ def org_schema():
             ),
         ),
     )
+
+
+def level_frame(levels, aliases, schema):
+    """Scope frame of the last SELECT in `levels`, entered outermost first."""
+    frame = ScopeFrame(tables=(), aliases=aliases)
+    for select in levels:
+        frame = frame.enter(select, schema)
+    return frame
+
+
+def selects(tree):
+    return [n for n in preorder(tree) if n.kind is NodeKind.SELECT]
 
 
 def write_schema(tmp_path, doc, name="db.json"):
@@ -112,19 +124,15 @@ def test_lookup_case_insensitive(org_schema):
 def test_resolve_scope_single_table(org_schema):
     tree = parse_sql("SELECT name FROM department AS d")
     aliases = build_alias_map(tree)
-    col = next(n for n in preorder(tree) if n.kind is NodeKind.COLUMN)
-    frame = resolve_scope(tree, col, aliases, org_schema)
+    frame = level_frame([tree], aliases, org_schema)
     assert frame.table_names() == ["department"]
-    assert not frame.has_unknown()
+    assert frame.tables == (("department", True),)
 
 
 def test_resolve_scope_subquery_inner_level(org_schema):
     tree = parse_sql("SELECT v FROM (SELECT id AS v FROM employee) AS s")
     aliases = build_alias_map(tree)
-    inner_col = next(
-        n for n in preorder(tree) if n.kind is NodeKind.COLUMN and n.content == "id"
-    )
-    frame = resolve_scope(tree, inner_col, aliases, org_schema)
+    frame = level_frame(selects(tree), aliases, org_schema)
     assert frame.table_names() == ["employee"]
 
 
@@ -133,27 +141,22 @@ def test_resolve_scope_correlated_includes_outer(org_schema):
         "SELECT name FROM department WHERE id IN (SELECT department_id FROM employee)"
     )
     aliases = build_alias_map(tree)
-    inner_col = next(
-        n for n in preorder(tree) if n.kind is NodeKind.COLUMN and n.content == "department_id"
-    )
-    frame = resolve_scope(tree, inner_col, aliases, org_schema)
+    frame = level_frame(selects(tree), aliases, org_schema)
     assert frame.table_names() == ["employee", "department"]
 
 
 def test_resolve_scope_unknown_table_flagged(org_schema):
     tree = parse_sql("SELECT x FROM mystery")
     aliases = build_alias_map(tree)
-    col = next(n for n in preorder(tree) if n.kind is NodeKind.COLUMN)
-    frame = resolve_scope(tree, col, aliases, org_schema)
+    frame = level_frame([tree], aliases, org_schema)
     assert frame.tables == (("mystery", False),)
-    assert frame.has_unknown()
+    assert "mystery" not in frame.known_tables()
 
 
 def test_column_ambiguous_two_carriers(org_schema):
     tree = parse_sql("SELECT id FROM department JOIN employee ON department.id = employee.department_id")
     aliases = build_alias_map(tree)
-    col = next(n for n in preorder(tree) if n.kind is NodeKind.COLUMN)
-    frame = resolve_scope(tree, col, aliases, org_schema)
+    frame = level_frame([tree], aliases, org_schema)
     assert column_ambiguous("id", frame, org_schema)
     assert not column_ambiguous("salary", frame, org_schema)
 
@@ -161,8 +164,7 @@ def test_column_ambiguous_two_carriers(org_schema):
 def test_column_ambiguous_single_table_scope(org_schema):
     tree = parse_sql("SELECT id FROM employee")
     aliases = build_alias_map(tree)
-    col = next(n for n in preorder(tree) if n.kind is NodeKind.COLUMN)
-    frame = resolve_scope(tree, col, aliases, org_schema)
+    frame = level_frame([tree], aliases, org_schema)
     assert not column_ambiguous("id", frame, org_schema)
 
 
@@ -170,12 +172,8 @@ def test_ambiguity_monotone_under_scope_growth(org_schema):
     narrow = parse_sql("SELECT id FROM employee")
     wide = parse_sql("SELECT id FROM employee JOIN department ON employee.department_id = department.id")
     for name in ("id", "salary", "name"):
-        frame_narrow = resolve_scope(
-            narrow, preorder(narrow)[1], build_alias_map(narrow), org_schema
-        )
-        frame_wide = resolve_scope(
-            wide, preorder(wide)[1], build_alias_map(wide), org_schema
-        )
+        frame_narrow = level_frame([narrow], build_alias_map(narrow), org_schema)
+        frame_wide = level_frame([wide], build_alias_map(wide), org_schema)
         assert column_ambiguous(name, frame_narrow, org_schema) <= column_ambiguous(
             name, frame_wide, org_schema
         )
