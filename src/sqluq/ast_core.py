@@ -120,9 +120,11 @@ class SqlNode:
 
     def walk(self):
         """Yield this node and every descendant in preorder."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack += node.children[::-1]
 
     def descriptor(self) -> tuple[str, str | None]:
         return (self.kind.value, self.content)
@@ -149,10 +151,10 @@ class AliasMap:
     """Case-folded alias name -> base table name for one query tree."""
 
     entries: dict[str, str] = field(default_factory=dict)
-    diagnostics: list[str] = field(default_factory=list)
 
-    def resolve(self, name: str) -> str | None:
-        return self.entries.get(name)
+    def resolve(self, name: str) -> str:
+        """The base table an alias names; any other name names itself."""
+        return self.entries.get(name, name)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +237,7 @@ def tokenize(text: str) -> list[Token]:
                     seen_dot = True
                 j += 1
             lexeme = text[i:j]
-            pos += len(lexeme)  # digits and dot are single-byte
+            pos += len(lexeme.encode("utf-8"))  # isdigit() also accepts non-ASCII digits
             tokens.append(Token("num", lexeme, start, pos))
             i = j
             continue
@@ -736,17 +738,11 @@ class _Parser:
 
 def _finalize(root: SqlNode) -> SqlNode:
     """Assign contiguous preorder ids and depths."""
-    counter = 0
-
-    def visit(node: SqlNode, depth: int):
-        nonlocal counter
-        node.id = counter
-        node.depth = depth
-        counter += 1
+    root.depth = 0
+    for i, node in enumerate(root.walk()):
+        node.id = i
         for child in node.children:
-            visit(child, depth + 1)
-
-    visit(root, 0)
+            child.depth = node.depth + 1
     return root
 
 
@@ -779,28 +775,14 @@ def parse_sql(text: str) -> SqlNode:
 def build_alias_map(tree: SqlNode) -> AliasMap:
     """Collect alias -> base table entries declared in FROM/JOIN clauses.
 
-    The walk is outer-to-inner so an alias redeclared in a nested scope
-    overwrites the outer entry (innermost wins from the perspective of
-    nodes in that scope).  A duplicate within one query level resolves to
-    the last declaration and records a diagnostic.
+    The map is one per tree, not one per query level.  Entries are written
+    in preorder, so when an alias is declared twice, in one level or in
+    nested ones, the later declaration wins.
     """
     amap = AliasMap()
-
-    def visit(node: SqlNode, seen_this_scope: set[str]):
+    for node in tree.walk():
         if node.kind is NodeKind.TABLE:
             alias = next((c for c in node.children if c.kind is NodeKind.TABLE_ALIAS), None)
             if alias is not None and alias.content:
-                if alias.content in seen_this_scope:
-                    amap.diagnostics.append(
-                        f"duplicate alias {alias.content!r}; keeping last declaration"
-                    )
-                seen_this_scope.add(alias.content)
                 amap.entries[alias.content] = node.content
-        for child in node.children:
-            if child.kind is NodeKind.SELECT and node.kind is NodeKind.SUBQUERY:
-                visit(child, set())
-            else:
-                visit(child, seen_this_scope)
-
-    visit(tree, set())
     return amap

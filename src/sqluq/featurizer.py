@@ -41,7 +41,7 @@ from sqluq.ast_core import (
     NodeKind,
     SqlNode,
 )
-from sqluq.schema import DataType, Schema, ScopeFrame, column_ambiguous
+from sqluq.schema import DataType, Schema, ScopeFrame
 
 LEVENSHTEIN_SENTINEL = 64
 
@@ -190,14 +190,8 @@ def _operand_type(node: SqlNode, frame: ScopeFrame, schema: Schema) -> DataType 
     if node.kind is NodeKind.COLUMN:
         qualifier = node.qualifier()
         if qualifier is not None:
-            table = frame.aliases.resolve(qualifier) or qualifier
-            return schema.column_type(table, node.content)
-        types = {
-            schema.column_type(t, node.content)
-            for t in frame.known_tables()
-            if schema.has_column(node.content, t)
-        }
-        types.discard(None)
+            return schema.column_type(frame.aliases.resolve(qualifier), node.content)
+        types = {schema.column_type(t, node.content) for t in frame.carriers(node.content, schema)}
         if len(types) == 1:
             return types.pop()
         return None
@@ -255,12 +249,19 @@ _CLAUSE_KINDS = frozenset(
 )
 
 def _bare_aggregate(select: SqlNode) -> bool:
-    """True when the SELECT list holds an aggregate call (at any depth,
-    nested subqueries included) and the query level has no GROUP BY."""
+    """True when the SELECT list holds an aggregate call of this query level
+    (one inside a nested subquery belongs to that level) and the level has
+    no GROUP BY."""
     if any(c.kind is NodeKind.GROUP_BY for c in select.children):
         return False
-    items = [c for c in select.children if c.kind not in _CLAUSE_KINDS]
-    return any(d.kind is NodeKind.AGG for item in items for d in item.walk())
+    stack = [c for c in select.children if c.kind not in _CLAUSE_KINDS]
+    while stack:
+        node = stack.pop()
+        if node.kind is NodeKind.AGG:
+            return True
+        if node.kind is not NodeKind.SUBQUERY:
+            stack.extend(node.children)
+    return False
 
 
 def _schema_validity(node: SqlNode, frame: ScopeFrame, schema: Schema) -> tuple[int, str | None]:
@@ -273,8 +274,7 @@ def _schema_validity(node: SqlNode, frame: ScopeFrame, schema: Schema) -> tuple[
         if FLAG_TABLE_NAME in node.flags:
             return int(schema.has_table(node.content)), node.content
         if FLAG_QUALIFIER in node.flags:
-            resolved = frame.aliases.resolve(node.content)
-            ok = resolved is not None or schema.has_table(node.content)
+            ok = node.content in frame.aliases.entries or schema.has_table(node.content)
             return int(ok), node.content
         return int(schema.has_column(node.content) or schema.has_table(node.content)), node.content
     return 0, None
@@ -303,21 +303,14 @@ def _node_row(
     row[_IDX["schema_valid"]] = float(valid)
 
     if node.kind is NodeKind.COLUMN:
-        in_scope = any(
-            schema.has_column(node.content, t) for t in frame.known_tables()
-        )
-        row[_IDX["column_in_scope"]] = float(in_scope)
+        carriers = frame.carriers(node.content, schema)
+        row[_IDX["column_in_scope"]] = float(bool(carriers))
         qualifier = node.qualifier()
         if qualifier is not None:
-            known = (
-                frame.aliases.resolve(qualifier) is not None
-                or qualifier in frame.table_names()
-            )
+            known = qualifier in frame.aliases.entries or qualifier in frame.table_names()
             row[_IDX["qualifier_scope_valid"]] = float(known)
         else:
-            row[_IDX["column_ambiguous"]] = float(
-                column_ambiguous(node.content, frame, schema)
-            )
+            row[_IDX["column_ambiguous"]] = float(len(carriers) >= 2)
 
     if lexical_name is not None:
         if valid:

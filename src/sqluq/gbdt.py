@@ -427,8 +427,7 @@ def _grow_tree(
     return tree, row_value
 
 
-def train_matrix(X: np.ndarray, y: np.ndarray, config: GbdtConfig | None = None,
-                 manifest_hash: str = MANIFEST.version_hash) -> GbdtModel:
+def train_matrix(X: np.ndarray, y: np.ndarray, config: GbdtConfig | None = None) -> GbdtModel:
     """Fit the boosted ensemble on a dense feature matrix."""
     config = config or GbdtConfig()
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -462,7 +461,7 @@ def train_matrix(X: np.ndarray, y: np.ndarray, config: GbdtConfig | None = None,
         config=config,
         base_score=base,
         trees=trees,
-        manifest_hash=manifest_hash,
+        manifest_hash=MANIFEST.version_hash,
         feature_count=X.shape[1],
         train_loss_curve=loss_curve,
     )
@@ -478,15 +477,14 @@ def train(records: list[NodeRecord], config: GbdtConfig | None = None) -> GbdtMo
         raise ManifestMismatch(
             f"records carry {X.shape[1]} features, manifest defines {MANIFEST.length}"
         )
-    return train_matrix(X, y, config=config, manifest_hash=MANIFEST.version_hash)
+    return train_matrix(X, y, config=config)
 
 
-def predict_proba(model: GbdtModel, features: np.ndarray,
-                  manifest_hash: str = MANIFEST.version_hash) -> np.ndarray | float:
+def predict_proba(model: GbdtModel, features: np.ndarray) -> np.ndarray | float:
     """Per-row probability of error: sigmoid(base + sum of scaled leaves)."""
-    if model.manifest_hash != manifest_hash:
+    if model.manifest_hash != MANIFEST.version_hash:
         raise ManifestMismatch(
-            f"model built under manifest {model.manifest_hash}, got {manifest_hash}"
+            f"model built under manifest {model.manifest_hash}, got {MANIFEST.version_hash}"
         )
     arr = np.asarray(features, dtype=np.float64)
     single = arr.ndim == 1

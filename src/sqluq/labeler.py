@@ -128,61 +128,41 @@ def _pair_children(node: SqlNode) -> list[SqlNode]:
     return [_unwrap(c) for c in node.children]
 
 
-def _resolve_qualifier(name: str, aliases: AliasMap) -> str:
-    """An alias resolves to its base table; anything else names itself."""
-    return aliases.entries.get(name, name)
-
-
-def shallow_equivalent(
-    a: SqlNode, b: SqlNode, ctx: EquivalenceContext
-) -> tuple[bool, frozenset[str]]:
-    """Node-level equivalence test, ignoring children.
-
-    Returns (equivalent, match_modes) where match_modes is a subset of
-    {"direct", "swapped"} describing the child orders under which the
-    operands may correspond.
-    """
+def shallow_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> bool:
+    """Node-level equivalence test, ignoring children: equal kinds or an
+    anti-symmetric pair, equal contents, alias-resolved qualifiers."""
     a = _unwrap(a)
     b = _unwrap(b)
     if (a.kind, b.kind) in ANTI_SYMMETRIC_PAIRS:
-        return True, frozenset({"swapped"})
+        return True
     if a.kind is not b.kind:
-        return False, frozenset()
+        return False
     kind = a.kind
-    modes = frozenset({"direct", "swapped"}) if kind in SYMMETRIC_KINDS else frozenset({"direct"})
 
     if kind is NodeKind.COLUMN:
         if a.content != b.content:
-            return False, frozenset()
+            return False
         qa, qb = a.qualifier(), b.qualifier()
-        if qa is None or qb is None:
-            return True, modes
-        if qa == qb:
-            return True, modes
-        base_a = _resolve_qualifier(qa, ctx.gen_aliases)
-        base_b = _resolve_qualifier(qb, ctx.gold_aliases)
-        if base_a == base_b:
-            return True, modes
-        return False, frozenset()
+        if qa is None or qb is None or qa == qb:
+            return True
+        return ctx.gen_aliases.resolve(qa) == ctx.gold_aliases.resolve(qb)
     if kind is NodeKind.IDENTIFIER:
         # Qualifier and table-name identifiers compare alias-normalized so
         # consistent alias renames never create content errors.
         a_ref = FLAG_QUALIFIER in a.flags or FLAG_TABLE_NAME in a.flags
         b_ref = FLAG_QUALIFIER in b.flags or FLAG_TABLE_NAME in b.flags
         if a_ref and b_ref:
-            base_a = _resolve_qualifier(a.content, ctx.gen_aliases)
-            base_b = _resolve_qualifier(b.content, ctx.gold_aliases)
-            return (base_a == base_b), modes
-        return (a.content == b.content), modes
+            return ctx.gen_aliases.resolve(a.content) == ctx.gold_aliases.resolve(b.content)
+        return a.content == b.content
     if kind is NodeKind.LITERAL:
-        return (a.content == b.content and a.flags == b.flags), modes
+        return a.content == b.content and a.flags == b.flags
     if kind in (
         NodeKind.TABLE, NodeKind.FUNC, NodeKind.AGG, NodeKind.OTHER, NodeKind.ORDERED,
         NodeKind.JOIN,
     ):
-        return (a.content == b.content), modes
+        return a.content == b.content
     # other kinds, alias names included, never trigger content errors
-    return True, modes
+    return True
 
 
 def recursively_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> bool:
@@ -195,9 +175,8 @@ def recursively_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> b
         ctx.hits += 1
         return cached
     ctx.misses += 1
-    ok, modes = shallow_equivalent(a, b, ctx)
     result = False
-    if ok:
+    if shallow_equivalent(a, b, ctx):
         ca = _match_children(a)
         cb = _match_children(b)
         if a.kind in (NodeKind.AND, NodeKind.OR):
@@ -209,12 +188,16 @@ def recursively_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> b
         elif not ca:
             result = True
         elif a.kind in BINARY_OP_KINDS and len(ca) == 2:
+            # operands correspond in order when the kinds are equal, and
+            # crosswise when the kind is symmetric or the pair anti-symmetric
             result = False
-            if "direct" in modes:
+            if a.kind is b.kind:
                 result = recursively_equivalent(ca[0], cb[0], ctx) and recursively_equivalent(
                     ca[1], cb[1], ctx
                 )
-            if not result and "swapped" in modes:
+            if not result and (
+                a.kind in SYMMETRIC_KINDS or (a.kind, b.kind) in ANTI_SYMMETRIC_PAIRS
+            ):
                 result = recursively_equivalent(ca[0], cb[1], ctx) and recursively_equivalent(
                     ca[1], cb[0], ctx
                 )
@@ -240,10 +223,6 @@ def _greedy_bipartite_match(
     return True
 
 
-def make_context(gen: SqlNode, gold: SqlNode) -> EquivalenceContext:
-    return EquivalenceContext(build_alias_map(gen), build_alias_map(gold))
-
-
 def label_with_context(
     gen: SqlNode, gold: SqlNode, enable_rescue: bool = True
 ) -> tuple[LabelMap, EquivalenceContext]:
@@ -253,7 +232,7 @@ def label_with_context(
     equivalence context comes back too, for its alias maps and its memo
     hit/miss counts.
     """
-    ctx = make_context(gen, gold)
+    ctx = EquivalenceContext(build_alias_map(gen), build_alias_map(gold))
     gen_nodes = preorder(gen)
     labels = {n.id: ERROR for n in gen_nodes}
     prov = {n.id: Provenance.INITIAL for n in gen_nodes}

@@ -246,13 +246,11 @@ def load_schemas(schemas_dir: str | Path, db_ids: set[str]) -> dict[str, Schema]
     return schemas
 
 
-def label_and_featurize(
-    record: DatasetRecord, schema: Schema, enable_rescue: bool = True
-) -> LabeledQuery:
+def label_and_featurize(record: DatasetRecord, schema: Schema) -> LabeledQuery:
     """Label one generated/gold pair and featurize every generated node."""
     gen = parse_sql(record.generated_sql)
     gold = parse_sql(record.gold_sql)
-    label_map, ctx = labeler.label_with_context(gen, gold, enable_rescue=enable_rescue)
+    label_map, ctx = labeler.label_with_context(gen, gold)
     nodes, matrix = featurize_tree(gen, ctx.gen_aliases, schema)
     node_records = []
     provenance = []

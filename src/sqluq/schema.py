@@ -4,9 +4,11 @@ Schemas ground the consistency features: does an identifier exist, is a
 qualifier visible in scope, could an unqualified column be ambiguous,
 and what coarse data type does a column carry.  A ScopeFrame lists the
 tables one query level sees; `ScopeFrame.enter` builds a nested level's
-frame from its SELECT and the enclosing level's frame.  Unknown tables and
-columns never raise during featurization; they surface as zeroed
-validity features, which is exactly the signal the classifier needs.
+frame from its SELECT and the enclosing level's frame, and
+`ScopeFrame.carriers` answers which of those tables have a given column.
+Unknown tables and columns never raise during featurization; they surface
+as zeroed validity features, which is exactly the signal the classifier
+needs.
 """
 
 from __future__ import annotations
@@ -167,8 +169,9 @@ class ScopeFrame:
     def table_names(self) -> list[str]:
         return [name for name, _ in self.tables]
 
-    def known_tables(self) -> list[str]:
-        return [name for name, known in self.tables if known]
+    def carriers(self, column: str, schema: Schema) -> list[str]:
+        """The known in-scope tables that have a column named `column`."""
+        return [name for name, known in self.tables if known and schema.has_column(column, name)]
 
     def enter(self, select: SqlNode, schema: Schema) -> ScopeFrame:
         """The frame of `select`, a query level nested in this one: its own
@@ -183,27 +186,15 @@ class ScopeFrame:
 
 
 def _query_level_tables(select_node: SqlNode) -> list[str]:
-    """Table names in this SELECT's FROM/JOIN, not descending into subqueries."""
+    """Base table names in this SELECT's FROM list and JOINs, in source
+    order.  Derived tables (subqueries in FROM) are nested levels, not
+    tables of this one."""
     names: list[str] = []
-
-    def visit(node: SqlNode, inside_from: bool):
-        if node.kind is NodeKind.SELECT and node is not select_node:
-            return  # nested query level
-        for child in node.children:
-            if child.kind is NodeKind.TABLE and inside_from:
-                names.append(child.content)
-            visit(child, inside_from or child.kind is NodeKind.FROM)
-
-    visit(select_node, False)
+    for clause in select_node.children:
+        if clause.kind is NodeKind.FROM:
+            for item in clause.children:
+                if item.kind is NodeKind.JOIN:
+                    item = item.children[0]
+                if item.kind is NodeKind.TABLE:
+                    names.append(item.content)
     return names
-
-
-def column_ambiguous(name: str, frame: ScopeFrame, schema: Schema) -> bool:
-    """True when two or more in-scope tables carry a column named `name`."""
-    carriers = 0
-    for table in frame.known_tables():
-        if schema.has_column(name, table):
-            carriers += 1
-            if carriers >= 2:
-                return True
-    return False

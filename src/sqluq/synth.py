@@ -267,10 +267,7 @@ def _locate_planted(generated_sql: str, locator: tuple) -> frozenset[int]:
 
 
 def build_planted_corpus(
-    n_pairs: int,
-    seed: int = 0,
-    schema: Schema = SYNTH_SCHEMA,
-    weights: dict[str, float] | None = None,
+    n_pairs: int, seed: int = 0, weights: dict[str, float] | None = None
 ) -> list[PlantedPair]:
     """Generate gold queries and mutate a known node site in each pair."""
     weights = weights or _DEFAULT_WEIGHTS
@@ -281,13 +278,13 @@ def build_planted_corpus(
     attempt = 0
     while len(pairs) < n_pairs:
         attempt += 1
-        draft = _draft_query(schema, rng)
+        draft = _draft_query(SYNTH_SCHEMA, rng)
         gold_sql = draft.render()
         choice = rng.choices(kinds, weights=kind_weights, k=1)[0]
         if choice == "none":
             gen_sql, expected, mutation = gold_sql, frozenset(), "none"
         else:
-            mutated = _mutate(draft, schema, rng, choice)
+            mutated = _mutate(draft, SYNTH_SCHEMA, rng, choice)
             if mutated is None:
                 continue  # draft lacks a site for this mutation; redraw
             gen_draft, mutation, locator = mutated
@@ -295,7 +292,7 @@ def build_planted_corpus(
             expected = _locate_planted(gen_sql, locator)
         record = DatasetRecord(
             query_id=f"q{len(pairs):05d}",
-            db_id=schema.db_id,
+            db_id=SYNTH_SCHEMA.db_id,
             generated_sql=gen_sql,
             gold_sql=gold_sql,
         )

@@ -33,7 +33,6 @@ from sqluq.schema import (
     ScopeFrame,
     TableDef,
     _query_level_tables,
-    column_ambiguous,
 )
 from sqluq.synth import SYNTH_SCHEMA
 
@@ -313,6 +312,14 @@ class TestContextualFeatures:
         )
         assert vec[idx("aggregate_context")] == 0.0
 
+    def test_aggregate_in_nested_subquery_is_not_this_levels(self, org_schema):
+        sql = "SELECT name, (SELECT max(salary) FROM employee) FROM department"
+        vec, _, _ = feat(sql, by_kind(NodeKind.COLUMN, "name"), org_schema)
+        assert vec[idx("aggregate_context")] == 0.0
+        vec, _, _ = feat(sql.replace("name,", "name, count(*),"), by_kind(NodeKind.COLUMN, "name"),
+                         org_schema)
+        assert vec[idx("aggregate_context")] == 1.0
+
     def test_in_list_size(self, org_schema):
         vec, _, _ = feat(
             "SELECT * FROM employee WHERE salary IN (1, 2, 3)",
@@ -442,7 +449,22 @@ def ref_aggregate_context(node, parent):
             break
     if not in_projection or under_aggregate:
         return 0
-    return int(any(d.kind is NodeKind.AGG for item in items for d in item.walk()))
+    return int(any(ref_level_aggregate(item) for item in items))
+
+
+def ref_level_aggregate(node):
+    """An aggregate call in `node`'s subtree, outside nested subqueries."""
+    return node.kind is NodeKind.AGG or (
+        node.kind is not NodeKind.SUBQUERY and any(ref_level_aggregate(c) for c in node.children)
+    )
+
+
+def ref_known_tables(frame):
+    return [name for name, known in frame.tables if known]
+
+
+def ref_column_ambiguous(name, frame, schema):
+    return sum(schema.has_column(name, t) for t in ref_known_tables(frame)) >= 2
 
 
 def ref_featurize_node(node, tree, aliases, schema, parent, sibling):
@@ -458,16 +480,16 @@ def ref_featurize_node(node, tree, aliases, schema, parent, sibling):
     vec[_IDX["schema_valid"]] = float(valid)
     if node.kind is NodeKind.COLUMN:
         vec[_IDX["column_in_scope"]] = float(
-            any(schema.has_column(node.content, t) for t in frame.known_tables())
+            any(schema.has_column(node.content, t) for t in ref_known_tables(frame))
         )
         qualifier = node.qualifier()
         if qualifier is not None:
             vec[_IDX["qualifier_scope_valid"]] = float(
-                frame.aliases.resolve(qualifier) is not None
+                qualifier in frame.aliases.entries
                 or qualifier in frame.table_names()
             )
         else:
-            vec[_IDX["column_ambiguous"]] = float(column_ambiguous(node.content, frame, schema))
+            vec[_IDX["column_ambiguous"]] = float(ref_column_ambiguous(node.content, frame, schema))
     if lexical_name is not None:
         if valid:
             vec[_IDX["levenshtein_nearest"]] = 0.0

@@ -123,12 +123,12 @@ class TestPredict:
                     left=[1, -1, -1], right=[2, -1, -1], value=[0.0, -1.0, 2.0])
         config = GbdtConfig(n_trees=1, learning_rate=0.1)
         model = GbdtModel(config=config, base_score=0.3, trees=[tree],
-                          manifest_hash="h", feature_count=1)
+                          manifest_hash=MANIFEST.version_hash, feature_count=1)
         # x=0.2 goes left: sigmoid(0.3 + 0.1 * -1.0)
         expected = 1.0 / (1.0 + np.exp(-(0.3 - 0.1)))
-        assert predict_proba(model, np.array([0.2]), manifest_hash="h") == pytest.approx(expected)
+        assert predict_proba(model, np.array([0.2])) == pytest.approx(expected)
         expected_right = 1.0 / (1.0 + np.exp(-(0.3 + 0.2)))
-        assert predict_proba(model, np.array([0.9]), manifest_hash="h") == pytest.approx(expected_right)
+        assert predict_proba(model, np.array([0.9])) == pytest.approx(expected_right)
 
     def test_manifest_mismatch_rejected(self):
         model = GbdtModel(config=GbdtConfig(), base_score=0.0, trees=[],
@@ -411,7 +411,7 @@ class TestPackedEnsemble:
         model = train_matrix(X, y, GbdtConfig(n_trees=20, min_samples_leaf=2))
         for row in X_new[:20]:
             expected = float(_sigmoid(traverse_oracle(model, row[None, :]))[0])
-            assert predict_proba(model, row, manifest_hash=model.manifest_hash) == expected
+            assert predict_proba(model, row) == expected
 
 
 def _model_doc():

@@ -1,9 +1,9 @@
-from sqluq.ast_core import NodeKind, parse_sql, preorder
+from sqluq.ast_core import NodeKind, build_alias_map, parse_sql, preorder
 from sqluq.labeler import (
+    EquivalenceContext,
     Provenance,
     error_descriptors,
     label_with_context,
-    make_context,
     recursively_equivalent,
     shallow_equivalent,
 )
@@ -12,7 +12,7 @@ from sqluq.labeler import (
 def ctx_for(gen_sql, gold_sql):
     gen = parse_sql(gen_sql)
     gold = parse_sql(gold_sql)
-    return gen, gold, make_context(gen, gold)
+    return gen, gold, EquivalenceContext(build_alias_map(gen), build_alias_map(gold))
 
 
 def find(tree, kind, content=None):
@@ -29,19 +29,18 @@ class TestShallowEquivalence:
         )
         gt = find(gen, NodeKind.GT)
         lt = find(gold, NodeKind.LT)
-        ok, modes = shallow_equivalent(gt, lt, ctx)
-        assert ok and modes == frozenset({"swapped"})
+        assert shallow_equivalent(gt, lt, ctx)
 
     def test_function_name_mismatch(self):
         gen, gold, ctx = ctx_for("SELECT max(x) FROM t", "SELECT sum(x) FROM t")
-        ok, _ = shallow_equivalent(find(gen, NodeKind.AGG), find(gold, NodeKind.AGG), ctx)
+        ok = shallow_equivalent(find(gen, NodeKind.AGG), find(gold, NodeKind.AGG), ctx)
         assert not ok
 
     def test_qualified_vs_unqualified_column(self):
         gen, gold, ctx = ctx_for(
             "SELECT a.name FROM artist AS a", "SELECT name FROM artist"
         )
-        ok, _ = shallow_equivalent(
+        ok = shallow_equivalent(
             find(gen, NodeKind.COLUMN), find(gold, NodeKind.COLUMN), ctx
         )
         assert ok
@@ -50,7 +49,7 @@ class TestShallowEquivalence:
         gen, gold, ctx = ctx_for(
             "SELECT x.name FROM artist AS x", "SELECT a.name FROM artist AS a"
         )
-        ok, _ = shallow_equivalent(
+        ok = shallow_equivalent(
             find(gen, NodeKind.COLUMN), find(gold, NodeKind.COLUMN), ctx
         )
         assert ok
@@ -59,7 +58,7 @@ class TestShallowEquivalence:
         gen, gold, ctx = ctx_for(
             "SELECT b.name FROM artist AS a", "SELECT a.name FROM artist AS a"
         )
-        ok, _ = shallow_equivalent(
+        ok = shallow_equivalent(
             find(gen, NodeKind.COLUMN), find(gold, NodeKind.COLUMN), ctx
         )
         assert not ok
@@ -68,7 +67,7 @@ class TestShallowEquivalence:
         gen, gold, ctx = ctx_for(
             "SELECT * FROM t WHERE a = '1'", "SELECT * FROM t WHERE a = 1"
         )
-        ok, _ = shallow_equivalent(
+        ok = shallow_equivalent(
             find(gen, NodeKind.LITERAL), find(gold, NodeKind.LITERAL), ctx
         )
         assert not ok
@@ -77,8 +76,7 @@ class TestShallowEquivalence:
         gen, gold, ctx = ctx_for(
             "SELECT * FROM t WHERE a = b", "SELECT * FROM t WHERE b = a"
         )
-        ok, modes = shallow_equivalent(find(gen, NodeKind.EQ), find(gold, NodeKind.EQ), ctx)
-        assert ok and modes == frozenset({"direct", "swapped"})
+        assert shallow_equivalent(find(gen, NodeKind.EQ), find(gold, NodeKind.EQ), ctx)
 
 
 class TestRecursiveEquivalence:
@@ -101,6 +99,14 @@ class TestRecursiveEquivalence:
         assert not recursively_equivalent(
             find(gen, NodeKind.GT), find(gold, NodeKind.LT), ctx
         )
+
+    def test_same_asymmetric_kind_never_swaps(self):
+        for gen_sql, gold_sql, kind in (
+            ("SELECT * FROM t WHERE a > b", "SELECT * FROM t WHERE b > a", NodeKind.GT),
+            ("SELECT a - b FROM t", "SELECT b - a FROM t", NodeKind.SUB),
+        ):
+            gen, gold, ctx = ctx_for(gen_sql, gold_sql)
+            assert not recursively_equivalent(find(gen, kind), find(gold, kind), ctx)
 
     def test_identity_whole_tree(self):
         gen, gold, ctx = ctx_for("SELECT name FROM people", "SELECT name FROM people")

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from sqluq.gbdt import DegenerateLabels, GbdtConfig
+from sqluq.featurizer import MANIFEST
+from sqluq.gbdt import DegenerateLabels, GbdtConfig, GbdtModel
 from sqluq.pipeline import (
     CrossDatabase,
     DatasetRecord,
@@ -12,9 +13,11 @@ from sqluq.pipeline import (
     load_dataset,
     make_split,
     parse_split_spec,
+    predict_sql,
     run_experiment,
     write_dataset,
 )
+from sqluq.synth import SYNTH_SCHEMA
 
 
 def write_lines(path, lines):
@@ -251,3 +254,14 @@ class TestRunExperiment:
         all_row = result.eval_rows[0]
         assert all_row.auc_logprob is not None
         assert {r.node_kind for r in result.eval_rows} >= {"All", "Column", "Identifier"}
+
+
+def test_predict_sql_on_a_3000_term_chain():
+    # the chain is a left-deep tree about 3,000 nodes deep
+    model = GbdtModel(config=GbdtConfig(), base_score=0.0, trees=[],
+                      manifest_hash=MANIFEST.version_hash, feature_count=MANIFEST.length)
+    sql = "SELECT " + " + ".join(["amount"] * 3000) + " FROM sale"
+    nodes, proba = predict_sql(model, sql, SYNTH_SCHEMA)
+    assert [n.id for n in nodes] == list(range(len(nodes)))
+    assert proba.shape == (len(nodes),)
+    assert max(n.depth for n in nodes) >= 3000

@@ -11,7 +11,6 @@ from sqluq.schema import (
     ScopeFrame,
     TableDef,
     coarsen_type,
-    column_ambiguous,
     load_schema,
 )
 
@@ -150,22 +149,22 @@ def test_resolve_scope_unknown_table_flagged(org_schema):
     aliases = build_alias_map(tree)
     frame = level_frame([tree], aliases, org_schema)
     assert frame.tables == (("mystery", False),)
-    assert "mystery" not in frame.known_tables()
+    assert [name for name, known in frame.tables if known] == []
 
 
 def test_column_ambiguous_two_carriers(org_schema):
     tree = parse_sql("SELECT id FROM department JOIN employee ON department.id = employee.department_id")
     aliases = build_alias_map(tree)
     frame = level_frame([tree], aliases, org_schema)
-    assert column_ambiguous("id", frame, org_schema)
-    assert not column_ambiguous("salary", frame, org_schema)
+    assert len(frame.carriers("id", org_schema)) >= 2
+    assert not len(frame.carriers("salary", org_schema)) >= 2
 
 
 def test_column_ambiguous_single_table_scope(org_schema):
     tree = parse_sql("SELECT id FROM employee")
     aliases = build_alias_map(tree)
     frame = level_frame([tree], aliases, org_schema)
-    assert not column_ambiguous("id", frame, org_schema)
+    assert not len(frame.carriers("id", org_schema)) >= 2
 
 
 def test_ambiguity_monotone_under_scope_growth(org_schema):
@@ -174,6 +173,6 @@ def test_ambiguity_monotone_under_scope_growth(org_schema):
     for name in ("id", "salary", "name"):
         frame_narrow = level_frame([narrow], build_alias_map(narrow), org_schema)
         frame_wide = level_frame([wide], build_alias_map(wide), org_schema)
-        assert column_ambiguous(name, frame_narrow, org_schema) <= column_ambiguous(
-            name, frame_wide, org_schema
+        assert (len(frame_narrow.carriers(name, org_schema)) >= 2) <= (
+            len(frame_wide.carriers(name, org_schema)) >= 2
         )
