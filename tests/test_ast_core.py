@@ -119,6 +119,24 @@ def test_and_or_flattened_nary():
     assert len(and_node.children) == 3
 
 
+def test_arithmetic_is_left_associative_and_not_binds_below_comparison():
+    def shape(node):
+        if not node.children or node.kind is NodeKind.COLUMN:
+            return node.content
+        return (node.kind.value, *[shape(c) for c in node.children])
+
+    def where(cond):
+        return shape(parse_sql(f"SELECT * FROM t WHERE {cond}").children[-1].children[0])
+
+    assert where("a - b - c") == ("Sub", ("Sub", "a", "b"), "c")
+    assert where("a / b * c") == ("Mul", ("Div", "a", "b"), "c")
+    assert where("a - b * c + d") == ("Add", ("Sub", "a", ("Mul", "b", "c")), "d")
+    assert where("NOT a = 1 AND b = 2") == ("And", ("Not", ("Eq", "a", "1")), ("Eq", "b", "2"))
+    assert where("a = 1 OR b = 2 AND c = 3") == (
+        "Or", ("Eq", "a", "1"), ("And", ("Eq", "b", "2"), ("Eq", "c", "3"))
+    )
+
+
 def test_parenthesized_and_flattens_too():
     plain = parse_sql("SELECT * FROM t WHERE a = 1 AND b = 2 AND c = 3")
     grouped = parse_sql("SELECT * FROM t WHERE (a = 1 AND b = 2) AND c = 3")

@@ -5,8 +5,9 @@ labels or to the feature manifest changes them, and the new values go in
 with the change that explains them.
 
 Each hash is a SHA-256 over a fixed serialization: one text line per
-node for labels and provenance, and the little-endian float64 bytes of
-each query's feature matrix for features.
+node for labels and provenance, one text line per input for parse trees,
+and the little-endian float64 bytes of each query's feature matrix for
+features.
 """
 
 import hashlib
@@ -16,8 +17,8 @@ import pytest
 
 from test_featurizer import ORACLE_QUERIES
 
-from sqluq.ast_core import build_alias_map, parse_sql
-from sqluq.corpus import run_corpus
+from sqluq.ast_core import ParseError, UnsupportedConstruct, build_alias_map, parse_sql
+from sqluq.corpus import CASES, run_corpus
 from sqluq.featurizer import MANIFEST, featurize_tree
 from sqluq.labeler import label_with_context
 from sqluq.pipeline import label_and_featurize
@@ -28,6 +29,7 @@ CORPUS_LABELS_SHA256 = "545b9f819d418699e96631990fd8bfef8255025fa716e9b60406dc49
 PLANTED_LABELS_SHA256 = "86461670083729b35dfba24d1b3af71ca695e747a7a4d05f22951928000d1235"
 PLANTED_FEATURES_SHA256 = "dff240cc1466549ae580df778317fd050d3967d1b8f4409e35fad1c7e23a5ce5"
 SCOPED_SHAPES_SHA256 = "a1231139fa40ecdb3025b107ffb801a645f4d492f6a843186cd464e9ee7a45b0"
+PARSE_SHA256 = "000a3286e5ba019c2fed660d237643b51d42a395b05c11e3ec24f2bddadac982"
 
 # (generated, gold) pairs with aliases, joins, IN subqueries and correlated
 # references: shapes the planted corpus never produces.
@@ -71,6 +73,83 @@ ORG_SCHEMA = Schema(
         TableDef("department", (ColumnDef("name", DataType.TEXT),)),
     ),
 )
+
+
+# Expression shapes that pin down precedence, associativity, NOT placement,
+# non-associative comparisons, grouping, spans and the errors of malformed
+# input.  Each is parsed in the three contexts of EDGE_CONTEXTS.
+EDGE_EXPRESSIONS = (
+    "a - b - c", "a / b * c", "a - b + c * d / e - f", "a * (b - c)", "(a - b) - (c - d)",
+    "NOT NOT a = 1 AND b = 2", "NOT a = 1 AND b = 2", "NOT (a = 1) OR NOT b",
+    "a OR b AND c OR d", "(a OR b) AND (c OR d)", "a AND (b AND c) AND ((d AND e))",
+    "(a AND b) OR (c AND d) OR e", "a = 1 AND b = 2 OR c = 3 AND NOT d = 4",
+    "a NOT LIKE 'x%'", "a NOT IN (1, 2)", "NOT a NOT IN (1)", "NOT a LIKE b",
+    "a LIKE 'x' + 1", "a IN (SELECT b FROM u)", "a NOT IN (SELECT b FROM u WHERE c = 1)",
+    "a IN ((1), -2, b + 1)", "a + b IN (1) AND c", "(a IN (1)) - 2", "NOT a IN (1) OR b",
+    "a = b = c", "a LIKE b = c", "a = b LIKE c", "a LIKE b LIKE c", "a IN (1) IN (2)",
+    "a IN (1) = 2", "a = b NOT LIKE c", "a IN (1) NOT IN (2)", "a = b + c = d",
+    "y IN (1) - 2", "y IN (1) * 2", "a = NOT b", "a + NOT b", "NOT", "NOT NOT", "a NOT b",
+    "a NOT BETWEEN 1 AND 2", "a NOT 1", "- (1)", "-1", "- 1 - -2", "a * -1.5", "-a", "- 'x'",
+    "(a = 1 BETWEEN 1 AND 2)", "(a IS NULL)", "a IS NULL", "a = 1 IS NULL", "(a = 1) IS NULL",
+    "a IN (1) IS NULL", "(a IN (1) IS NULL)", "a LIKE b IS NULL", "(a) IS NULL",
+    "a BETWEEN 1 AND 2", "EXISTS (SELECT 1 FROM u)", "CASE WHEN a THEN b END", "a = CASE",
+    "(a = 1) = (b = 2)", "(NOT a) = 1", "((a))", "((a = 1))", "(((a + 1)) * 2)",
+    "((SELECT b FROM u))", "(SELECT b FROM u) + 1", "(a", "a)", "()", "(a,", "a (b)",
+    "a IN ()", "a IN 1", "a IN (1, 2", "a LIKE", "a =", "a +", "a AND", "NOT (a",
+    "f()", "f(a, b + 1)", "count(*)", "count(DISTINCT a)", "count(DISTINCT)", "f(a,)",
+    "f(NOT a)", "f((a), (b = 1))", "t.a = u.b", "t.*", "a.", "null", "NULL = a",
+    "'s' LIKE 'x_%'", "1.5 + .5 * 2.", "a == b", "a != b", "a <> b",
+    "a >= b AND a <= c", "a > b OR a < c", '"or" = "and"', "'and' OR 'or'",
+    "(" * 40 + "a = 1" + ")" * 40, "(" * 40 + "a" + ")" * 39, "(" * 30 + "a" + ")" * 31,
+)
+EDGE_CONTEXTS = (
+    "SELECT {} FROM t",
+    "SELECT a FROM t WHERE {}",
+    "SELECT a FROM t WHERE x IN (({}), 2) GROUP BY {} ORDER BY {} DESC",
+)
+EDGE_QUERIES = (
+    "", "   ", "SELECT", "SELECT FROM", "SELECT a FROM", "SELECT a, FROM t",
+    "SELECT a FROM t;", "SELECT a FROM t;;", "SELECT a FROM t; x",
+    "WITH x AS (SELECT 1) SELECT a FROM x", "UPDATE t SET a = 1",
+    "SELECT * FROM t UNION SELECT * FROM u", "SELECT a AS FROM t",
+    "SELECT a b FROM t AS c JOIN u d ON c.x = d.y",
+    "SELECT a FROM t LEFT OUTER JOIN u ON (t.a = u.a) CROSS JOIN v",
+    "SELECT a FROM t RIGHT JOIN u", "SELECT a FROM t NATURAL JOIN u",
+    "SELECT a FROM t GROUP BY a, b HAVING count(*) > 1 ORDER BY a, b DESC, c ASC LIMIT 5 OFFSET 2",
+    "SELECT a FROM t LIMIT 1, 2", "SELECT a FROM t LIMIT a",
+    "SELECT a FROM (SELECT b FROM u) AS s, (SELECT c FROM v) w",
+    "SELECT a FROM t WHERE a = 'unterminated", 'SELECT "a FROM t', "SELECT a FROM t /* x",
+    "SELECT a /* c */ FROM t -- tail", "SELECT DISTINCT a, t.* FROM t",
+    "SELECT * FROM t WHERE a = 1 GROUP BY", "SELECT \u00ff FROM t WHERE b = '\u00fc' AND c = 1",
+    "SELECT a FROM t WHERE a = $1", "SELECT a FROM t ORDER BY",
+    "SELECT a FROM t WHERE a IN (SELECT b FROM u) AND NOT EXISTS (SELECT 1 FROM v)",
+    "SELECT cast(a AS int) FROM t", "SELECT f(a) OVER () FROM t", "SELECT [a], `b` FROM t",
+    "SELECT a FROM t WHERE a = 1 AND b = 2 BETWEEN",
+)
+
+
+def parse_line(sql: str) -> str:
+    """The preorder (id, kind, content, span, depth, flags, child count) of
+    a parse tree, or the error class and byte position."""
+    try:
+        tree = parse_sql(sql)
+    except (ParseError, UnsupportedConstruct) as exc:
+        return f"{type(exc).__name__} {exc.position}\n"
+    return " ".join(
+        repr((n.id, n.kind.value, n.content, n.span, n.depth, n.flags, len(n.children)))
+        for n in tree.walk()
+    ) + "\n"
+
+
+def parse_inputs() -> list[str]:
+    inputs = [sql for case in CASES for sql in (case.generated, case.gold)]
+    inputs += [sql for pair in SCOPED_PAIRS for sql in pair]
+    inputs += ORACLE_QUERIES
+    for pair in build_planted_corpus(300, seed=0):
+        inputs += [pair.record.generated_sql, pair.record.gold_sql]
+    for context in EDGE_CONTEXTS:
+        inputs += [context.format(*[expr] * context.count("{}")) for expr in EDGE_EXPRESSIONS]
+    return inputs + list(EDGE_QUERIES)
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +202,10 @@ def test_scoped_shapes_labels_and_features():
         _, matrix = featurize_tree(tree, build_alias_map(tree), ORG_SCHEMA)
         digest.update(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
     assert digest.hexdigest() == SCOPED_SHAPES_SHA256
+
+
+def test_parse_trees_and_errors():
+    digest = hashlib.sha256()
+    for sql in parse_inputs():
+        digest.update(parse_line(sql).encode())
+    assert digest.hexdigest() == PARSE_SHA256
