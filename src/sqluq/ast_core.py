@@ -5,7 +5,8 @@ SELECT queries: projections, FROM with joins and subqueries, WHERE,
 GROUP BY, HAVING, ORDER BY, LIMIT, aggregates, binary comparisons,
 LIKE, IN, arithmetic, aliases and stars.  Anything outside the subset
 raises UnsupportedConstruct so callers can skip a query instead of
-silently mislabeling it.
+silently mislabeling it.  Expressions are parsed by one precedence-climbing
+loop over explicit stacks, so parenthesis nesting has no depth limit.
 """
 
 from __future__ import annotations
@@ -172,7 +173,8 @@ KEYWORDS = {
 AGGREGATE_NAMES = {"count", "sum", "avg", "min", "max", "total", "group_concat"}
 
 _TWO_CHAR_OPS = ("==", "!=", "<>", "<=", ">=")
-_ONE_CHAR_OPS = "=<>+-*/(),."
+_ONE_CHAR_OPS = "=<>+-*/(),.;"
+_DIGITS = "0123456789"
 
 
 @dataclass
@@ -226,19 +228,19 @@ def tokenize(text: str) -> list[Token]:
             pos += 2
             continue
         start = pos
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        # ASCII digits only: SQLite reads other digits, like '٣', as identifier characters
+        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     # a trailing dot followed by non-digit belongs to the next token
-                    if j + 1 >= n or not text[j + 1].isdigit():
+                    if j + 1 >= n or text[j + 1] not in _DIGITS:
                         break
                     seen_dot = True
                 j += 1
-            lexeme = text[i:j]
-            pos += len(lexeme.encode("utf-8"))  # isdigit() also accepts non-ASCII digits
-            tokens.append(Token("num", lexeme, start, pos))
+            pos += j - i
+            tokens.append(Token("num", text[i:j], start, pos))
             i = j
             continue
         if ch == "'":
@@ -274,7 +276,7 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token("qident", inner.casefold(), start, pos, raw=inner))
             i = j + 1
             continue
-        if ch.isalpha() or ch == "_":
+        if ch.isalnum() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
@@ -291,7 +293,7 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token("op", two, start, pos))
             i += 2
             continue
-        if ch in _ONE_CHAR_OPS or ch == ";":
+        if ch in _ONE_CHAR_OPS:
             pos += 1
             tokens.append(Token("op", ch, start, pos))
             i += 1
@@ -305,19 +307,17 @@ def tokenize(text: str) -> list[Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
-_COMPARISON_OPS = {
-    "=": NodeKind.EQ,
-    "==": NodeKind.EQ,
-    "!=": NodeKind.NEQ,
-    "<>": NodeKind.NEQ,
-    ">": NodeKind.GT,
-    "<": NodeKind.LT,
-    ">=": NodeKind.GTE,
-    "<=": NodeKind.LTE,
+# Infix operators by token: (binding power, kind).  Prefix NOT binds at 3,
+# between AND and the comparisons, and an open parenthesis is an operator
+# stack entry of power 0.  Comparisons, LIKE and IN are non-associative.
+_INFIX = {
+    "or": (1, NodeKind.OR), "and": (2, NodeKind.AND),
+    "=": (4, NodeKind.EQ), "==": (4, NodeKind.EQ), "!=": (4, NodeKind.NEQ),
+    "<>": (4, NodeKind.NEQ), ">": (4, NodeKind.GT), "<": (4, NodeKind.LT),
+    ">=": (4, NodeKind.GTE), "<=": (4, NodeKind.LTE), "like": (4, NodeKind.LIKE),
+    "in": (4, NodeKind.IN), "+": (5, NodeKind.ADD), "-": (5, NodeKind.SUB),
+    "*": (6, NodeKind.MUL), "/": (6, NodeKind.DIV),
 }
-
-# Connectives from loosest to tightest binding.
-_CONNECTIVES = (("or", NodeKind.OR), ("and", NodeKind.AND))
 
 _UNSUPPORTED_KEYWORDS = {
     "between", "exists", "case", "union", "intersect", "except", "with",
@@ -340,12 +340,12 @@ class _Parser:
             self.i += 1
         return tok
 
-    def at_kw(self, *words: str) -> bool:
-        tok = self.peek()
+    def at_kw(self, *words: str, offset: int = 0) -> bool:
+        tok = self.peek(offset)
         return tok.kind == "kw" and tok.text in words
 
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
+    def at_op(self, *ops: str, offset: int = 0) -> bool:
+        tok = self.peek(offset)
         return tok.kind == "op" and tok.text in ops
 
     def expect_kw(self, word: str) -> Token:
@@ -365,6 +365,14 @@ class _Parser:
         if tok.kind == "kw" and tok.text in _UNSUPPORTED_KEYWORDS:
             raise UnsupportedConstruct(tok.text.upper(), tok.start)
 
+    def comma_list(self, parse_item) -> list[SqlNode]:
+        """One item, then one more for each comma that follows."""
+        items = [parse_item()]
+        while self.at_op(","):
+            self.next()
+            items.append(parse_item())
+        return items
+
     # -- node factory (ids/depths assigned later) ---------------------------
     @staticmethod
     def node(kind: NodeKind, content: str | None, children: list[SqlNode],
@@ -379,7 +387,7 @@ class _Parser:
         if self.at_kw("distinct"):
             tok = self.next()
             children.append(self.node(NodeKind.OTHER, "distinct", [], (tok.start, tok.end)))
-        children.extend(self.parse_select_list())
+        children.extend(self.comma_list(self.parse_select_item))
         children.append(self.parse_from())
         if self.at_kw("where"):
             kw = self.next()
@@ -388,10 +396,7 @@ class _Parser:
         if self.at_kw("group"):
             kw = self.next()
             self.expect_kw("by")
-            items = [self.parse_expr()]
-            while self.at_op(","):
-                self.next()
-                items.append(self.parse_expr())
+            items = self.comma_list(self.parse_expr)
             children.append(self.node(NodeKind.GROUP_BY, None, items, (kw.start, items[-1].span[1])))
         if self.at_kw("having"):
             kw = self.next()
@@ -400,10 +405,7 @@ class _Parser:
         if self.at_kw("order"):
             kw = self.next()
             self.expect_kw("by")
-            items = [self.parse_ordered()]
-            while self.at_op(","):
-                self.next()
-                items.append(self.parse_ordered())
+            items = self.comma_list(self.parse_ordered)
             children.append(self.node(NodeKind.ORDER_BY, None, items, (kw.start, items[-1].span[1])))
         if self.at_kw("limit"):
             kw = self.next()
@@ -441,13 +443,6 @@ class _Parser:
         self.next()
         return self.node(NodeKind.LITERAL, tok.text, [], (tok.start, tok.end))
 
-    def parse_select_list(self) -> list[SqlNode]:
-        items = [self.parse_select_item()]
-        while self.at_op(","):
-            self.next()
-            items.append(self.parse_select_item())
-        return items
-
     def parse_select_item(self) -> SqlNode:
         if self.at_op("*"):
             tok = self.next()
@@ -468,8 +463,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind in ("ident", "qident"):
             # bare alias; only when not followed by '(' (function call) or '.'
-            nxt = self.peek(1)
-            if not (nxt.kind == "op" and nxt.text in ("(", ".")):
+            if not self.at_op("(", ".", offset=1):
                 return self.next()
         return None
 
@@ -489,7 +483,7 @@ class _Parser:
 
     def parse_optional_join(self) -> SqlNode | None:
         tok = self.peek()
-        if not (tok.kind == "kw" and tok.text in ("join", "inner", "left", "right", "full", "cross")):
+        if not self.at_kw("join", "inner", "left", "right", "full", "cross"):
             return None
         start = tok.start
         join_type = "inner"
@@ -547,109 +541,99 @@ class _Parser:
         return self.node(NodeKind.TABLE, tok.text, children, (tok.start, end),
                          flags=tok.case_flags())
 
-    # expression precedence: OR < AND < NOT < comparison < additive < multiplicative
-    def parse_expr(self, level: int = 0) -> SqlNode:
-        """The n-ary connective _CONNECTIVES[level]; past the last level, NOT."""
-        if level == len(_CONNECTIVES):
-            return self.parse_not()
-        word, kind = _CONNECTIVES[level]
-        operands = [self.parse_expr(level + 1)]
-        while self.at_kw(word):
-            self.next()
-            operands.append(self.parse_expr(level + 1))
-        if len(operands) == 1:
-            return operands[0]
-        flat: list[SqlNode] = []
-        for op in operands:  # n-ary normalization of chained AND/OR
-            flat.extend(op.children if op.kind is kind else [op])
-        return self.node(kind, None, flat, (flat[0].span[0], flat[-1].span[1]))
+    def parse_expr(self) -> SqlNode:
+        """One expression, by precedence climbing over an operand stack and
+        an operator stack of (binding power, kind, start, negated) entries.
 
-    def parse_not(self) -> SqlNode:
-        if self.at_kw("not"):
-            kw = self.next()
-            inner = self.parse_not()
-            return self.node(NodeKind.NOT, None, [inner], (kw.start, inner.span[1]))
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> SqlNode:
-        lhs = self.parse_additive()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in _COMPARISON_OPS:
-            self.next()
-            rhs = self.parse_additive()
-            after = self.peek()
-            if after.kind == "op" and after.text in _COMPARISON_OPS:
-                raise ParseError("chained comparison", after.start)
-            return self.node(_COMPARISON_OPS[tok.text], None, [lhs, rhs],
-                             (lhs.span[0], rhs.span[1]))
-        negated = False
-        neg_start = None
-        if self.at_kw("not") and self.peek(1).kind == "kw" and self.peek(1).text in ("like", "in"):
-            neg_tok = self.next()
-            negated = True
-            neg_start = neg_tok.start
-        if self.at_kw("like"):
-            self.next()
-            rhs = self.parse_additive()
-            cmp_node = self.node(NodeKind.LIKE, None, [lhs, rhs], (lhs.span[0], rhs.span[1]))
-            return self._wrap_not(cmp_node, negated, neg_start)
-        if self.at_kw("in"):
-            self.next()
-            self.expect_op("(")
-            children = [lhs]
-            if self.at_kw("select"):
-                sub = self.parse_select()
-                close = self.expect_op(")")
-                children.append(self.node(NodeKind.SUBQUERY, None, [sub],
-                                          (sub.span[0], close.end)))
-            else:
-                children.append(self.parse_expr())
-                while self.at_op(","):
+        Parentheses push a power-0 entry instead of recursing, so nesting
+        depth costs stack entries, not interpreter frames.
+        """
+        operands: list[SqlNode] = []
+        ops: list[tuple[int, NodeKind | None, int, bool]] = []
+        while True:
+            if self.at_kw("not") and (not ops or ops[-1][0] <= 3):
+                # prefix NOT only where a boolean operand may start:
+                # first, or after '(', AND, OR or NOT
+                ops.append((3, NodeKind.NOT, self.next().start, False))
+                continue
+            if self.at_op("(") and not self.at_kw("select", offset=1):
+                ops.append((0, None, self.next().start, False))
+                continue
+            operands.append(self.parse_primary())
+            after_in = False  # an IN list ends its comparison; no operator of power 4+ may follow
+            while True:  # past an operand: ')', an infix operator, or the end
+                tok = self.peek()
+                negated = self.at_kw("not") and self.at_kw("like", "in", offset=1)
+                op = self.peek(1) if negated else tok  # quoted names and strings are operands
+                power, kind = _INFIX.get(op.text, (0, None)) if op.kind in ("kw", "op") else (0, None)
+                if after_in and power >= 4:
+                    raise ParseError("operator after IN list", tok.start)
+                if not power and not after_in:
+                    # guard unless a comparison is pending: the innermost entry of power <= 4 is one
+                    if next((p for p, *_ in reversed(ops) if p <= 4), 0) != 4:
+                        self.guard_unsupported()
+                while ops and ops[-1][0] >= max(power, 1):  # left associative
+                    if ops[-1][0] == power == 4:
+                        raise ParseError("chained comparison", tok.start)
+                    self._reduce(ops.pop(), operands)
+                if not power:
+                    if not ops:
+                        return operands[0]
+                    self.expect_op(")")
+                    ops.pop()  # redundant grouping is dropped; the inner node keeps its span
+                    after_in = False
+                    continue
+                self.next()
+                if negated:
                     self.next()
-                    children.append(self.parse_expr())
-                close = self.expect_op(")")
-            cmp_node = self.node(NodeKind.IN, None, children, (lhs.span[0], close.end))
-            return self._wrap_not(cmp_node, negated, neg_start)
-        if negated:
-            raise ParseError("expected LIKE or IN after NOT", self.peek().start)
-        self.guard_unsupported()
-        return lhs
+                if kind is not NodeKind.IN:
+                    ops.append((power, kind, tok.start, negated))
+                    break
+                operands.append(self.parse_in_list())
+                self._reduce((power, kind, tok.start, negated), operands)
+                after_in = True
 
-    def _wrap_not(self, inner: SqlNode, negated: bool, neg_start: int | None) -> SqlNode:
-        if not negated:
-            return inner
-        return self.node(NodeKind.NOT, None, [inner], (min(neg_start, inner.span[0]), inner.span[1]))
+    def _reduce(self, entry: tuple[int, NodeKind | None, int, bool], operands: list[SqlNode]):
+        """Apply one operator stack entry to the operands on top of the stack."""
+        _, kind, start, negated = entry
+        rhs = operands.pop()
+        if kind is NodeKind.NOT:
+            operands.append(self.node(kind, None, [rhs], (start, rhs.span[1])))
+            return
+        lhs = operands.pop()
+        if kind in (NodeKind.AND, NodeKind.OR):
+            # n-ary normalization: chained AND/OR extend the left operand in place
+            if lhs.kind is not kind:
+                lhs = self.node(kind, None, [lhs], lhs.span)
+            lhs.children += rhs.children if rhs.kind is kind else [rhs]
+            lhs.span = (lhs.span[0], rhs.span[1])
+            operands.append(lhs)
+            return
+        items = rhs.children if kind is NodeKind.IN else [rhs]
+        node = self.node(kind, None, [lhs, *items], (lhs.span[0], rhs.span[1]))
+        operands.append(self.node(NodeKind.NOT, None, [node], node.span) if negated else node)
 
-    def parse_additive(self) -> SqlNode:
-        lhs = self.parse_multiplicative()
-        while self.at_op("+", "-"):
-            op = self.next()
-            rhs = self.parse_multiplicative()
-            kind = NodeKind.ADD if op.text == "+" else NodeKind.SUB
-            lhs = self.node(kind, None, [lhs, rhs], (lhs.span[0], rhs.span[1]))
-        return lhs
-
-    def parse_multiplicative(self) -> SqlNode:
-        lhs = self.parse_unary()
-        while self.at_op("*", "/"):
-            op = self.next()
-            rhs = self.parse_unary()
-            kind = NodeKind.MUL if op.text == "*" else NodeKind.DIV
-            lhs = self.node(kind, None, [lhs, rhs], (lhs.span[0], rhs.span[1]))
-        return lhs
-
-    def parse_unary(self) -> SqlNode:
-        if self.at_op("-"):
-            minus = self.next()
-            tok = self.peek()
-            if tok.kind != "num":
-                raise UnsupportedConstruct("unary minus on non-literal", minus.start)
-            self.next()
-            return self.node(NodeKind.LITERAL, "-" + tok.text, [], (minus.start, tok.end))
-        return self.parse_primary()
+    def parse_in_list(self) -> SqlNode:
+        """`(SELECT …)` or `(expr, …)`: an In node holding the right side of IN."""
+        open_tok = self.expect_op("(")
+        if self.at_kw("select"):
+            sub = self.parse_select()
+            close = self.expect_op(")")
+            items = [self.node(NodeKind.SUBQUERY, None, [sub], (sub.span[0], close.end))]
+        else:
+            items = self.comma_list(self.parse_expr)
+            close = self.expect_op(")")
+        return self.node(NodeKind.IN, None, items, (open_tok.start, close.end))
 
     def parse_primary(self) -> SqlNode:
         tok = self.peek()
+        if tok.kind == "op" and tok.text == "-":
+            self.next()
+            num = self.peek()
+            if num.kind != "num":
+                raise UnsupportedConstruct("unary minus on non-literal", tok.start)
+            self.next()
+            return self.node(NodeKind.LITERAL, "-" + num.text, [], (tok.start, num.end))
         if tok.kind == "num":
             self.next()
             return self.node(NodeKind.LITERAL, tok.text, [], (tok.start, tok.end))
@@ -661,19 +645,13 @@ class _Parser:
             self.next()
             return self.node(NodeKind.LITERAL, "null", [], (tok.start, tok.end),
                              flags=(FLAG_NULL,))
-        if tok.kind == "op" and tok.text == "(":
+        if tok.kind == "op" and tok.text == "(":  # a scalar subquery; parse_expr takes grouping
             self.next()
-            if self.at_kw("select"):
-                sub = self.parse_select()
-                close = self.expect_op(")")
-                return self.node(NodeKind.SUBQUERY, None, [sub], (tok.start, close.end))
-            inner = self.parse_expr()
-            self.expect_op(")")
-            # redundant grouping is dropped; the inner node keeps its own span
-            return inner
+            sub = self.parse_select()
+            close = self.expect_op(")")
+            return self.node(NodeKind.SUBQUERY, None, [sub], (tok.start, close.end))
         if tok.kind in ("ident", "qident"):
-            nxt = self.peek(1)
-            if nxt.kind == "op" and nxt.text == "(":
+            if self.at_op("(", offset=1):
                 return self.parse_call()
             return self.parse_column_ref()
         self.guard_unsupported()
@@ -692,10 +670,7 @@ class _Parser:
             star = self.next()
             args.append(self.node(NodeKind.STAR, None, [], (star.start, star.end)))
         elif not self.at_op(")"):
-            args.append(self.parse_expr())
-            while self.at_op(","):
-                self.next()
-                args.append(self.parse_expr())
+            args = self.comma_list(self.parse_expr)
         close = self.expect_op(")")
         if distinct_tok is not None:
             if not args:
@@ -711,29 +686,23 @@ class _Parser:
     def parse_column_ref(self) -> SqlNode:
         first = self.next()
         first_flags = (FLAG_QUOTED,) if first.kind == "qident" else ()
-        if self.at_op("."):
-            self.next()
-            if self.at_op("*"):
-                star = self.next()
-                qual = self.node(NodeKind.IDENTIFIER, first.text, [],
-                                 (first.start, first.end),
-                                 flags=first_flags + (FLAG_QUALIFIER,) + first.case_flags())
-                return self.node(NodeKind.STAR, None, [qual], (first.start, star.end))
-            name_tok = self.peek()
-            if name_tok.kind not in ("ident", "qident"):
-                raise ParseError("expected column name after '.'", name_tok.start)
-            self.next()
-            qual = self.node(NodeKind.IDENTIFIER, first.text, [],
-                             (first.start, first.end),
-                             flags=first_flags + (FLAG_QUALIFIER,) + first.case_flags())
-            return self.node(NodeKind.COLUMN, name_tok.text, [qual],
-                             (first.start, name_tok.end),
-                             flags=name_tok.case_flags())
-        ident = self.node(NodeKind.IDENTIFIER, first.text, [],
-                          (first.start, first.end),
-                          flags=first_flags + (FLAG_COLUMN_NAME,) + first.case_flags())
-        return self.node(NodeKind.COLUMN, first.text, [ident], (first.start, first.end),
-                         flags=first.case_flags())
+        if not self.at_op("."):
+            ident = self.node(NodeKind.IDENTIFIER, first.text, [], (first.start, first.end),
+                              flags=first_flags + (FLAG_COLUMN_NAME,) + first.case_flags())
+            return self.node(NodeKind.COLUMN, first.text, [ident], (first.start, first.end),
+                             flags=first.case_flags())
+        self.next()
+        qual = self.node(NodeKind.IDENTIFIER, first.text, [], (first.start, first.end),
+                         flags=first_flags + (FLAG_QUALIFIER,) + first.case_flags())
+        if self.at_op("*"):
+            star = self.next()
+            return self.node(NodeKind.STAR, None, [qual], (first.start, star.end))
+        name_tok = self.peek()
+        if name_tok.kind not in ("ident", "qident"):
+            raise ParseError("expected column name after '.'", name_tok.start)
+        self.next()
+        return self.node(NodeKind.COLUMN, name_tok.text, [qual], (first.start, name_tok.end),
+                         flags=name_tok.case_flags())
 
 
 def _finalize(root: SqlNode) -> SqlNode:
@@ -758,7 +727,7 @@ def parse_sql(text: str) -> SqlNode:
     parser = _Parser(tokens)
     if not parser.at_kw("select"):
         tok = parser.peek()
-        if tok.kind == "kw" and tok.text in _UNSUPPORTED_KEYWORDS | {"with"}:
+        if tok.kind == "kw" and tok.text in _UNSUPPORTED_KEYWORDS:
             raise UnsupportedConstruct(tok.text.upper(), tok.start)
         raise ParseError("expected SELECT", tok.start)
     root = parser.parse_select()

@@ -286,9 +286,13 @@ def _node_row(
     sibling: int,
     frame: ScopeFrame,
     aggregate_context: bool,
+    compat: Compat | None,
+    parent_compat: Compat | None,
     schema: Schema,
 ) -> list[float]:
-    """One node's feature row; identical layout for every node."""
+    """One node's feature row; identical layout for every node.  compat and
+    parent_compat are the operand_type_compat of the node and of its
+    parent, None where that is not a binary operator."""
     row = list(MANIFEST.defaults)
     row[_IDX[f"kind={node.kind.value}"]] = 1.0
     row[_IDX["depth"]] = float(node.depth)
@@ -329,11 +333,10 @@ def _node_row(
 
     row[_IDX["aggregate_context"]] = float(aggregate_context)
 
-    if node.kind in BINARY_OP_KINDS:
-        row[_IDX["operand_type_compat"]] = float(operand_type_compat(node, frame, schema))
-    if parent is not None and parent.kind in BINARY_OP_KINDS:
-        # an operand is never a SELECT, so the parent shares the node's frame
-        row[_IDX["parent_type_compat"]] = float(operand_type_compat(parent, frame, schema))
+    if compat is not None:
+        row[_IDX["operand_type_compat"]] = float(compat)
+    if parent_compat is not None:
+        row[_IDX["parent_type_compat"]] = float(parent_compat)
 
     if node.kind is NodeKind.LIKE and len(node.children) >= 2:
         pattern = node.children[1]
@@ -355,21 +358,25 @@ def featurize_tree(
     nodes: list[SqlNode] = []
     rows: list[list[float]] = []
     # (node, parent, sibling index, scope frame, level's bare-aggregate bit,
-    #  projected: inside its level's SELECT list and outside any aggregate call)
-    stack = [(tree, None, 0, ScopeFrame(tables=(), aliases=aliases), False, False)]
+    #  projected: inside its level's SELECT list and outside any aggregate call,
+    #  the parent's operand_type_compat)
+    stack = [(tree, None, 0, ScopeFrame(tables=(), aliases=aliases), False, False, None)]
     while stack:
-        node, parent, sibling, frame, bare_agg, projected = stack.pop()
+        node, parent, sibling, frame, bare_agg, projected, parent_compat = stack.pop()
         is_select = node.kind is NodeKind.SELECT
         if is_select:
             frame = frame.enter(node, schema)
             bare_agg = _bare_aggregate(node)
         aggregate_context = node.kind is NodeKind.COLUMN and bare_agg and projected
+        # computed once per operator; an operand is never a SELECT, so it
+        # shares its operator's frame
+        compat = operand_type_compat(node, frame, schema) if node.kind in BINARY_OP_KINDS else None
         nodes.append(node)
-        rows.append(_node_row(node, parent, sibling, frame, aggregate_context, schema))
+        rows.append(_node_row(node, parent, sibling, frame, aggregate_context, compat,
+                              parent_compat, schema))
         for i in range(len(node.children) - 1, -1, -1):
             child = node.children[i]
             in_list = child.kind not in _CLAUSE_KINDS if is_select else projected
-            stack.append(
-                (child, node, i, frame, bare_agg, in_list and child.kind is not NodeKind.AGG)
-            )
+            stack.append((child, node, i, frame, bare_agg,
+                          in_list and child.kind is not NodeKind.AGG, compat))
     return nodes, np.array(rows, dtype=np.float64)

@@ -7,9 +7,9 @@ token_logprobs as [start, end, logprob] byte spans over generated_sql.
 Schemas live one JSON file per db_id inside a schemas directory.
 
 run_experiment parses, labels, and featurizes every record (skipping and
-reporting unparseable ones), trains on the train split, and emits the
-per-kind evaluation table plus serialized artifacts.  Identical inputs,
-split and config reproduce identical outputs.
+reporting, by exception class, any record that fails), trains on the
+train split, and emits the per-kind evaluation table plus serialized
+artifacts.  Identical inputs, split and config reproduce identical outputs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from sqluq import labeler
-from sqluq.ast_core import ParseError, SqlNode, UnsupportedConstruct, build_alias_map, parse_sql
+from sqluq.ast_core import SqlNode, build_alias_map, parse_sql
 from sqluq.featurizer import MANIFEST, NodeRecord, featurize_tree, node_logprob_score
 from sqluq.gbdt import (
     EvalRow,
@@ -290,8 +290,8 @@ def label_dataset(
     for record in loaded.records:
         try:
             labeled.append(label_and_featurize(record, schemas[record.db_id]))
-        except (ParseError, UnsupportedConstruct) as exc:
-            skipped.append((record.query_id, str(exc)))
+        except Exception as exc:  # one bad record is a skip, never the end of a run
+            skipped.append((record.query_id, f"{type(exc).__name__}: {exc}"))
     labeled.sort(key=lambda lq: lq.record.query_id)
     return labeled, skipped, len(loaded.records) + len(loaded.skipped)
 

@@ -85,13 +85,15 @@ def test_byte_spans_with_multibyte_text():
 
 
 def test_byte_spans_after_non_ascii_digits():
-    # str.isdigit accepts both digits, and each takes two bytes in UTF-8
+    # both are digits to str.isdigit but, as in SQLite, name a column; each
+    # takes two bytes in UTF-8
     for digit in ("\u0663", "\u00b2"):
         sql = f"SELECT {digit} FROM t WHERE a = 1"
         raw = sql.encode("utf-8")
         spans = [(n.kind, raw[n.span[0] : n.span[1]].decode("utf-8")) for n in preorder(parse_sql(sql))]
         assert spans == [
-            (NodeKind.SELECT, sql), (NodeKind.LITERAL, digit), (NodeKind.FROM, "FROM t"),
+            (NodeKind.SELECT, sql), (NodeKind.COLUMN, digit), (NodeKind.IDENTIFIER, digit),
+            (NodeKind.FROM, "FROM t"),
             (NodeKind.TABLE, "t"), (NodeKind.IDENTIFIER, "t"), (NodeKind.WHERE, "WHERE a = 1"),
             (NodeKind.EQ, "a = 1"), (NodeKind.COLUMN, "a"), (NodeKind.IDENTIFIER, "a"),
             (NodeKind.LITERAL, "1"),

@@ -34,7 +34,7 @@ from sqluq.schema import (
     TableDef,
     _query_level_tables,
 )
-from sqluq.synth import SYNTH_SCHEMA
+from sqluq.synth import SYNTH_SCHEMA, build_planted_corpus
 
 
 @pytest.fixture
@@ -571,3 +571,20 @@ def test_featurize_tree_matches_per_node_reference(org_schema):
     assert 1.0 in seen["qualifier_scope_valid"]
     assert float(Compat.INCOMPATIBLE) in seen["parent_type_compat"]
     assert seen["in_list_size"] - {0.0}
+
+
+def test_operand_type_compat_computed_once_per_operator(monkeypatch):
+    calls = []
+
+    def counted(op_node, frame, schema):
+        calls.append(op_node)
+        return operand_type_compat(op_node, frame, schema)
+
+    monkeypatch.setattr("sqluq.featurizer.operand_type_compat", counted)
+    operators = []
+    for pair in build_planted_corpus(300, seed=0):
+        tree = parse_sql(pair.record.generated_sql)
+        featurize_tree(tree, build_alias_map(tree), SYNTH_SCHEMA)
+        operators += [n for n in tree.walk() if n.kind in BINARY_OP_KINDS]
+    assert len(operators) == 277
+    assert calls == operators

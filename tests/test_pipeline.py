@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sqluq.ast_core import parse_sql
 from sqluq.featurizer import MANIFEST
 from sqluq.gbdt import DegenerateLabels, GbdtConfig, GbdtModel
 from sqluq.pipeline import (
@@ -10,6 +11,7 @@ from sqluq.pipeline import (
     MissingSchema,
     UnknownDbId,
     WithinDatabase,
+    label_and_featurize,
     load_dataset,
     make_split,
     parse_split_spec,
@@ -194,6 +196,26 @@ class TestRunExperiment:
         assert result.records_skipped == 2
         assert result.records_in == result.records_labeled + result.records_skipped
 
+    def test_any_record_failure_is_a_typed_skip(self, tmp_path, schemas_dir):
+        # labeling recurses once per tree level, so a 1,000-term chain
+        # exceeds the interpreter's recursion limit
+        chain = "SELECT " + " + ".join(["a"] * 1000) + " FROM t"
+        lines = [record_line(f"q{i}") for i in range(6)]
+        lines.append(record_line("qdeep", gen=chain, gold=chain))
+        lines.append(record_line("qbad", gen="SELECT FROM"))
+        lines.append(record_line("qerr", gen="SELECT b FROM t", gold="SELECT a FROM t"))
+        lines.append(record_line("qerr2", gen="SELECT zz FROM t", gold="SELECT a FROM t"))
+        path = self._dataset(tmp_path, lines)
+        result = run_experiment(
+            path, schemas_dir, WithinDatabase(0.5, seed=1),
+            config=GbdtConfig(n_trees=3, min_samples_leaf=1), out_dir=tmp_path / "out",
+        )
+        assert result.records_labeled == 8
+        rows = (tmp_path / "out" / "skipped.jsonl").read_text().splitlines()[1:]
+        reasons = {row["query_id"]: row["reason"] for row in map(json.loads, rows)}
+        assert reasons["qdeep"].startswith("RecursionError: ")
+        assert reasons["qbad"].startswith("ParseError: ")
+
     def test_missing_schema_file_raises(self, tmp_path, schemas_dir):
         lines = [record_line("q1", db="other"), record_line("q2", db="other")]
         path = self._dataset(tmp_path, lines)
@@ -265,3 +287,16 @@ def test_predict_sql_on_a_3000_term_chain():
     assert [n.id for n in nodes] == list(range(len(nodes)))
     assert proba.shape == (len(nodes),)
     assert max(n.depth for n in nodes) >= 3000
+
+
+def test_10000_nested_parentheses_parse_label_and_predict():
+    # parentheses push parser stack entries; the tree itself stays shallow
+    sql = "SELECT a FROM t WHERE " + "(" * 10000 + "a = 1" + ")" * 10000
+    tree = parse_sql(sql)
+    assert [n.kind.value for n in tree.walk()][-4:] == ["Eq", "Column", "Identifier", "Literal"]
+    labeled = label_and_featurize(DatasetRecord("q", "synth", sql, sql), SYNTH_SCHEMA)
+    assert not any(nr.label for nr in labeled.node_records)
+    model = GbdtModel(config=GbdtConfig(), base_score=0.0, trees=[],
+                      manifest_hash=MANIFEST.version_hash, feature_count=MANIFEST.length)
+    nodes, proba = predict_sql(model, sql, SYNTH_SCHEMA)
+    assert proba.shape == (len(nodes),) == (len(list(tree.walk())),)
