@@ -5,9 +5,9 @@ labels or to the feature manifest changes them, and the new values go in
 with the change that explains them.
 
 Each hash is a SHA-256 over a fixed serialization: one text line per
-node for labels and provenance, one text line per input for parse trees,
-and the little-endian float64 bytes of each query's feature matrix for
-features.
+node for labels and provenance, one text line per input for tokens and
+parse trees, and the little-endian float64 bytes of each query's feature
+matrix for features.
 """
 
 import hashlib
@@ -17,7 +17,7 @@ import pytest
 
 from test_featurizer import ORACLE_QUERIES
 
-from sqluq.ast_core import ParseError, UnsupportedConstruct, build_alias_map, parse_sql
+from sqluq.ast_core import ParseError, UnsupportedConstruct, build_alias_map, parse_sql, tokenize
 from sqluq.corpus import CASES, run_corpus
 from sqluq.featurizer import MANIFEST, featurize_tree
 from sqluq.labeler import label_with_context
@@ -30,6 +30,7 @@ PLANTED_LABELS_SHA256 = "86461670083729b35dfba24d1b3af71ca695e747a7a4d05f2295192
 PLANTED_FEATURES_SHA256 = "dff240cc1466549ae580df778317fd050d3967d1b8f4409e35fad1c7e23a5ce5"
 SCOPED_SHAPES_SHA256 = "a1231139fa40ecdb3025b107ffb801a645f4d492f6a843186cd464e9ee7a45b0"
 PARSE_SHA256 = "000a3286e5ba019c2fed660d237643b51d42a395b05c11e3ec24f2bddadac982"
+TOKEN_SHA256 = "ead5175f670aecb2d5e522e150b4cc4e1fdd1b5191217fb0c562a9e0827aa222"
 
 # (generated, gold) pairs with aliases, joins, IN subqueries and correlated
 # references: shapes the planted corpus never produces.
@@ -127,6 +128,31 @@ EDGE_QUERIES = (
     "SELECT a FROM t WHERE a = 1 AND b = 2 BETWEEN",
 )
 
+# Lexical edge cases: quote escapes, quoted identifiers, comments, numbers
+# and dots, characters outside the subset, and the error of each
+# unterminated form.  A number directly followed by a word character is
+# pinned separately, in tests/test_ast_core.py.
+LEX_EDGE = (
+    "'it''s'", "''''", "'''x'", "'a'''", "'abc''", "'''$b", "'", "'é''s' é",
+    '"Q"', "`b`", "[c d]", '"open', "[x", '"a""b"', "[a]]", "`a\nb`",
+    "/* c */", "/* x", "/*/", "*/", "/**/", "/* a */* b", "é /* x", "a--b",
+    "-- tail", "a -- tail", "--", "-", "a-b", "a -- x\nb",
+    "1.2.3", ".5.6", "2.", "1..2", ".a", "a.5", "t.a", "1.5 + .5 * 2.", "007",
+    "é", "ٳ", "²", "\u00a0", "a\u00a0b", "\u2028", "$1", "a<=>b", "!", "a!=b",
+    "a==b<>c>=d<=e", "(a,b);", "\t a\r\n\tb \r", "", "_x", "x_1", "٣ ²",
+    "SELECT é FROM t -- ü\n'x",
+)
+
+
+def token_line(text: str) -> str:
+    """Each token's (kind, text, start, end, raw), or the error class,
+    message and byte position."""
+    try:
+        tokens = tokenize(text)
+    except ParseError as exc:
+        return repr((type(exc).__name__, str(exc), exc.position)) + "\n"
+    return " ".join(repr((t.kind, t.text, t.start, t.end, t.raw)) for t in tokens) + "\n"
+
 
 def parse_line(sql: str) -> str:
     """The preorder (id, kind, content, span, depth, flags, child count) of
@@ -209,3 +235,10 @@ def test_parse_trees_and_errors():
     for sql in parse_inputs():
         digest.update(parse_line(sql).encode())
     assert digest.hexdigest() == PARSE_SHA256
+
+
+def test_tokens_and_lexical_errors():
+    digest = hashlib.sha256()
+    for text in parse_inputs() + list(LEX_EDGE):
+        digest.update(token_line(text).encode())
+    assert digest.hexdigest() == TOKEN_SHA256
