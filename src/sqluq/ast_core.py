@@ -7,10 +7,17 @@ LIKE, IN, arithmetic, aliases and stars.  Anything outside the subset
 raises UnsupportedConstruct so callers can skip a query instead of
 silently mislabeling it.  Expressions are parsed by one precedence-climbing
 loop over explicit stacks, so parenthesis nesting has no depth limit.
+
+Lexical rules: a number is ASCII digits with an optional fraction (`1`,
+`1.5`, `.5`) and must not touch a following word character (`1a` is an
+error); in a string, `''` is an escaped quote; quoted identifiers use
+`""`, backticks or `[]`; comments run from `--` to the end of the line or
+between `/*` and `*/`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -172,9 +179,22 @@ KEYWORDS = {
 
 AGGREGATE_NAMES = {"count", "sum", "avg", "min", "max", "total", "group_concat"}
 
-_TWO_CHAR_OPS = ("==", "!=", "<>", "<=", ">=")
-_ONE_CHAR_OPS = "=<>+-*/(),.;"
-_DIGITS = "0123456789"
+# One named group per token class, tried in order at each position; the
+# group that matched names the token kind.  Numbers come before words
+# because \w (exactly str.isalnum() or '_') also matches digits.
+_TOKEN_RE = re.compile(
+    r"""(?P<skip>[ \t\r\n]+|--[^\n]*|/\*.*?\*/)
+    # ASCII digits only: SQLite reads other digits, like '٣', as name characters.
+    # A trailing dot belongs to the next token; a glued word character is refused.
+    |(?P<num>(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?P<glued>\w)?)
+    # '' is an escaped quote; the lookahead keeps backtracking from closing inside one
+    |(?P<str>'(?:[^']|'')*'(?!'))
+    |(?P<qident>"[^"]*"|`[^`]*`|\[[^\]]*\])
+    |(?P<word>\w+)
+    # a '/' that opens an unterminated comment is an error, not an operator
+    |(?P<op>==|!=|<>|<=|>=|[=<>+\-*(),.;]|/(?!\*))""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
 @dataclass
@@ -196,109 +216,35 @@ class Token:
         return ()
 
 
-def _byte_len(ch: str) -> int:
-    return 1 if ord(ch) < 0x80 else len(ch.encode("utf-8"))
-
-
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    pos = 0  # byte offset
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            pos += _byte_len(ch)
-            i += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == "-":
-            while i < n and text[i] != "\n":
-                pos += _byte_len(text[i])
-                i += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            i += 2
-            pos += 2
-            while i < n and not (text[i] == "*" and i + 1 < n and text[i + 1] == "/"):
-                pos += _byte_len(text[i])
-                i += 1
-            if i >= n:
-                raise ParseError("unterminated block comment", pos)
-            i += 2
-            pos += 2
-            continue
-        start = pos
-        # ASCII digits only: SQLite reads other digits, like '٣', as identifier characters
-        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i
-            seen_dot = False
-            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    # a trailing dot followed by non-digit belongs to the next token
-                    if j + 1 >= n or text[j + 1] not in _DIGITS:
-                        break
-                    seen_dot = True
-                j += 1
-            pos += j - i
-            tokens.append(Token("num", text[i:j], start, pos))
-            i = j
-            continue
-        if ch == "'":
-            j = i + 1
-            out = []
-            while True:
-                if j >= n:
-                    raise ParseError("unterminated string literal", start)
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":
-                        out.append("'")
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                out.append(text[j])
-                j += 1
-            raw = text[i:j]
-            pos += len(raw.encode("utf-8"))
-            tokens.append(Token("str", "".join(out), start, pos))
-            i = j
-            continue
-        if ch in '"`[':
-            closer = {'"': '"', "`": "`", "[": "]"}[ch]
-            j = i + 1
-            while j < n and text[j] != closer:
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated quoted identifier", start)
-            raw = text[i : j + 1]
-            pos += len(raw.encode("utf-8"))
-            inner = text[i + 1 : j]
-            tokens.append(Token("qident", inner.casefold(), start, pos, raw=inner))
-            i = j + 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            lexeme = text[i:j]
-            pos += len(lexeme.encode("utf-8"))
+    i = pos = 0  # character index, byte offset
+    for match in _TOKEN_RE.finditer(text):
+        if match.start() != i:  # no token starts at text[i]
+            break
+        kind, lexeme, start = match.lastgroup, match[0], pos
+        i += len(lexeme)
+        pos += len(lexeme.encode("utf-8"))
+        if kind == "word":
             folded = lexeme.casefold()
             kind = "kw" if folded in KEYWORDS else "ident"
             tokens.append(Token(kind, folded, start, pos, raw=lexeme))
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            pos += 2
-            tokens.append(Token("op", two, start, pos))
-            i += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            pos += 1
-            tokens.append(Token("op", ch, start, pos))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos)
+        elif kind == "str":
+            tokens.append(Token("str", lexeme[1:-1].replace("''", "'"), start, pos))
+        elif kind == "qident":
+            tokens.append(Token("qident", lexeme[1:-1].casefold(), start, pos, raw=lexeme[1:-1]))
+        elif kind == "num" and match["glued"]:  # SQLite refuses `1a` as an unrecognized token
+            raise ParseError("word character after number", start)
+        elif kind != "skip":
+            tokens.append(Token(kind, lexeme, start, pos))
+    if i < len(text):
+        if text.startswith("/*", i):
+            raise ParseError("unterminated block comment", len(text.encode("utf-8")))
+        if text[i] == "'":
+            raise ParseError("unterminated string literal", pos)
+        if text[i] in '"`[':
+            raise ParseError("unterminated quoted identifier", pos)
+        raise ParseError(f"unexpected character {text[i]!r}", pos)
     tokens.append(Token("end", "", pos, pos))
     return tokens
 
@@ -409,17 +355,13 @@ class _Parser:
             children.append(self.node(NodeKind.ORDER_BY, None, items, (kw.start, items[-1].span[1])))
         if self.at_kw("limit"):
             kw = self.next()
-            count = self.parse_literal_only("LIMIT count")
-            limit_children = [count]
-            end = count.span[1]
+            counts = [self.parse_literal_only("LIMIT count")]
             if self.at_kw("offset"):
                 self.next()
-                off = self.parse_literal_only("OFFSET count")
-                limit_children.append(off)
-                end = off.span[1]
+                counts.append(self.parse_literal_only("OFFSET count"))
             elif self.at_op(","):
                 raise UnsupportedConstruct("LIMIT offset, count", self.peek().start)
-            children.append(self.node(NodeKind.LIMIT, None, limit_children, (kw.start, end)))
+            children.append(self.node(NodeKind.LIMIT, None, counts, (kw.start, counts[-1].span[1])))
         self.guard_unsupported()
         end = children[-1].span[1]
         return self.node(NodeKind.SELECT, None, children, (start, end))
@@ -431,9 +373,8 @@ class _Parser:
         if self.at_kw("asc"):
             end = self.next().end  # explicit ASC normalizes to the default
         elif self.at_kw("desc"):
-            tok = self.next()
             direction = "desc"
-            end = tok.end
+            end = self.next().end
         return self.node(NodeKind.ORDERED, direction, [expr], (expr.span[0], end))
 
     def parse_literal_only(self, what: str) -> SqlNode:
@@ -482,64 +423,45 @@ class _Parser:
         return self.node(NodeKind.FROM, None, items, (kw.start, items[-1].span[1]))
 
     def parse_optional_join(self) -> SqlNode | None:
-        tok = self.peek()
+        word = self.peek()
         if not self.at_kw("join", "inner", "left", "right", "full", "cross"):
             return None
-        start = tok.start
-        join_type = "inner"
-        if self.at_kw("inner"):
+        if word.text in ("right", "full"):
+            raise UnsupportedConstruct(f"{word.text.upper()} JOIN", word.start)
+        if word.text != "join":
             self.next()
-        elif self.at_kw("left"):
+        if word.text == "left" and self.at_kw("outer"):
             self.next()
-            join_type = "left"
-            if self.at_kw("outer"):
-                self.next()
-        elif self.at_kw("cross"):
-            self.next()
-            join_type = "cross"
-        elif self.at_kw("right") or self.at_kw("full"):
-            raise UnsupportedConstruct(f"{self.peek().text.upper()} JOIN", tok.start)
         self.expect_kw("join")
-        item = self.parse_table_item()
-        children = [item]
-        end = item.span[1]
+        join_type = "inner" if word.text == "join" else word.text
+        children = [self.parse_table_item()]
         if self.at_kw("on"):
             self.next()
-            cond = self.parse_expr()
-            children.append(cond)
-            end = cond.span[1]
-        return self.node(NodeKind.JOIN, join_type, children, (start, end))
+            children.append(self.parse_expr())
+        return self.node(NodeKind.JOIN, join_type, children, (word.start, children[-1].span[1]))
 
     def parse_table_item(self) -> SqlNode:
-        if self.at_op("("):
-            open_tok = self.next()
-            sub = self.parse_select()
-            close = self.expect_op(")")
-            children = [sub]
-            end = close.end
-            alias = self.parse_optional_alias()
-            if alias is not None:
-                children.append(self.node(NodeKind.TABLE_ALIAS, alias.text, [],
-                                          (alias.start, alias.end)))
-                end = alias.end
-            return self.node(NodeKind.SUBQUERY, None, children, (open_tok.start, end))
         tok = self.peek()
-        if tok.kind not in ("ident", "qident"):
-            self.guard_unsupported()
-            raise ParseError("expected table name", tok.start)
-        self.next()
-        flags = (FLAG_QUOTED,) if tok.kind == "qident" else ()
-        ident = self.node(NodeKind.IDENTIFIER, tok.text, [], (tok.start, tok.end),
-                          flags=flags + (FLAG_TABLE_NAME,) + tok.case_flags())
-        children = [ident]
-        end = tok.end
+        if self.at_op("("):
+            self.next()
+            children = [self.parse_select()]
+            end = self.expect_op(")").end
+            kind, content, flags = NodeKind.SUBQUERY, None, ()
+        else:
+            if tok.kind not in ("ident", "qident"):
+                self.guard_unsupported()
+                raise ParseError("expected table name", tok.start)
+            self.next()
+            quoted = (FLAG_QUOTED,) if tok.kind == "qident" else ()
+            children = [self.node(NodeKind.IDENTIFIER, tok.text, [], (tok.start, tok.end),
+                                  flags=quoted + (FLAG_TABLE_NAME,) + tok.case_flags())]
+            end = tok.end
+            kind, content, flags = NodeKind.TABLE, tok.text, tok.case_flags()
         alias = self.parse_optional_alias()
         if alias is not None:
-            children.append(self.node(NodeKind.TABLE_ALIAS, alias.text, [],
-                                      (alias.start, alias.end)))
+            children.append(self.node(NodeKind.TABLE_ALIAS, alias.text, [], (alias.start, alias.end)))
             end = alias.end
-        return self.node(NodeKind.TABLE, tok.text, children, (tok.start, end),
-                         flags=tok.case_flags())
+        return self.node(kind, content, children, (tok.start, end), flags=flags)
 
     def parse_expr(self) -> SqlNode:
         """One expression, by precedence climbing over an operand stack and
@@ -660,8 +582,7 @@ class _Parser:
     def parse_call(self) -> SqlNode:
         name_tok = self.next()
         self.expect_op("(")
-        name = name_tok.text
-        kind = NodeKind.AGG if name in AGGREGATE_NAMES else NodeKind.FUNC
+        kind = NodeKind.AGG if name_tok.text in AGGREGATE_NAMES else NodeKind.FUNC
         args: list[SqlNode] = []
         distinct_tok = None
         if self.at_kw("distinct"):
@@ -675,12 +596,11 @@ class _Parser:
         if distinct_tok is not None:
             if not args:
                 raise ParseError("DISTINCT requires an argument", distinct_tok.start)
-            wrapped = self.node(NodeKind.OTHER, "distinct", [args[0]],
+            args[0] = self.node(NodeKind.OTHER, "distinct", [args[0]],
                                 (distinct_tok.start, args[0].span[1]))
-            args[0] = wrapped
-        if self.peek().kind == "kw" and self.peek().text == "over":
+        if self.at_kw("over"):
             raise UnsupportedConstruct("window function", self.peek().start)
-        return self.node(kind, name, args, (name_tok.start, close.end),
+        return self.node(kind, name_tok.text, args, (name_tok.start, close.end),
                          flags=name_tok.case_flags())
 
     def parse_column_ref(self) -> SqlNode:
@@ -726,18 +646,14 @@ def parse_sql(text: str) -> SqlNode:
     tokens = tokenize(text)
     parser = _Parser(tokens)
     if not parser.at_kw("select"):
-        tok = parser.peek()
-        if tok.kind == "kw" and tok.text in _UNSUPPORTED_KEYWORDS:
-            raise UnsupportedConstruct(tok.text.upper(), tok.start)
-        raise ParseError("expected SELECT", tok.start)
+        parser.guard_unsupported()
+        raise ParseError("expected SELECT", parser.peek().start)
     root = parser.parse_select()
     while parser.at_op(";"):
         parser.next()
-    tail = parser.peek()
-    if tail.kind != "end":
-        if tail.kind == "kw" and tail.text in _UNSUPPORTED_KEYWORDS:
-            raise UnsupportedConstruct(tail.text.upper(), tail.start)
-        raise ParseError("unexpected trailing input", tail.start)
+    if parser.peek().kind != "end":
+        parser.guard_unsupported()
+        raise ParseError("unexpected trailing input", parser.peek().start)
     return _finalize(root)
 
 

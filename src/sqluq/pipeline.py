@@ -64,9 +64,14 @@ class LoadResult:
 
 
 def load_dataset(path: str | Path) -> LoadResult:
-    """Read a JSONL dataset, skipping and reporting malformed lines."""
+    """Read a JSONL dataset, skipping and reporting malformed lines.
+
+    A line whose query_id an earlier record already has is skipped too, so
+    no id can land on both sides of a split.
+    """
     records: list[DatasetRecord] = []
     skipped: list[tuple[int, str]] = []
+    first_line: dict[str, int] = {}  # query_id -> line of its record
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -89,19 +94,29 @@ def load_dataset(path: str | Path) -> LoadResult:
             if missing:
                 skipped.append((lineno, f"missing fields: {', '.join(missing)}"))
                 continue
+            not_strings = [k for k in ("generated_sql", "gold_sql") if not isinstance(doc[k], str)]
+            if not_strings:
+                skipped.append((lineno, f"not a string: {', '.join(not_strings)}"))
+                continue
             token_logprobs = None
             if doc.get("token_logprobs") is not None:
+                if not isinstance(doc["token_logprobs"], list):
+                    skipped.append((lineno, "token_logprobs is not a list"))
+                    continue
                 gen_len = len(doc["generated_sql"].encode("utf-8"))
                 spans = []
                 bad = None
                 for item in doc["token_logprobs"]:
                     try:
                         start, end, lp = int(item[0]), int(item[1]), float(item[2])
-                    except (TypeError, ValueError, IndexError):
+                    except (TypeError, ValueError, LookupError, OverflowError):
                         bad = "malformed token_logprobs entry"
                         break
                     if not (0 <= start < end <= gen_len):
                         bad = f"token span ({start}, {end}) outside generated_sql"
+                        break
+                    if not math.isfinite(lp):
+                        bad = f"non-finite token logprob {lp}"
                         break
                     if lp > 0.0:
                         bad = f"positive token logprob {lp}"
@@ -111,9 +126,15 @@ def load_dataset(path: str | Path) -> LoadResult:
                     skipped.append((lineno, bad))
                     continue
                 token_logprobs = spans
+            query_id = str(doc["query_id"])
+            if query_id in first_line:
+                reason = f"duplicate query_id {query_id!r} (first on line {first_line[query_id]})"
+                skipped.append((lineno, reason))
+                continue
+            first_line[query_id] = lineno
             records.append(
                 DatasetRecord(
-                    query_id=str(doc["query_id"]),
+                    query_id=query_id,
                     db_id=str(doc["db_id"]),
                     generated_sql=doc["generated_sql"],
                     gold_sql=doc["gold_sql"],

@@ -250,6 +250,29 @@ def test_strict_numeric_lexemes_preserved():
     assert lits == ["01", "1.0"]
 
 
+@pytest.mark.parametrize("sql, position", [
+    ("SELECT 1a FROM t", 7),
+    ("SELECT 1\u0663 FROM t", 7),
+    ("SELECT .5x FROM t", 7),
+    ("SELECT 1e5 FROM t", 7),
+    ("SELECT 2_ FROM t", 7),
+    ("SELECT a FROM t WHERE b = 1.5from", 26),
+    ("SELECT é, 12x FROM t", 11),
+])
+def test_number_glued_to_a_word_is_a_parse_error(sql, position):
+    # SQLite answers `SELECT 1a` with `unrecognized token: "1a"`; reading
+    # it as the literal 1 aliased `a` would label a query the database refuses
+    with pytest.raises(ParseError, match="word character after number") as err:
+        parse_sql(sql)
+    assert err.value.position == position
+
+
+def test_number_apart_from_a_word_still_parses():
+    tree = parse_sql("SELECT 1 a, 3.5 AS b FROM t")
+    assert [(n.kind, n.content, n.children[0].content) for n in tree.children[:2]] == [
+        (NodeKind.ALIAS, "a", "1"), (NodeKind.ALIAS, "b", "3.5")]
+
+
 def test_content_populated_exactly_for_content_kinds():
     structural_with_content = {NodeKind.TABLE_ALIAS, NodeKind.ALIAS, NodeKind.JOIN,
                                NodeKind.ORDERED, NodeKind.OTHER}

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from sqluq.cli import main
 from sqluq.featurizer import MANIFEST
+from sqluq.pipeline import load_dataset
 
 
 @pytest.fixture
@@ -99,6 +100,40 @@ def test_featurize_writes_features_and_manifest(runner, workspace):
     assert json.loads(lines[0])["format"] == "sqluq-features"
     first = json.loads(lines[1])
     assert len(first["features"]) == manifest["length"]
+
+
+def test_featurize_skips_malformed_values(runner, workspace):
+    tmp_path, _, schemas = workspace
+    good = {"query_id": "q1", "db_id": "db1", "generated_sql": "SELECT a FROM t",
+            "gold_sql": "SELECT a FROM t", "token_logprobs": [[0, 6, -0.5]]}
+    docs = [
+        good,
+        {**good, "query_id": "q2", "token_logprobs": 5},
+        {**good, "query_id": "q3", "generated_sql": 7},
+        {**good, "query_id": "q4", "token_logprobs": [[0, 1, float("nan")]]},
+    ]
+    dataset = tmp_path / "malformed.jsonl"
+    dataset.write_text("\n".join(json.dumps(doc) for doc in docs) + "\n", encoding="utf-8")
+    loaded = load_dataset(dataset)
+    assert [r.query_id for r in loaded.records] == ["q1"]
+    assert loaded.skipped == [
+        (2, "token_logprobs is not a list"),
+        (3, "not a string: generated_sql"),
+        (4, "non-finite token logprob nan"),
+    ]
+    out = tmp_path / "feat"
+    result = runner.invoke(
+        main,
+        ["featurize", "--dataset", str(dataset), "--schemas", str(schemas), "--out", str(out)],
+    )
+    assert result.exit_code == 0
+    assert "skipped 3 records" in result.output
+
+    def no_constants(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    for line in (out / "features.jsonl").read_text().splitlines():
+        json.loads(line, parse_constant=no_constants)
 
 
 def test_eval_then_predict_round_trip(runner, workspace):

@@ -102,6 +102,31 @@ class TestLoadDataset:
         assert not result.records
         assert "positive token logprob" in result.skipped[0][1]
 
+    def test_unreadable_span_bounds_are_malformed_entries(self, tmp_path):
+        lines = [
+            record_line("q1", token_logprobs=[[0, float("inf"), -0.5]]),
+            record_line("q2", token_logprobs=[{"start": 0}]),
+        ]
+        result = load_dataset(write_lines(tmp_path / "d.jsonl", lines))
+        assert not result.records
+        assert result.skipped == [
+            (1, "malformed token_logprobs entry"), (2, "malformed token_logprobs entry")]
+
+    def test_duplicate_query_id_skipped_naming_the_first_line(self, tmp_path):
+        lines = [record_line("q1"), record_line("q2", gen="SELECT b FROM t"), record_line("q1")]
+        result = load_dataset(write_lines(tmp_path / "d.jsonl", lines))
+        assert [r.query_id for r in result.records] == ["q1", "q2"]
+        assert result.records[1].generated_sql == "SELECT b FROM t"
+        assert result.skipped == [(3, "duplicate query_id 'q1' (first on line 1)")]
+
+    def test_split_of_a_dataset_with_repeated_ids_is_disjoint(self, tmp_path):
+        lines = [record_line(f"q{i % 5}") for i in range(10)]
+        result = load_dataset(write_lines(tmp_path / "d.jsonl", lines))
+        assert len(result.records) == 5 and len(result.skipped) == 5
+        train, test = make_split(result.records, WithinDatabase(0.5, 0))
+        assert not set(train) & set(test)
+        assert sorted(train + test) == [f"q{i}" for i in range(5)]
+
     def test_write_then_load_round_trip(self, tmp_path):
         records = [
             DatasetRecord("q1", "db1", "SELECT a FROM t", "SELECT b FROM t",
