@@ -244,3 +244,58 @@ class TestRescueAblation:
         gen = parse_sql("SELECT name FROM people")
         lm = label_with_context(gen, parse_sql("SELECT name FROM people"), enable_rescue=False)[0]
         assert set(lm.labels.values()) == {0}
+
+
+class TestFirstPassLastWriteWins:
+    """The first pass visits every generated x gold child pair, and the last
+    visit to write a node decides it, so a node an identical gold sibling
+    cleared can be blamed again by a later pair.  Rescue is off here so the
+    first pass's own labels show."""
+
+    @staticmethod
+    def first_pass(gen_sql, gold_sql):
+        gen = parse_sql(gen_sql)
+        lm = label_with_context(gen, parse_sql(gold_sql), enable_rescue=False)[0]
+        return [
+            (n.kind.value, n.content, lm.labels[n.id], lm.provenance[n.id].value)
+            for n in preorder(gen)
+        ]
+
+    def test_changed_literal_blames_the_other_clauses_leaves(self):
+        assert self.first_pass(
+            "SELECT a FROM t WHERE x = 1", "SELECT a FROM t WHERE x = 2"
+        ) == [
+            ("Select", None, 0, "Suppressed"),
+            ("Column", "a", 1, "FirstPass"),
+            ("Identifier", "a", 0, "FirstPass"),
+            ("From", None, 0, "Suppressed"),
+            ("Table", "t", 1, "FirstPass"),
+            ("Identifier", "t", 0, "FirstPass"),
+            ("Where", None, 0, "Suppressed"),
+            ("Eq", None, 0, "Suppressed"),
+            ("Column", "x", 1, "FirstPass"),
+            ("Identifier", "x", 0, "FirstPass"),
+            ("Literal", "1", 1, "FirstPass"),
+        ]
+
+    def test_swapped_projections_blame_columns_not_their_identifiers(self):
+        assert self.first_pass("SELECT a, b FROM t", "SELECT b, a FROM t") == [
+            ("Select", None, 0, "Suppressed"),
+            ("Column", "a", 1, "FirstPass"),
+            ("Identifier", "a", 0, "FirstPass"),
+            ("Column", "b", 1, "FirstPass"),
+            ("Identifier", "b", 0, "FirstPass"),
+            ("From", None, 0, "FirstPass"),
+            ("Table", "t", 0, "FirstPass"),
+            ("Identifier", "t", 0, "FirstPass"),
+        ]
+
+    def test_identifier_no_pair_reaches_stays_initial(self):
+        assert self.first_pass("SELECT a FROM t", "SELECT b FROM t") == [
+            ("Select", None, 0, "Suppressed"),
+            ("Column", "a", 1, "FirstPass"),
+            ("Identifier", "a", 1, "Initial"),
+            ("From", None, 0, "FirstPass"),
+            ("Table", "t", 0, "FirstPass"),
+            ("Identifier", "t", 0, "FirstPass"),
+        ]
