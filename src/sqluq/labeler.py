@@ -13,6 +13,32 @@ Equivalence is semantic rather than structural: symmetric operators may
 match with swapped operands, anti-symmetric comparison pairs may match
 with the operator flipped, and column qualifiers are normalized through
 per-query alias-to-table maps.
+
+The alignment is defined by a forward visit order: a visit to a pair marks
+the whole generated subtree correct if the pair is equivalent, and else
+blames the generated node and visits every generated x gold pair of their
+children, generated child outermost, in order.  The last visit to write a
+node decides it.  It is computed by replaying those visits in reverse, on
+an explicit stack, where the first write to a node wins and later writes
+are dropped:
+
+- each generated node keeps a count of the undecided nodes in its subtree,
+  recomputed from its children's counts when a visit to it ends, and a
+  visit to a subtree with none left is skipped;
+- a visit to a node that is already decided, and whose pair children have
+  no undecided node left, writes only if the pair is equivalent, so only
+  the gold children that share the node's key are tried.
+
+Every node has a subtree key, an integer built bottom-up that any two
+recursively equivalent nodes share: an Alias takes the key of the node it
+wraps; Lt and Lte are keyed as Gt and Gte with their operands swapped;
+content counts only for Column, Table, Func, Agg, Other, Ordered and Join,
+and for Literal together with its flags; an Identifier is keyed by kind
+alone, because alias-resolved qualifiers are equal across contents; the
+child keys of a symmetric binary kind are sorted; And and Or keep no child
+keys, because a gold And may have more operands.  Unequal keys reject a
+pair at once.  The keys also bucket the gold nodes the rescue pass tries
+and the operands an And or Or match may pair.
 """
 
 from __future__ import annotations
@@ -66,6 +92,17 @@ _LEAF_LIKE_KINDS = frozenset(
     {NodeKind.COLUMN, NodeKind.TABLE, NodeKind.STAR, NodeKind.TABLE_ALIAS}
 )
 
+# Kinds whose content takes part in equivalence (Literal adds its flags).
+_CONTENT_KINDS = frozenset(
+    {
+        NodeKind.COLUMN, NodeKind.TABLE, NodeKind.FUNC, NodeKind.AGG, NodeKind.OTHER,
+        NodeKind.ORDERED, NodeKind.JOIN,
+    }
+)
+
+# Anti-symmetric kinds keyed as their partner, with the operands swapped.
+_FOLDED_KINDS = {NodeKind.LT: NodeKind.GT, NodeKind.LTE: NodeKind.GTE}
+
 CORRECT = 0
 ERROR = 1
 
@@ -90,10 +127,14 @@ class LabelMap:
 
 @dataclass
 class EquivalenceContext:
-    """Alias maps plus a memo cache for one (generated, gold) pair."""
+    """Alias maps, subtree keys and a memo cache for one (generated, gold)
+    pair.  Node ids restart at 0 in each tree, so each tree has its own key
+    map; a subtree's keys are filled the first time it is compared."""
 
     gen_aliases: AliasMap
     gold_aliases: AliasMap
+    gen_keys: dict[int, int] = field(default_factory=dict)
+    gold_keys: dict[int, int] = field(default_factory=dict)
     memo: dict[tuple[int, int], bool] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
@@ -128,6 +169,30 @@ def _pair_children(node: SqlNode) -> list[SqlNode]:
     return [_unwrap(c) for c in node.children]
 
 
+def _node_key(node: SqlNode, keys: dict[int, int]) -> int:
+    """The subtree key of `node`, given its children's keys in `keys`."""
+    kind = node.kind
+    if kind is NodeKind.ALIAS:
+        return keys[node.children[0].id]
+    if kind is NodeKind.AND or kind is NodeKind.OR or kind is NodeKind.IDENTIFIER:
+        return hash(kind)
+    if kind is NodeKind.LITERAL:
+        return hash((kind, node.content, node.flags))
+    child_keys = [keys[c.id] for c in _match_children(node)]
+    if kind in SYMMETRIC_KINDS:
+        child_keys.sort()
+    elif kind in _FOLDED_KINDS:
+        kind = _FOLDED_KINDS[kind]
+        child_keys.reverse()
+    return hash((kind, node.content if kind in _CONTENT_KINDS else None, *child_keys))
+
+
+def _fill_keys(nodes: list[SqlNode], keys: dict[int, int]):
+    """Key every node of a preorder list, children before parents."""
+    for node in reversed(nodes):
+        keys[node.id] = _node_key(node, keys)
+
+
 def shallow_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> bool:
     """Node-level equivalence test, ignoring children: equal kinds or an
     anti-symmetric pair, equal contents, alias-resolved qualifiers."""
@@ -156,10 +221,7 @@ def shallow_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> bool:
         return a.content == b.content
     if kind is NodeKind.LITERAL:
         return a.content == b.content and a.flags == b.flags
-    if kind in (
-        NodeKind.TABLE, NodeKind.FUNC, NodeKind.AGG, NodeKind.OTHER, NodeKind.ORDERED,
-        NodeKind.JOIN,
-    ):
+    if kind in _CONTENT_KINDS:
         return a.content == b.content
     # other kinds, alias names included, never trigger content errors
     return True
@@ -169,6 +231,14 @@ def recursively_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> b
     """True when the two subtrees are semantically interchangeable."""
     a = _unwrap(a)
     b = _unwrap(b)
+    try:
+        same_key = ctx.gen_keys[a.id] == ctx.gold_keys[b.id]
+    except KeyError:  # the first comparison of a subtree outside label_with_context
+        _fill_keys(preorder(a), ctx.gen_keys)
+        _fill_keys(preorder(b), ctx.gold_keys)
+        same_key = ctx.gen_keys[a.id] == ctx.gold_keys[b.id]
+    if not same_key:
+        return False
     key = (a.id, b.id)
     cached = ctx.memo.get(key)
     if cached is not None:
@@ -211,16 +281,113 @@ def recursively_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> b
 def _greedy_bipartite_match(
     ca: list[SqlNode], cb: list[SqlNode], ctx: EquivalenceContext
 ) -> bool:
-    """Order-free injective correspondence for n-ary symmetric connectives."""
-    remaining = list(cb)
+    """Order-free injective correspondence for n-ary symmetric connectives.
+
+    Each generated operand takes the first unused gold operand, in gold
+    order, that is equivalent to it; only gold operands with its key can be.
+    """
+    by_key: dict[int, list[SqlNode]] = {}
+    for y in cb:
+        by_key.setdefault(ctx.gold_keys[y.id], []).append(y)
     for x in ca:
-        for j, y in enumerate(remaining):
+        candidates = by_key.get(ctx.gen_keys[x.id], [])
+        for j, y in enumerate(candidates):
             if recursively_equivalent(x, y, ctx):
-                del remaining[j]
+                del candidates[j]
                 break
         else:
             return False
     return True
+
+
+def _first_pass(gen: SqlNode, gold: SqlNode, ctx: EquivalenceContext) -> dict[int, int]:
+    """The alignment's label of every node it decides, by reverse replay.
+
+    `undecided[n]` counts the undecided nodes of n's subtree, alias
+    wrappers left out: their labels mirror the node they wrap.
+    """
+    gen_keys = ctx.gen_keys
+    kids: dict[int, list[SqlNode]] = {}  # children, alias wrappers unwrapped
+    undecided: dict[int, int] = {}
+    for node in reversed(preorder(gen)):
+        gen_keys[node.id] = _node_key(node, gen_keys)
+        if node.kind is not NodeKind.ALIAS:
+            below = kids[node.id] = [_unwrap(c) for c in node.children]
+            undecided[node.id] = 1 + sum(undecided[c.id] for c in below)
+
+    decided: dict[int, int] = {}
+    frozen: set[int] = set()  # decided, and their pair children fully decided
+    gen_pairs: dict[int, list[SqlNode]] = {}
+    gold_pairs: dict[int, list[SqlNode]] = {}
+    gold_buckets: dict[int, dict[int, list[int]]] = {}  # gold id -> key -> child indices
+
+    def pairs_of(node: SqlNode, cache: dict[int, list[SqlNode]]) -> list[SqlNode]:
+        found = cache.get(node.id)
+        if found is None:
+            found = cache[node.id] = _pair_children(node)
+        return found
+
+    def mark(node: SqlNode):
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            if undecided[n.id]:
+                undecided[n.id] = 0
+                decided.setdefault(n.id, CORRECT)
+                stack += kids[n.id]
+
+    def finish(node: SqlNode):
+        decided.setdefault(node.id, ERROR)
+        undecided[node.id] = sum(undecided[c.id] for c in kids[node.id])
+        if not any(undecided[c.id] for c in pairs_of(node, gen_pairs)):
+            frozen.add(node.id)
+
+    def bucket_of(node: SqlNode, children: list[SqlNode]) -> dict[int, list[int]]:
+        found = gold_buckets.get(node.id)
+        if found is None:
+            found = gold_buckets[node.id] = {}
+            for j, c in enumerate(children):
+                found.setdefault(ctx.gold_keys[c.id], []).append(j)
+        return found
+
+    if recursively_equivalent(gen, gold, ctx):
+        mark(gen)
+        return decided
+    xs, gs = pairs_of(gen, gen_pairs), pairs_of(gold, gold_pairs)
+    # a frame is one visit whose pair was not equivalent: its child pairs
+    # (xs[i], gs[j]) run from the last to the first
+    frames = [[gen, gold, xs, gs, len(xs) - 1, len(gs) - 1]]
+    while frames:
+        frame = frames[-1]
+        x, g, xs, gs, i, j = frame
+        while i >= 0:
+            c = xs[i]
+            if j < 0 or not undecided[c.id]:
+                i, j = i - 1, len(gs) - 1
+                continue
+            if c.id in frozen:
+                # only an equivalent pair can still write into c's subtree
+                for jj in reversed(bucket_of(g, gs).get(gen_keys[c.id], ())):
+                    if jj <= j and recursively_equivalent(c, gs[jj], ctx):
+                        mark(c)
+                        break
+                i, j = i - 1, len(gs) - 1
+                continue
+            h = gs[j]
+            j -= 1
+            if recursively_equivalent(c, h, ctx):
+                mark(c)
+                continue
+            cs, hs = pairs_of(c, gen_pairs), pairs_of(h, gold_pairs)
+            if cs and hs:
+                frame[4], frame[5] = i, j
+                frames.append([c, h, cs, hs, len(cs) - 1, len(hs) - 1])
+                break
+            finish(c)
+        else:
+            frames.pop()
+            finish(x)
+    return decided
 
 
 def label_with_context(
@@ -233,28 +400,22 @@ def label_with_context(
     hit/miss counts.
     """
     ctx = EquivalenceContext(build_alias_map(gen), build_alias_map(gold))
-    gen_nodes = preorder(gen)
-    labels = {n.id: ERROR for n in gen_nodes}
-    prov = {n.id: Provenance.INITIAL for n in gen_nodes}
-
-    def mark_subtree_correct(node: SqlNode):
-        for d in node.walk():
-            labels[d.id] = CORRECT
-            prov[d.id] = Provenance.FIRST_PASS
-
-    def align(ngen: SqlNode, ngold: SqlNode):
-        if recursively_equivalent(ngen, ngold, ctx):
-            mark_subtree_correct(ngen)
-            return
-        labels[ngen.id] = ERROR
-        prov[ngen.id] = Provenance.FIRST_PASS
-        for cgen in _pair_children(ngen):
-            for cgold in _pair_children(ngold):
-                align(cgen, cgold)
-
-    align(gen, gold)
-
     gold_nodes = preorder(gold)
+    _fill_keys(gold_nodes, ctx.gold_keys)
+    first = _first_pass(gen, gold, ctx)
+
+    gen_nodes = preorder(gen)
+    labels = {}
+    prov = {}
+    for node in gen_nodes:
+        label = first.get(node.id)
+        if label is None:
+            labels[node.id] = ERROR
+            prov[node.id] = Provenance.INITIAL
+        else:
+            labels[node.id] = label
+            prov[node.id] = Provenance.FIRST_PASS
+
     gold_kinds = {n.kind for n in gold_nodes}
     for node in gen_nodes:
         if (
@@ -266,10 +427,14 @@ def label_with_context(
             prov[node.id] = Provenance.SUPPRESSED
 
     if enable_rescue:
+        by_key: dict[int, list[SqlNode]] = {}
+        for gnode in gold_nodes:
+            if gnode.kind is not NodeKind.ALIAS:
+                by_key.setdefault(ctx.gold_keys[gnode.id], []).append(gnode)
         for node in gen_nodes:
-            if labels[node.id] != ERROR:
+            if labels[node.id] != ERROR or node.kind is NodeKind.ALIAS:
                 continue
-            for gnode in gold_nodes:
+            for gnode in by_key.get(ctx.gen_keys[node.id], ()):
                 if recursively_equivalent(node, gnode, ctx):
                     labels[node.id] = CORRECT
                     prov[node.id] = Provenance.RESCUED

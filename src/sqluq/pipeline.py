@@ -87,9 +87,10 @@ def load_dataset(path: str | Path) -> LoadResult:
                 continue
             if doc.get("format") == DATASET_FORMAT:
                 continue  # header line
+            # only an absent field, null or "" is missing: a query_id of 0 is an id
             missing = [
                 k for k in ("query_id", "db_id", "generated_sql", "gold_sql")
-                if not doc.get(k)
+                if doc.get(k) is None or doc[k] == ""
             ]
             if missing:
                 skipped.append((lineno, f"missing fields: {', '.join(missing)}"))

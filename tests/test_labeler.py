@@ -299,3 +299,35 @@ class TestFirstPassLastWriteWins:
             ("Table", "t", 0, "FirstPass"),
             ("Identifier", "t", 0, "FirstPass"),
         ]
+
+
+class TestEquivalenceCheckBounds:
+    """Labeling cost as a count of memo misses, not as a time: wide and
+    chained pairs stay within a few checks per generated node."""
+
+    @staticmethod
+    def misses_per_node(gen_sql, gold_sql):
+        gen = parse_sql(gen_sql)
+        lm, ctx = label_with_context(gen, parse_sql(gold_sql))
+        return lm, gen, ctx.misses / len(preorder(gen))
+
+    def test_wide_pair_with_one_literal_changed(self):
+        cols = [f"c{i:03d}" for i in range(400)]
+        preds = [f"{c} = {i}" for i, c in enumerate(cols)]
+        gen_preds = list(preds)
+        gen_preds[200] = f"{cols[200]} = 99999"
+
+        def render(p):
+            return f"SELECT {', '.join(cols)} FROM t WHERE {' AND '.join(p)}"
+
+        lm, gen, per_node = self.misses_per_node(render(gen_preds), render(preds))
+        assert per_node <= 4
+        assert error_descriptors(gen, lm) == [("And", None), ("Literal", "99999")]
+
+    def test_chain_with_a_misspelled_middle_term(self):
+        terms = ["a"] * 150
+        gold_sql = f"SELECT {' + '.join(terms)} FROM t"
+        terms[75] = "ax"
+        lm, gen, per_node = self.misses_per_node(f"SELECT {' + '.join(terms)} FROM t", gold_sql)
+        assert per_node <= 4
+        assert ("Column", "ax") in error_descriptors(gen, lm)

@@ -73,6 +73,17 @@ class TestLoadDataset:
         assert len(result.records) == 1
         assert result.skipped == [(2, "missing fields: gold_sql")]
 
+    def test_falsy_values_are_not_missing_fields(self, tmp_path):
+        lines = [
+            json.dumps({"query_id": 0, "db_id": "db1", "generated_sql": "SELECT a FROM t",
+                        "gold_sql": "SELECT a FROM t"}),
+            json.dumps({"query_id": "q1", "db_id": None, "generated_sql": "",
+                        "gold_sql": "SELECT a FROM t"}),
+        ]
+        result = load_dataset(write_lines(tmp_path / "d.jsonl", lines))
+        assert [r.query_id for r in result.records] == ["0"]
+        assert result.skipped == [(2, "missing fields: db_id, generated_sql")]
+
     def test_header_line_ignored(self, tmp_path):
         path = write_lines(
             tmp_path / "d.jsonl",
