@@ -300,16 +300,20 @@ def _greedy_bipartite_match(
     return True
 
 
-def _first_pass(gen: SqlNode, gold: SqlNode, ctx: EquivalenceContext) -> dict[int, int]:
-    """The alignment's label of every node it decides, by reverse replay.
+def _first_pass(
+    gen_nodes: list[SqlNode], gold: SqlNode, ctx: EquivalenceContext
+) -> dict[int, int]:
+    """The alignment's label of every node it decides, by reverse replay;
+    `gen_nodes` is the generated tree in preorder.
 
     `undecided[n]` counts the undecided nodes of n's subtree, alias
     wrappers left out: their labels mirror the node they wrap.
     """
+    gen = gen_nodes[0]
     gen_keys = ctx.gen_keys
     kids: dict[int, list[SqlNode]] = {}  # children, alias wrappers unwrapped
     undecided: dict[int, int] = {}
-    for node in reversed(preorder(gen)):
+    for node in reversed(gen_nodes):
         gen_keys[node.id] = _node_key(node, gen_keys)
         if node.kind is not NodeKind.ALIAS:
             below = kids[node.id] = [_unwrap(c) for c in node.children]
@@ -402,9 +406,9 @@ def label_with_context(
     ctx = EquivalenceContext(build_alias_map(gen), build_alias_map(gold))
     gold_nodes = preorder(gold)
     _fill_keys(gold_nodes, ctx.gold_keys)
-    first = _first_pass(gen, gold, ctx)
-
     gen_nodes = preorder(gen)
+    first = _first_pass(gen_nodes, gold, ctx)
+
     labels = {}
     prov = {}
     for node in gen_nodes:
@@ -427,6 +431,8 @@ def label_with_context(
             prov[node.id] = Provenance.SUPPRESSED
 
     if enable_rescue:
+        # alias wrappers sit out: a generated one mirrors the node it wraps,
+        # and a gold one is equivalent to exactly what its node is
         by_key: dict[int, list[SqlNode]] = {}
         for gnode in gold_nodes:
             if gnode.kind is not NodeKind.ALIAS:
