@@ -25,9 +25,14 @@ are dropped:
 - each generated node keeps a count of the undecided nodes in its subtree,
   recomputed from its children's counts when a visit to it ends, and a
   visit to a subtree with none left is skipped;
-- a visit to a node that is already decided, and whose pair children have
-  no undecided node left, writes only if the pair is equivalent, so only
-  the gold children that share the node's key are tried.
+- a node is frozen when it is decided and its pair children have no
+  undecided node left: a visit to it writes only if the pair is
+  equivalent;
+- a node is settled when it is decided and each of its pair children that
+  has undecided nodes is frozen: a visit to it writes only if the pair, or
+  a pair of such a child and a gold child, is equivalent.  So a run of
+  visits to a settled node tries only the gold nodes that share its key or
+  have a child sharing the key of one of its frozen children.
 
 Every node has a subtree key, an integer built bottom-up that any two
 recursively equivalent nodes share: an Alias takes the key of the node it
@@ -320,10 +325,12 @@ def _first_pass(
             undecided[node.id] = 1 + sum(undecided[c.id] for c in below)
 
     decided: dict[int, int] = {}
-    frozen: set[int] = set()  # decided, and their pair children fully decided
+    frozen: set[int] = set()
+    settled: set[int] = set()  # frozen nodes included
     gen_pairs: dict[int, list[SqlNode]] = {}
     gold_pairs: dict[int, list[SqlNode]] = {}
-    gold_buckets: dict[int, dict[int, list[int]]] = {}  # gold id -> key -> child indices
+    gold_buckets: dict[int, dict[int, list[int]]] = {}  # gold id -> child key -> child indices
+    gold_grand: dict[int, dict[int, set[int]]] = {}  # gold id -> grandchild key -> child indices
 
     def pairs_of(node: SqlNode, cache: dict[int, list[SqlNode]]) -> list[SqlNode]:
         found = cache.get(node.id)
@@ -343,7 +350,14 @@ def _first_pass(
     def finish(node: SqlNode):
         decided.setdefault(node.id, ERROR)
         undecided[node.id] = sum(undecided[c.id] for c in kids[node.id])
-        if not any(undecided[c.id] for c in pairs_of(node, gen_pairs)):
+        live = False
+        for c in pairs_of(node, gen_pairs):
+            if undecided[c.id]:
+                if c.id not in frozen:
+                    return
+                live = True
+        settled.add(node.id)
+        if not live:
             frozen.add(node.id)
 
     def bucket_of(node: SqlNode, children: list[SqlNode]) -> dict[int, list[int]]:
@@ -353,6 +367,33 @@ def _first_pass(
             for j, c in enumerate(children):
                 found.setdefault(ctx.gold_keys[c.id], []).append(j)
         return found
+
+    def grand_of(node: SqlNode, children: list[SqlNode]) -> dict[int, set[int]]:
+        found = gold_grand.get(node.id)
+        if found is None:
+            found = gold_grand[node.id] = {}
+            for j, c in enumerate(children):
+                for d in pairs_of(c, gold_pairs):
+                    found.setdefault(ctx.gold_keys[d.id], set()).add(j)
+        return found
+
+    def settled_visit(c: SqlNode, h: SqlNode):
+        if recursively_equivalent(c, h, ctx):
+            mark(c)
+            return
+        if c.id in frozen:
+            return
+        hs = pairs_of(h, gold_pairs)
+        wrote = False
+        for d in reversed(pairs_of(c, gen_pairs)):
+            if undecided[d.id]:  # then d is frozen
+                for k in reversed(bucket_of(h, hs).get(gen_keys[d.id], ())):
+                    if recursively_equivalent(d, hs[k], ctx):
+                        mark(d)
+                        wrote = True
+                        break
+        if wrote:
+            finish(c)
 
     if recursively_equivalent(gen, gold, ctx):
         mark(gen)
@@ -369,12 +410,22 @@ def _first_pass(
             if j < 0 or not undecided[c.id]:
                 i, j = i - 1, len(gs) - 1
                 continue
-            if c.id in frozen:
-                # only an equivalent pair can still write into c's subtree
-                for jj in reversed(bucket_of(g, gs).get(gen_keys[c.id], ())):
-                    if jj <= j and recursively_equivalent(c, gs[jj], ctx):
-                        mark(c)
+            if c.id in settled:
+                # the rest of c's run: only gold children that share c's key,
+                # or whose children share a frozen child's, can take a write
+                found = bucket_of(g, gs).get(gen_keys[c.id], [])
+                if c.id not in frozen:
+                    grand = grand_of(g, gs)
+                    found = set(found)
+                    for d in pairs_of(c, gen_pairs):
+                        if undecided[d.id]:
+                            found.update(grand.get(gen_keys[d.id], ()))
+                    found = sorted(found)
+                for jj in reversed(found):
+                    if not undecided[c.id]:
                         break
+                    if jj <= j:
+                        settled_visit(c, gs[jj])
                 i, j = i - 1, len(gs) - 1
                 continue
             h = gs[j]
