@@ -6,8 +6,9 @@ with the change that explains them.
 
 Each hash is a SHA-256 over a fixed serialization: one text line per
 node for labels and provenance, one text line per input for tokens and
-parse trees, and the little-endian float64 bytes of each query's feature
-matrix for features.
+parse trees, the little-endian float64 bytes of each query's feature
+matrix for features, the model file text for the trained model, and the
+float64 bytes of its raw scores for scoring.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ from test_featurizer import ORACLE_QUERIES
 from sqluq.ast_core import ParseError, UnsupportedConstruct, build_alias_map, parse_sql, tokenize
 from sqluq.corpus import CASES, run_corpus
 from sqluq.featurizer import MANIFEST, featurize_tree
+from sqluq.gbdt import train_matrix
 from sqluq.labeler import label_with_context
 from sqluq.pipeline import label_and_featurize
 from sqluq.schema import ColumnDef, DataType, Schema, TableDef
@@ -31,6 +33,8 @@ PLANTED_FEATURES_SHA256 = "dff240cc1466549ae580df778317fd050d3967d1b8f4409e35fad
 SCOPED_SHAPES_SHA256 = "a1231139fa40ecdb3025b107ffb801a645f4d492f6a843186cd464e9ee7a45b0"
 PARSE_SHA256 = "000a3286e5ba019c2fed660d237643b51d42a395b05c11e3ec24f2bddadac982"
 TOKEN_SHA256 = "ead5175f670aecb2d5e522e150b4cc4e1fdd1b5191217fb0c562a9e0827aa222"
+MODEL_SHA256 = "0645668835bf9457322bf5a3189b79187ff0381424e23c3b9941add8d5a11e55"
+DECISION_SHA256 = "87fbbb6b5fb0deafd7f1e647464c8817da12a1b70c38f7e6917128687602e027"
 
 # (generated, gold) pairs with aliases, joins, IN subqueries and correlated
 # references: shapes the planted corpus never produces.
@@ -242,3 +246,34 @@ def test_tokens_and_lexical_errors():
     for text in parse_inputs() + list(LEX_EDGE):
         digest.update(token_line(text).encode())
     assert digest.hexdigest() == TOKEN_SHA256
+
+
+@pytest.fixture(scope="module")
+def planted_matrix(planted):
+    X = np.concatenate([np.stack([nr.features for nr in lq.node_records]) for lq in planted])
+    y = np.array([nr.label for lq in planted for nr in lq.node_records], dtype=np.float64)
+    return X, y
+
+
+@pytest.fixture(scope="module")
+def planted_model(planted_matrix):
+    return train_matrix(*planted_matrix)
+
+
+def test_planted_model_bytes(planted_model):
+    digest = hashlib.sha256(planted_model.to_json().encode())
+    assert digest.hexdigest() == MODEL_SHA256
+
+
+def test_planted_model_scores(planted_model, planted_matrix):
+    X, _ = planted_matrix
+    # every tenth row with a NaN in a rotating column, and the whole matrix
+    # pushed outside the training range both ways, infinities included
+    holes = X[::10].copy()
+    holes[np.arange(holes.shape[0]), np.arange(holes.shape[0]) % X.shape[1]] = np.nan
+    far = np.concatenate([X[:200] * 1e6 + 1.0, -X[:200] * 1e6 - 1.0,
+                          np.full((2, X.shape[1]), np.inf), np.full((2, X.shape[1]), -np.inf)])
+    rows = np.concatenate([X, holes, far])
+    scores = planted_model.decision_function(rows)
+    digest = hashlib.sha256(np.ascontiguousarray(scores, dtype="<f8").tobytes())
+    assert digest.hexdigest() == DECISION_SHA256
