@@ -12,9 +12,12 @@ to the highest gain, then the lowest feature index, then the lowest
 threshold.  Training uses no randomness: identical records and config
 reproduce the model bit for bit.
 
-A model packs all its trees into one set of flat arrays when it is
-built, validating them, and scores rows in blocks, walking every (row,
-tree) pair at once.
+A model validates its trees and packs them QuickScorer-style when it is
+built.  It scores rows in blocks: all internal nodes of all trees at
+once, one comparison each, and then each tree's exit leaf by bit mask.
+Each node's mask clears the leaves of its left subtree; ANDing the masks
+of the nodes a row goes right at leaves the exit leaf as the lowest set
+bit.  So the number of array operations does not grow with depth.
 """
 
 from __future__ import annotations
@@ -74,37 +77,48 @@ class Tree:
     value: list[float]
 
 
-# Rows scored together: bounds the (rows, trees) working arrays.
-_SCORE_BLOCK_ROWS = 64
+# Cells of the (rows, nodes, words) mask array scored in one block.
+_SCORE_BLOCK_CELLS = 1 << 16
+_WORD_BITS = 64
+_ALL_LEAVES = np.uint64((1 << _WORD_BITS) - 1)
+# _LOW_BITS[k] has the low k bits of a word set
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(_WORD_BITS + 1)], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
 class _Ensemble:
-    """Every tree of a model in one set of flat arrays.  Leaves loop to
-    themselves, so walking any (row, tree) pair for ``depth`` steps ends at
-    its leaf."""
+    """Every tree of a model as QuickScorer arrays (Lucchese et al., SIGIR
+    2015).  Each tree's leaves are numbered left to right; bit ``b`` of
+    word ``w`` stands for leaf ``64 * w + b``.  An internal node's mask
+    clears the leaves of its left subtree, so ANDing the masks of the
+    nodes a row goes right at leaves its exit leaf as the lowest set bit.
+    Each tree's run of nodes starts with a pad node whose mask clears
+    nothing, so no run is empty."""
 
-    feature: np.ndarray  # split column; 0 at leaves
+    feature: np.ndarray  # split column of each node, pads included
     threshold: np.ndarray
-    child: np.ndarray  # child[2 * i + (x <= threshold[i])]: right, then left
-    value: np.ndarray  # leaf value times the learning rate
-    roots: np.ndarray
-    depth: int
+    mask: np.ndarray  # (nodes, words) uint64
+    starts: np.ndarray  # first node of each tree
+    leaf_start: np.ndarray  # first leaf of each tree in ``value``
+    value: np.ndarray  # leaf value times the learning rate, left to right
+    block_rows: int  # rows per block, within _SCORE_BLOCK_CELLS
 
     def score(self, X: np.ndarray, base_score: float) -> np.ndarray:
         """base_score plus every tree's scaled leaf value, added tree by
         tree in model order, for the rows of X."""
-        n_rows, n_cols = X.shape
-        node = np.repeat(self.roots[None, :], n_rows, axis=0)
-        if self.depth:
-            cells = np.ascontiguousarray(X).ravel()
-            row_start = np.arange(n_rows)[:, None] * n_cols
-            for _ in range(self.depth):
-                go_left = cells[row_start + self.feature[node]] <= self.threshold[node]
-                node = self.child[2 * node + go_left]
-        acc = np.empty((n_rows, self.roots.size + 1), dtype=np.float64)
+        leaf = np.zeros((X.shape[0], self.starts.size), dtype=np.intp)
+        if self.feature.size:  # else every tree is a lone leaf
+            go_left = np.take(X, self.feature, axis=1) <= self.threshold  # NaN goes right
+            kept = np.where(go_left[:, :, None], _ALL_LEAVES, self.mask)
+            kept = np.bitwise_and.reduceat(kept, self.starts, axis=1)
+            word = np.argmax(kept != 0, axis=2)
+            bits = np.take_along_axis(kept, word[:, :, None], axis=2)[:, :, 0]
+            lowest = bits & (~bits + np.uint64(1))
+            # a power of two converts to float exactly; frexp reads its exponent
+            leaf = _WORD_BITS * word + np.frexp(lowest.astype(np.float64))[1] - 1
+        acc = np.empty((X.shape[0], self.starts.size + 1), dtype=np.float64)
         acc[:, 0] = base_score
-        acc[:, 1:] = self.value[node]
+        acc[:, 1:] = self.value[self.leaf_start + leaf]
         return np.cumsum(acc, axis=1, out=acc)[:, -1]
 
 
@@ -116,13 +130,15 @@ def _node_array(values, kinds: str, n: int, name: str) -> np.ndarray:
 
 
 def _pack(trees: list[Tree], feature_count: int, learning_rate: float) -> _Ensemble:
-    """Concatenate the trees' node arrays.  Raises ValueError for a tree
-    that is not a well-formed binary tree over ``feature_count`` features."""
+    """Lay the trees out for scoring.  Raises ValueError for a tree that is
+    not a well-formed binary tree over ``feature_count`` features."""
     if not isinstance(feature_count, int) or feature_count < 0:
         raise ValueError(f"feature_count must be a non-negative integer, got {feature_count!r}")
-    features, thresholds, values = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0)]
-    children, roots = [np.zeros((0, 2), np.intp)], []
-    start = 0
+    # per tree: a pad node, then the internal nodes; a node's left subtree
+    # holds its leaves [lo, hi), none for the pad
+    features, thresholds, lo, hi = [], [], [], []
+    starts, leaf_start, values = [], [], [np.zeros(0)]
+    n_nodes = n_leaves = 0
     for k, tree in enumerate(trees):
         n = len(tree.feature)
         if n == 0:
@@ -140,31 +156,46 @@ def _pack(trees: list[Tree], feature_count: int, learning_rate: float) -> _Ensem
             raise ValueError(f"tree {k}: a feature index is outside [0, {feature_count})")
         if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
             raise ValueError(f"tree {k}: a threshold or value is not finite")
-        roots.append(start)
-        features.append(np.where(leaf, 0, feature))
-        thresholds.append(threshold)
-        # a leaf is its own child on both sides
-        children.append(start + np.stack([np.where(leaf, ids, right), np.where(leaf, ids, left)], 1))
-        values.append(learning_rate * value)
-        start += n
-    child = np.concatenate(children).ravel().astype(np.int32)
-    roots = np.array(roots, dtype=np.int32)
-    # longest root-to-leaf path: children lie after their parent, so this ends
-    depth = 0
-    frontier = roots
-    while True:
-        frontier = frontier[child[2 * frontier] != frontier]
-        if not frontier.size:
-            break
-        frontier = np.unique(np.concatenate([child[2 * frontier], child[2 * frontier + 1]]))
-        depth += 1
+        if np.bincount(np.concatenate([left[~leaf], right[~leaf]]), minlength=n).max() > 1:
+            raise ValueError(f"tree {k}: a node has two parents")
+        # preorder, left first, numbers the leaves left to right; a node's
+        # subtree leaves start at first[node]
+        left_of, right_of = left.tolist(), right.tolist()
+        first = np.zeros(n, dtype=np.intp)
+        inner, leaves = [], []
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            first[i] = len(leaves)
+            if left_of[i] == -1:
+                leaves.append(i)
+            else:
+                inner.append(i)
+                stack += (right_of[i], left_of[i])
+        starts.append(n_nodes)
+        features += [0, *feature[inner].tolist()]
+        thresholds += [0.0, *threshold[inner].tolist()]
+        lo += [0, *first[left[inner]].tolist()]
+        hi += [0, *first[right[inner]].tolist()]
+        leaf_start.append(n_leaves)
+        values.append((learning_rate * value)[leaves])
+        n_nodes += 1 + len(inner)
+        n_leaves += len(leaves)
+    if n_nodes == len(trees):  # only pads: every tree is a lone leaf
+        features = thresholds = lo = hi = []
+    words = -(-max(1, *map(len, values)) // _WORD_BITS)
+    # clip each [lo, hi) to every word; a word's mask clears the bits inside
+    edges = _WORD_BITS * np.arange(words)
+    lo = np.clip(np.array(lo, dtype=np.intp)[:, None] - edges, 0, _WORD_BITS)
+    hi = np.clip(np.array(hi, dtype=np.intp)[:, None] - edges, 0, _WORD_BITS)
     return _Ensemble(
-        feature=np.concatenate(features).astype(np.intp),
-        threshold=np.concatenate(thresholds).astype(np.float64),
-        child=child,
-        value=np.concatenate(values).astype(np.float64),
-        roots=roots,
-        depth=depth,
+        feature=np.array(features, dtype=np.intp),
+        threshold=np.array(thresholds, dtype=np.float64),
+        mask=~(_LOW_BITS[hi] & ~_LOW_BITS[lo]),
+        starts=np.array(starts, dtype=np.intp),
+        leaf_start=np.array(leaf_start, dtype=np.intp),
+        value=np.concatenate(values, dtype=np.float64),
+        block_rows=max(1, _SCORE_BLOCK_CELLS // max(1, n_nodes * words)),
     )
 
 
@@ -188,8 +219,9 @@ class GbdtModel:
         """Raw score of each row of the 2-D X: base_score plus the scaled
         leaf value of every tree."""
         score = np.empty(X.shape[0], dtype=np.float64)
-        for lo in range(0, X.shape[0], _SCORE_BLOCK_ROWS):
-            hi = lo + _SCORE_BLOCK_ROWS
+        step = self._ensemble.block_rows
+        for lo in range(0, X.shape[0], step):
+            hi = lo + step
             score[lo:hi] = self._ensemble.score(X[lo:hi], self.base_score)
         return score
 

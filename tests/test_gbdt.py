@@ -11,6 +11,7 @@ from sqluq.gbdt import (
     ManifestMismatch,
     SingleClass,
     Tree,
+    _SCORE_BLOCK_CELLS,
     _best_split,
     _bin_columns,
     _histogram,
@@ -412,6 +413,54 @@ class TestPackedEnsemble:
         for row in X_new[:20]:
             expected = float(_sigmoid(traverse_oracle(model, row[None, :]))[0])
             assert predict_proba(model, row) == expected
+
+
+    @pytest.mark.parametrize("max_leaves, words", [(2, 1), (64, 1), (65, 2), (130, 3), (255, 4)])
+    def test_mask_widths_match_oracle(self, max_leaves, words):
+        # continuous features, so every tree can reach its leaf budget
+        rng = np.random.RandomState(max_leaves)
+        X = rng.randn(1500, 6)
+        y = (X[:, 0] * X[:, 1] + rng.randn(1500) > 0).astype(float)
+        model = train_matrix(X, y, GbdtConfig(n_trees=3, max_leaves=max_leaves,
+                                              min_samples_leaf=1))
+        packed = model._ensemble
+        assert max(len(t.feature) for t in model.trees) == 2 * max_leaves - 1
+        assert packed.mask.shape[1] == words
+        assert 1 <= packed.block_rows and packed.block_rows * packed.mask.size <= _SCORE_BLOCK_CELLS
+        X_new = rng.randn(300, 6) * 2
+        X_new[::7, rng.randint(0, 6)] = np.nan
+        for data in (X, X_new, X_new[:1]):
+            assert np.array_equal(model.decision_function(data), traverse_oracle(model, data))
+
+    def test_root_leaves_between_deep_trees(self):
+        X, y, X_new = self._data()
+        deep = train_matrix(X, y, GbdtConfig(n_trees=3, max_leaves=80, min_samples_leaf=1)).trees
+        leaf = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[-0.4])
+        model = GbdtModel(config=GbdtConfig(), base_score=0.2,
+                          trees=[leaf, deep[0], leaf, leaf, deep[1], deep[2], leaf],
+                          manifest_hash="h", feature_count=5)
+        for data in (X_new, X_new[:1], X_new[1:2]):
+            assert np.array_equal(model.decision_function(data), traverse_oracle(model, data))
+
+    def test_nan_rows_go_right_at_every_node(self):
+        X, y, _ = self._data()
+        model = train_matrix(X, y, GbdtConfig(n_trees=10, max_leaves=16, min_samples_leaf=2))
+        rows = np.tile(X[:40], (2, 1))
+        rows[:40] = np.nan
+        rows[40:, ::2] = np.nan
+        assert np.array_equal(model.decision_function(rows), traverse_oracle(model, rows))
+        for row in rows[::9]:
+            expected = float(_sigmoid(traverse_oracle(model, row[None, :]))[0])
+            assert predict_proba(model, row) == expected
+
+
+def test_a_node_with_two_parents_is_rejected():
+    # children lie after their parent, yet node 3 is reachable twice
+    shared = Tree(feature=[0, 1, 1, -1, -1], threshold=[0.0] * 5,
+                  left=[1, 3, 3, -1, -1], right=[2, 4, 4, -1, -1], value=[0.0] * 5)
+    with pytest.raises(ValueError, match="two parents"):
+        GbdtModel(config=GbdtConfig(), base_score=0.0, trees=[shared],
+                  manifest_hash="h", feature_count=2)
 
 
 def _model_doc():
