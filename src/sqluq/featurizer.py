@@ -138,28 +138,42 @@ class NodeRecord:
     logprob_score: float | None = None
 
 
-def levenshtein(a: str, b: str, cutoff: int | None = None) -> int:
-    """Unit-cost edit distance (insert, delete, substitute).
+def _char_masks(a: str) -> dict[str, int]:
+    """Bit i of ``masks[c]`` is set where ``a[i] == c``."""
+    masks: dict[str, int] = {}
+    for i, c in enumerate(a):
+        masks[c] = masks.get(c, 0) | 1 << i
+    return masks
 
-    With a cutoff, a distance below it is exact; otherwise the result is
-    some value at or above the cutoff.  A DP row's minimum never falls in
-    later rows, so the scan stops once that minimum reaches the cutoff."""
-    if a == b:
-        return 0
-    if not a:
+
+def _edit_distance(masks: dict[str, int], m: int, b: str) -> int:
+    """Edit distance from the m-character string behind ``masks`` to b, one
+    column of the DP table per character of b, by Myers' bit-vector
+    algorithm (JACM 1999) in Hyyro's form.  Bit i of pv and mv is set where
+    the column's cell i + 1 is one more and one less than cell i."""
+    if not m:
         return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-        if cutoff is not None and min(cur) >= cutoff:
-            return min(cur)
-        prev = cur
-    return prev[-1]
+    full, top = (1 << m) - 1, 1 << (m - 1)
+    pv, mv, dist = full, 0, m
+    for c in b:
+        eq = masks.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            dist += 1
+        elif mh & top:
+            dist -= 1
+        ph = ph << 1 | 1  # row 0 grows by one per column
+        pv = (mh << 1 | ~(xv | ph)) & full
+        mv = ph & xv
+    return dist
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Unit-cost edit distance (insert, delete, substitute)."""
+    return _edit_distance(_char_masks(a), len(a), b)
 
 
 def nearest_schema_identifier(name: str, schema: Schema) -> tuple[str, int]:
@@ -169,11 +183,12 @@ def nearest_schema_identifier(name: str, schema: Schema) -> tuple[str, int]:
     if not candidates:
         raise EmptySchema("schema has no tables or columns")
     folded = name.casefold()
+    masks, m = _char_masks(folded), len(folded)
     best_name, best_dist = None, None
     for cand in candidates:  # sorted, so first minimum wins ties
-        if best_dist is not None and abs(len(cand) - len(folded)) >= best_dist:
+        if best_dist is not None and abs(len(cand) - m) >= best_dist:
             continue  # the length gap alone is as far as the best
-        d = levenshtein(folded, cand, cutoff=best_dist)
+        d = _edit_distance(masks, m, cand)
         if best_dist is None or d < best_dist:
             best_name, best_dist = cand, d
             if d == 0:

@@ -1,4 +1,4 @@
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -76,6 +76,22 @@ def idx(name):
     return MANIFEST.names.index(name)
 
 
+def dp_oracle(a, b):
+    """Edit distance from the full DP table."""
+    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(len(a) + 1):
+        table[i][0] = i
+    for j in range(len(b) + 1):
+        table[0][j] = j
+    for i, j in product(range(1, len(a) + 1), range(1, len(b) + 1)):
+        table[i][j] = min(
+            table[i - 1][j] + 1,
+            table[i][j - 1] + 1,
+            table[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
+        )
+    return table[-1][-1]
+
+
 class TestLevenshtein:
     def test_single_deletion(self):
         assert levenshtein("artists", "artist") == 1
@@ -88,43 +104,32 @@ class TestLevenshtein:
         assert levenshtein("wage", "salary") == 5
 
     def test_against_dp_oracle(self):
-        import itertools
         import random
 
         rng = random.Random(3)
         alphabet = "abc"
-
-        def oracle(a, b):
-            # full DP table, independent of the two-row implementation
-            table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
-            for i in range(len(a) + 1):
-                table[i][0] = i
-            for j in range(len(b) + 1):
-                table[0][j] = j
-            for i, j in itertools.product(range(1, len(a) + 1), range(1, len(b) + 1)):
-                table[i][j] = min(
-                    table[i - 1][j] + 1,
-                    table[i][j - 1] + 1,
-                    table[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
-                )
-            return table[-1][-1]
-
         for _ in range(200):
             a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
             b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
-            assert levenshtein(a, b) == oracle(a, b)
+            assert levenshtein(a, b) == dp_oracle(a, b)
 
-    def test_cutoff_is_exact_below_and_a_lower_bound_at_or_above(self):
+    def test_against_dp_oracle_past_one_word_and_beyond_ascii(self):
         import random
 
         rng = random.Random(5)
-        for _ in range(500):
-            a = "".join(rng.choice("abc") for _ in range(rng.randint(0, 9)))
-            b = "".join(rng.choice("abc") for _ in range(rng.randint(0, 9)))
-            cutoff = rng.randint(0, 8)
-            exact = levenshtein(a, b)
-            cut = levenshtein(a, b, cutoff=cutoff)
-            assert cut == exact if exact < cutoff else cutoff <= cut <= exact
+        alphabets = ("ab", "abé", "a\u0663\u00a0_", "abcdefghijklmnopqrstuvwxyzé٣\u00a0")
+        pairs = []
+        for _ in range(150):
+            alphabet = rng.choice(alphabets)
+            a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 80)))
+            b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 80)))
+            pairs.append((a, b))
+        long_name = "".join(rng.choice("abé٣_") for _ in range(2000))
+        pairs += [(long_name, b) for b in ("", "a", "abé٣_", long_name[:70], long_name[-75:])]
+        pairs += [(b, a) for a, b in pairs[-5:]]
+        assert sum(len(a) > 64 for a, _ in pairs) >= 20  # masks wider than a word
+        for a, b in pairs:
+            assert levenshtein(a, b) == dp_oracle(a, b), (a, b)
 
 
 class TestNearestIdentifier:
