@@ -16,7 +16,6 @@ from sqluq.ast_core import ParseError, UnsupportedConstruct, parse_sql
 from sqluq.corpus import CASES, run_corpus
 from sqluq.gbdt import GbdtConfig, GbdtModel, ManifestMismatch, render_eval_table
 from sqluq.pipeline import (
-    MissingSchema,
     UnknownDbId,
     label_dataset,
     node_row,
@@ -72,7 +71,7 @@ def featurize_cmd(dataset_path: str, schemas_dir: str, out_dir: str):
     try:
         labeled, skipped, _ = label_dataset(dataset_path, schemas_dir)
         n_rows = write_features(out_dir, labeled)
-    except (MissingSchema, SchemaFormatError) as exc:
+    except SchemaFormatError as exc:
         _fail(EXIT_VALIDATION, str(exc))
     except OSError as exc:
         _fail(EXIT_IO, str(exc))
@@ -103,7 +102,7 @@ def train_cmd(dataset_path, schemas_dir, split_text, out_dir, n_trees,
         result = run_experiment(
             dataset_path, schemas_dir, split, config=config, out_dir=out_dir
         )
-    except (UnknownDbId, MissingSchema, SchemaFormatError, ValueError) as exc:
+    except (UnknownDbId, SchemaFormatError, ValueError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
     except OSError as exc:
         _fail(EXIT_IO, str(exc))

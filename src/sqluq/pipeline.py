@@ -44,7 +44,8 @@ class UnknownDbId(Exception):
 
 
 class MissingSchema(Exception):
-    """A dataset db_id has no schema file in the schemas directory."""
+    """A record's db_id has no schema file in the schemas directory; the
+    record is skipped."""
 
 
 @dataclass
@@ -258,14 +259,17 @@ class ExperimentResult:
 
 
 def load_schemas(schemas_dir: str | Path, db_ids: set[str]) -> dict[str, Schema]:
-    schemas_dir = Path(schemas_dir)
+    """The schema of every db in db_ids that has a schema file."""
     schemas: dict[str, Schema] = {}
     for db_id in sorted(db_ids):
-        path = schemas_dir / f"{db_id}.json"
-        if not path.exists():
-            raise MissingSchema(f"no schema file for db {db_id!r} at {path}")
-        schemas[db_id] = load_schema(path)
+        path = _schema_path(schemas_dir, db_id)
+        if path.exists():
+            schemas[db_id] = load_schema(path)
     return schemas
+
+
+def _schema_path(schemas_dir: str | Path, db_id: str) -> Path:
+    return Path(schemas_dir) / f"{db_id}.json"
 
 
 def label_and_featurize(record: DatasetRecord, schema: Schema) -> LabeledQuery:
@@ -311,6 +315,9 @@ def label_dataset(
     skipped = [(f"line {ln}", reason) for ln, reason in loaded.skipped]
     for record in loaded.records:
         try:
+            if record.db_id not in schemas:
+                path = _schema_path(schemas_dir, record.db_id)
+                raise MissingSchema(f"no schema file for db {record.db_id!r} at {path}")
             labeled.append(label_and_featurize(record, schemas[record.db_id]))
         except Exception as exc:  # one bad record is a skip, never the end of a run
             skipped.append((record.query_id, f"{type(exc).__name__}: {exc}"))

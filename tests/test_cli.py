@@ -136,6 +136,28 @@ def test_featurize_skips_malformed_values(runner, workspace):
         json.loads(line, parse_constant=no_constants)
 
 
+def test_featurize_skips_a_record_without_a_schema_file(runner, workspace):
+    tmp_path, _, schemas = workspace
+    good = {"query_id": "q1", "db_id": "db1", "generated_sql": "SELECT a FROM t",
+            "gold_sql": "SELECT a FROM t"}
+    dataset = tmp_path / "no_schema.jsonl"
+    dataset.write_text(
+        "\n".join(json.dumps(doc) for doc in (good, {**good, "query_id": "q2", "db_id": "nope"}))
+        + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "feat"
+    result = runner.invoke(
+        main,
+        ["featurize", "--dataset", str(dataset), "--schemas", str(schemas), "--out", str(out)],
+    )
+    assert result.exit_code == 0
+    assert "skipped 1 records" in result.output
+    assert "skipped q2: MissingSchema: no schema file for db 'nope'" in result.output
+    rows = (out / "features.jsonl").read_text().splitlines()[1:]
+    assert {json.loads(row)["query_id"] for row in rows} == {"q1"}
+
+
 def test_eval_then_predict_round_trip(runner, workspace):
     tmp_path, dataset, schemas = workspace
     out = tmp_path / "run"

@@ -12,6 +12,7 @@ from sqluq.pipeline import (
     UnknownDbId,
     WithinDatabase,
     label_and_featurize,
+    label_dataset,
     load_dataset,
     make_split,
     parse_split_spec,
@@ -252,11 +253,16 @@ class TestRunExperiment:
         assert reasons["qdeep"].startswith("RecursionError: ")
         assert reasons["qbad"].startswith("ParseError: ")
 
-    def test_missing_schema_file_raises(self, tmp_path, schemas_dir):
-        lines = [record_line("q1", db="other"), record_line("q2", db="other")]
+    def test_missing_schema_file_is_a_skip(self, tmp_path, schemas_dir):
+        lines = [record_line("q1"), record_line("q2", db="nope")]
         path = self._dataset(tmp_path, lines)
-        with pytest.raises(MissingSchema):
-            run_experiment(path, schemas_dir, WithinDatabase(0.5, seed=0))
+        labeled, skipped, n_in = label_dataset(path, schemas_dir)
+        assert [lq.record.query_id for lq in labeled] == ["q1"]
+        assert n_in == 2
+        [(qid, reason)] = skipped
+        assert qid == "q2"
+        prefix = f"{MissingSchema.__name__}: no schema file for db 'nope' at "
+        assert reason == prefix + str(schemas_dir / "nope.json")
 
     def test_artifacts_written_and_reproducible(self, tmp_path, schemas_dir):
         lines = []
