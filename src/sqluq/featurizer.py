@@ -149,7 +149,7 @@ def _char_masks(a: str) -> dict[str, int]:
 def _edit_distance(masks: dict[str, int], m: int, b: str) -> int:
     """Edit distance from the m-character string behind ``masks`` to b, one
     column of the DP table per character of b, by Myers' bit-vector
-    algorithm (JACM 1999) in Hyyro's form.  Bit i of pv and mv is set where
+    algorithm (JACM 1999) in Hyyrö's form.  Bit i of pv and mv is set where
     the column's cell i + 1 is one more and one less than cell i."""
     if not m:
         return len(b)

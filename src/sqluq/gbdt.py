@@ -107,7 +107,7 @@ class _Ensemble:
         """base_score plus every tree's scaled leaf value, added tree by
         tree in model order, for the rows of X."""
         leaf = np.zeros((X.shape[0], self.starts.size), dtype=np.intp)
-        if self.feature.size:  # else every tree is a lone leaf
+        if self.feature.size > self.starts.size:  # else all lone leaves, maybe over no columns
             go_left = np.take(X, self.feature, axis=1) <= self.threshold  # NaN goes right
             kept = np.where(go_left[:, :, None], _ALL_LEAVES, self.mask)
             kept = np.bitwise_and.reduceat(kept, self.starts, axis=1)
@@ -161,7 +161,7 @@ def _pack(trees: list[Tree], feature_count: int, learning_rate: float) -> _Ensem
         # preorder, left first, numbers the leaves left to right; a node's
         # subtree leaves start at first[node]
         left_of, right_of = left.tolist(), right.tolist()
-        first = np.zeros(n, dtype=np.intp)
+        first = [0] * n
         inner, leaves = [], []
         stack = [0]
         while stack:
@@ -172,6 +172,7 @@ def _pack(trees: list[Tree], feature_count: int, learning_rate: float) -> _Ensem
             else:
                 inner.append(i)
                 stack += (right_of[i], left_of[i])
+        first = np.array(first)
         starts.append(n_nodes)
         features += [0, *feature[inner].tolist()]
         thresholds += [0.0, *threshold[inner].tolist()]
@@ -181,8 +182,6 @@ def _pack(trees: list[Tree], feature_count: int, learning_rate: float) -> _Ensem
         values.append((learning_rate * value)[leaves])
         n_nodes += 1 + len(inner)
         n_leaves += len(leaves)
-    if n_nodes == len(trees):  # only pads: every tree is a lone leaf
-        features = thresholds = lo = hi = []
     words = -(-max(1, *map(len, values)) // _WORD_BITS)
     # clip each [lo, hi) to every word; a word's mask clears the bits inside
     edges = _WORD_BITS * np.arange(words)

@@ -442,6 +442,12 @@ class TestPackedEnsemble:
         for data in (X_new, X_new[:1], X_new[1:2]):
             assert np.array_equal(model.decision_function(data), traverse_oracle(model, data))
 
+    def test_lone_leaves_over_no_features(self):
+        model = train_matrix(np.zeros((10, 0)), np.array([0.0, 1.0] * 5),
+                             GbdtConfig(n_trees=3, min_samples_leaf=1))
+        X = np.zeros((4, 0))
+        assert np.array_equal(model.decision_function(X), traverse_oracle(model, X))
+
     def test_nan_rows_go_right_at_every_node(self):
         X, y, _ = self._data()
         model = train_matrix(X, y, GbdtConfig(n_trees=10, max_leaves=16, min_samples_leaf=2))
