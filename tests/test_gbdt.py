@@ -414,7 +414,6 @@ class TestPackedEnsemble:
             expected = float(_sigmoid(traverse_oracle(model, row[None, :]))[0])
             assert predict_proba(model, row) == expected
 
-
     @pytest.mark.parametrize("max_leaves, words", [(2, 1), (64, 1), (65, 2), (130, 3), (255, 4)])
     def test_mask_widths_match_oracle(self, max_leaves, words):
         # continuous features, so every tree can reach its leaf budget
