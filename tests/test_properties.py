@@ -4,12 +4,22 @@ import random
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
+import pytest
 
-from sqluq.ast_core import NodeKind, parse_sql, preorder
-from sqluq.labeler import EquivalenceContext, label_with_context, recursively_equivalent
+from sqluq.ast_core import NodeKind, build_alias_map, parse_sql, preorder
+from sqluq.labeler import (
+    CORRECT,
+    ERROR,
+    EquivalenceContext,
+    Provenance,
+    _pair_children,
+    label_with_context,
+    recursively_equivalent,
+)
 from sqluq.synth import build_planted_corpus
 
 from querygen import (
+    TABLES,
     add_gold_only_material,
     flip_antisymmetric,
     random_draft,
@@ -174,3 +184,140 @@ def test_key_of_literal_holds_its_flags():
     for a, b in zip(*literals):
         assert a.content == b.content
         assert (keyed.gen_keys[a.id] == keyed.gold_keys[b.id]) == (a.flags == b.flags)
+
+
+def forward_first_pass(gen, gold) -> dict[int, int]:
+    """The first pass by its definition: a visit to an equivalent pair marks
+    the whole generated subtree correct; any other visit blames the generated
+    node and visits every generated x gold pair of their children, in order.
+    The last write to a node wins."""
+    ctx = EquivalenceContext(build_alias_map(gen), build_alias_map(gold))
+    written = {}
+
+    def align(x, g):
+        if recursively_equivalent(x, g, ctx):
+            written.update((d.id, CORRECT) for d in x.walk())
+            return
+        written[x.id] = ERROR
+        for c in _pair_children(x):
+            for h in _pair_children(g):
+                align(c, h)
+
+    align(gen, gold)
+    return written
+
+
+def assert_first_pass_is_forward(gen_sql: str, gold_sql: str):
+    """With rescue off, every label the first pass leaves standing is the
+    forward definition's, a suppressed node was blamed or never written by
+    it (suppression clears both), and a node left Initial was never written
+    by it."""
+    gen, gold = parse_sql(gen_sql), parse_sql(gold_sql)
+    lm = label_with_context(gen, gold, enable_rescue=False)[0]
+    written = forward_first_pass(gen, gold)
+    for node in preorder(gen):
+        if node.kind is NodeKind.ALIAS:
+            continue
+        prov, why = lm.provenance[node.id], (gen_sql, gold_sql, node)
+        if prov is Provenance.FIRST_PASS:
+            assert lm.labels[node.id] == written[node.id], why
+        elif prov is Provenance.SUPPRESSED:
+            assert written.get(node.id, ERROR) == ERROR, why
+        else:
+            assert prov is Provenance.INITIAL and node.id not in written, why
+
+
+@PROPERTY_SETTINGS
+@given(seeds)
+def test_first_pass_matches_forward_definition_on_random_pairs(seed):
+    assert_first_pass_is_forward(*random_pair(random.Random(seed)))
+
+
+@KEY_SETTINGS
+@given(seeds)
+def test_first_pass_matches_forward_definition_under_gold_transforms(seed):
+    rng = random.Random(seed)
+    draft = random_draft(rng, with_alias_prob=0.7)
+    for other in (
+        swap_symmetric_operands(draft),
+        flip_antisymmetric(draft),
+        rename_alias(draft, "zz9"),
+        add_gold_only_material(draft, rng),
+    ):
+        assert_first_pass_is_forward(draft.render(), other.render())
+        assert_first_pass_is_forward(other.render(), draft.render())
+
+
+def aliased_and_bare_from_lists(rng: random.Random) -> tuple[str, str]:
+    tables = rng.sample(sorted(TABLES), rng.randint(1, 3))
+    aliases = {t: f"a{i}" for i, t in enumerate(tables)}
+    cols = [(t, c) for t in tables for c in TABLES[t]]
+    picked = rng.sample(cols, rng.randint(1, min(4, len(cols))))
+    where = rng.sample(cols, rng.randint(0, min(3, len(cols))))
+
+    def render(aliased, order):
+        ref = (lambda t, c: f"{aliases[t]}.{c}") if aliased else (lambda t, c: c)
+        from_list = [f"{t} AS {aliases[t]}" if aliased else t for t in order]
+        sql = f"SELECT {', '.join(ref(t, c) for t, c in picked)} FROM {', '.join(from_list)}"
+        if where:
+            sql += " WHERE " + " AND ".join(f"{ref(t, c)} = {i}" for i, (t, c) in enumerate(where))
+        return sql
+
+    order = list(tables)
+    rng.shuffle(order)
+    return render(True, tables), render(False, order)
+
+
+def shuffled_and_with_one_change(rng: random.Random) -> tuple[str, str]:
+    preds = [
+        f"{rng.choice(['c1', 'c2', 'x.c3'])} {rng.choice(['=', '>', '<='])} {rng.randint(0, 3)}"
+        for _ in range(rng.randint(2, 7))
+    ]
+    gold = list(preds)
+    rng.shuffle(gold)
+    gen = list(preds)
+    gen[rng.randrange(len(gen))] = f"c2 != {rng.randint(0, 3)}"
+    return (
+        f"SELECT c1 FROM t1 AS x WHERE {' AND '.join(gen)}",
+        f"SELECT c1 FROM t1 AS x WHERE {' AND '.join(gold)}",
+    )
+
+
+def generated_children_under_a_gold_leaf(rng: random.Random) -> tuple[str, str]:
+    leaf = rng.choice(["c1", "1", "'red'", "*"])
+    grown = rng.choice([f"max({leaf})", f"{leaf} + 1", f"f({leaf}, c2)", "(SELECT c1 FROM t1)"])
+    if leaf == "*":
+        grown = rng.choice(["count(*)", "t1.c1"])
+    where = rng.choice(["", " WHERE c1 = 1", " WHERE c1 = 1 AND c2 = c1"])
+    return f"SELECT {grown}, c2 FROM t1{where}", f"SELECT {leaf}, c2 FROM t1{where}"
+
+
+def nested_in_subqueries(rng: random.Random) -> tuple[str, str]:
+    depth = rng.randint(1, 6)
+    changed = rng.randrange(depth + 1)
+
+    def render(change):
+        sql = f"SELECT c1 FROM t1 WHERE c1 = {9 if change and changed == depth else 0}"
+        for level in reversed(range(depth)):
+            col = "c2" if change and level == changed else "c1"
+            sql = f"SELECT {col} FROM t{level % 3 + 1} WHERE c1 IN ({sql})"
+        return sql
+
+    return render(True), render(False)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        aliased_and_bare_from_lists,
+        shuffled_and_with_one_change,
+        generated_children_under_a_gold_leaf,
+        nested_in_subqueries,
+    ],
+)
+def test_first_pass_matches_forward_definition_on_fixed_shapes(shape):
+    rng = random.Random(0)
+    for _ in range(60):
+        gen_sql, gold_sql = shape(rng)
+        assert_first_pass_is_forward(gen_sql, gold_sql)
+        assert_first_pass_is_forward(gold_sql, gen_sql)
