@@ -18,21 +18,27 @@ The alignment is defined by a forward visit order: a visit to a pair marks
 the whole generated subtree correct if the pair is equivalent, and else
 blames the generated node and visits every generated x gold pair of their
 children, generated child outermost, in order.  The last visit to write a
-node decides it.  It is computed by replaying those visits in reverse, on
-an explicit stack, where the first write to a node wins and later writes
-are dropped:
+node decides it.  Along one generated path the visits run in gold preorder,
+so the last write has a closed form, computed in one top-down pass.  Pair
+children are `_pair_children` (alias wrappers unwrapped), and depth counts
+pair-child steps:
 
-- each generated node keeps a count of the undecided nodes in its subtree,
-  recomputed from its children's counts when a visit to it ends, and a
-  visit to a subtree with none left is skipped;
-- a node is frozen when it is decided and its pair children have no
-  undecided node left: a visit to it writes only if the pair is
-  equivalent;
-- a node is settled when it is decided and each of its pair children that
-  has undecided nodes is frozen: a visit to it writes only if the pair, or
-  a pair of such a child and a gold child, is equivalent.  So a run of
-  visits to a settled node tries only the gold nodes that share its key or
-  have a child sharing the key of one of its frozen children.
+- L(x), the gold nodes x is visited with, is the gold root for the root;
+  for each child of x it is the pair children of the members of L(x) that
+  x is not equivalent to.
+- latest(x) is the member of L(x) last in gold preorder, and seen(x) the
+  latest gold node that a proper ancestor a is equivalent to among L(a).
+- If latest(x) comes after seen(x), x and its subtree are correct when x
+  is equivalent to latest(x), and x is blamed otherwise.  Else, if seen(x)
+  exists, x and its subtree are correct.  Else x is never written.  The
+  Identifier children of Column, Table and Star are never visited: they
+  are correct when seen exists for them.
+
+L is never built.  Q(x) lists, latest first, the members of L(x) that x is
+not equivalent to and that have pair children; the last pair child of its
+first member is latest for every child of x.  Q is found lazily, extending
+the parent's Q only when its members run out.  The gold node that sets
+seen is searched among the gold nodes with x's key and depth.
 
 Every node has a subtree key, an integer built bottom-up that any two
 recursively equivalent nodes share: an Alias takes the key of the node it
@@ -48,6 +54,7 @@ and the operands an And or Or match may pair.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -305,143 +312,92 @@ def _greedy_bipartite_match(
     return True
 
 
-def _first_pass(
-    gen_nodes: list[SqlNode], gold: SqlNode, ctx: EquivalenceContext
-) -> dict[int, int]:
-    """The alignment's label of every node it decides, by reverse replay;
-    `gen_nodes` is the generated tree in preorder.
-
-    `undecided[n]` counts the undecided nodes of n's subtree, alias
-    wrappers left out: their labels mirror the node they wrap.
-    """
-    gen = gen_nodes[0]
-    gen_keys = ctx.gen_keys
-    kids: dict[int, list[SqlNode]] = {}  # children, alias wrappers unwrapped
-    undecided: dict[int, int] = {}
-    for node in reversed(gen_nodes):
-        gen_keys[node.id] = _node_key(node, gen_keys)
-        if node.kind is not NodeKind.ALIAS:
-            below = kids[node.id] = [_unwrap(c) for c in node.children]
-            undecided[node.id] = 1 + sum(undecided[c.id] for c in below)
+def _first_pass(gen: SqlNode, gold: SqlNode, ctx: EquivalenceContext) -> dict[int, int]:
+    """The alignment's label of every generated node it writes, by the
+    closed form in the module docstring."""
+    gold_kids: dict[int, list[SqlNode]] = {}
+    buckets: dict[tuple[int, int], list[SqlNode]] = {}  # (key, depth) -> gold nodes in preorder
+    stack = [(gold, 0)]
+    while stack:
+        g, depth = stack.pop()
+        buckets.setdefault((ctx.gold_keys[g.id], depth), []).append(g)
+        gold_kids[g.id] = kids = _pair_children(g)
+        stack += [(h, depth + 1) for h in reversed(kids)]
 
     decided: dict[int, int] = {}
-    frozen: set[int] = set()
-    settled: set[int] = set()  # frozen nodes included
-    gen_pairs: dict[int, list[SqlNode]] = {}
-    gold_pairs: dict[int, list[SqlNode]] = {}
-    gold_buckets: dict[int, dict[int, list[int]]] = {}  # gold id -> child key -> child indices
-    gold_grand: dict[int, dict[int, set[int]]] = {}  # gold id -> grandchild key -> child indices
+    up: dict[int, SqlNode] = {}  # a blamed node's pair children -> it
+    # Q(x) as far as it is found, and where its search of L(x) stopped: an
+    # index into Q(parent) and one into that member's pair children
+    queue = {gen.id: [gold] if gold_kids[gold.id] else []}
+    at: dict[int, list[int]] = {}
+    complete = {gen.id}  # nodes whose Q is found in full
 
-    def pairs_of(node: SqlNode, cache: dict[int, list[SqlNode]]) -> list[SqlNode]:
-        found = cache.get(node.id)
-        if found is None:
-            found = cache[node.id] = _pair_children(node)
-        return found
+    def grow(x: SqlNode) -> bool:
+        """Find the next member of Q(x); False when there is none."""
+        pending = [x]
+        while pending:
+            y = pending[-1]
+            p = up[y.id]
+            above, pos = queue[p.id], at[y.id]
+            while pos[1] < 0 and pos[0] + 1 < len(above):
+                pos[0] += 1
+                pos[1] = len(gold_kids[above[pos[0]].id]) - 1
+            if pos[1] < 0:  # Q(parent) so far is used up
+                if p.id in complete:
+                    complete.add(y.id)
+                    pending.pop()
+                else:
+                    pending.append(p)
+                continue
+            h = gold_kids[above[pos[0]].id][pos[1]]
+            pos[1] -= 1
+            if gold_kids[h.id] and not recursively_equivalent(y, h, ctx):
+                queue[y.id].append(h)
+                pending.pop()
+        return x.id not in complete
+
+    def partner(x: SqlNode, depth: int, latest: SqlNode, seen: SqlNode | None):
+        """The latest gold node of x's bucket between `seen` and `latest`
+        that x is equivalent to.  One outside L(x) lies under an ancestor's
+        equivalent pair, after `seen`, so in the subtree of the latest such
+        gold node; no member of L below x lies there, so each compares with
+        it as with `seen`."""
+        bucket = buckets.get((ctx.gen_keys[x.id], depth), [])
+        floor = -1 if seen is None else seen.id
+        i = bisect_left(bucket, latest.id, key=lambda g: g.id)
+        while i and bucket[i - 1].id > floor:
+            i -= 1
+            if recursively_equivalent(x, bucket[i], ctx):
+                return bucket[i]
+        return None
 
     def mark(node: SqlNode):
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            if undecided[n.id]:
-                undecided[n.id] = 0
-                decided.setdefault(n.id, CORRECT)
-                stack += kids[n.id]
+        for d in node.walk():
+            decided[d.id] = CORRECT
 
-    def finish(node: SqlNode):
-        decided.setdefault(node.id, ERROR)
-        undecided[node.id] = sum(undecided[c.id] for c in kids[node.id])
-        live = False
-        for c in pairs_of(node, gen_pairs):
-            if undecided[c.id]:
-                if c.id not in frozen:
-                    return
-                live = True
-        settled.add(node.id)
-        if not live:
-            frozen.add(node.id)
-
-    def bucket_of(node: SqlNode, children: list[SqlNode]) -> dict[int, list[int]]:
-        found = gold_buckets.get(node.id)
-        if found is None:
-            found = gold_buckets[node.id] = {}
-            for j, c in enumerate(children):
-                found.setdefault(ctx.gold_keys[c.id], []).append(j)
-        return found
-
-    def grand_of(node: SqlNode, children: list[SqlNode]) -> dict[int, set[int]]:
-        found = gold_grand.get(node.id)
-        if found is None:
-            found = gold_grand[node.id] = {}
-            for j, c in enumerate(children):
-                for d in pairs_of(c, gold_pairs):
-                    found.setdefault(ctx.gold_keys[d.id], set()).add(j)
-        return found
-
-    def settled_visit(c: SqlNode, h: SqlNode):
-        if recursively_equivalent(c, h, ctx):
-            mark(c)
-            return
-        if c.id in frozen:
-            return
-        hs = pairs_of(h, gold_pairs)
-        wrote = False
-        for d in reversed(pairs_of(c, gen_pairs)):
-            if undecided[d.id]:  # then d is frozen
-                for k in reversed(bucket_of(h, hs).get(gen_keys[d.id], ())):
-                    if recursively_equivalent(d, hs[k], ctx):
-                        mark(d)
-                        wrote = True
-                        break
-        if wrote:
-            finish(c)
-
-    if recursively_equivalent(gen, gold, ctx):
-        mark(gen)
-        return decided
-    xs, gs = pairs_of(gen, gen_pairs), pairs_of(gold, gold_pairs)
-    # a frame is one visit whose pair was not equivalent: its child pairs
-    # (xs[i], gs[j]) run from the last to the first
-    frames = [[gen, gold, xs, gs, len(xs) - 1, len(gs) - 1]]
-    while frames:
-        frame = frames[-1]
-        x, g, xs, gs, i, j = frame
-        while i >= 0:
-            c = xs[i]
-            if j < 0 or not undecided[c.id]:
-                i, j = i - 1, len(gs) - 1
-                continue
-            if c.id in settled:
-                # the rest of c's run: only gold children that share c's key,
-                # or whose children share a frozen child's, can take a write
-                found = bucket_of(g, gs).get(gen_keys[c.id], [])
-                if c.id not in frozen:
-                    grand = grand_of(g, gs)
-                    found = set(found)
-                    for d in pairs_of(c, gen_pairs):
-                        if undecided[d.id]:
-                            found.update(grand.get(gen_keys[d.id], ()))
-                    found = sorted(found)
-                for jj in reversed(found):
-                    if not undecided[c.id]:
-                        break
-                    if jj <= j:
-                        settled_visit(c, gs[jj])
-                i, j = i - 1, len(gs) - 1
-                continue
-            h = gs[j]
-            j -= 1
-            if recursively_equivalent(c, h, ctx):
-                mark(c)
-                continue
-            cs, hs = pairs_of(c, gen_pairs), pairs_of(h, gold_pairs)
-            if cs and hs:
-                frame[4], frame[5] = i, j
-                frames.append([c, h, cs, hs, len(cs) - 1, len(hs) - 1])
-                break
-            finish(c)
-        else:
-            frames.pop()
-            finish(x)
+    todo: list[tuple[SqlNode, int, SqlNode | None, SqlNode | None]] = [(gen, 0, gold, None)]
+    while todo:
+        x, depth, latest, seen = todo.pop()
+        if latest is None or (seen is not None and seen.id > latest.id):
+            if seen is not None:
+                mark(x)
+            continue
+        if recursively_equivalent(x, latest, ctx):
+            mark(x)
+            continue
+        decided[x.id] = ERROR
+        if x.children:
+            seen = partner(x, depth, latest, seen) or seen
+        kids = _pair_children(x)
+        if kids:
+            if x is not gen:
+                queue[x.id], at[x.id] = [], [-1, -1]
+            below = gold_kids[queue[x.id][0].id][-1] if queue[x.id] or grow(x) else None
+            for c in kids:
+                up[c.id] = x
+                todo.append((c, depth + 1, below, seen))
+        if x.kind in _LEAF_LIKE_KINDS:  # children that no pair visit reaches
+            todo += [(c, 0, None, seen) for c in x.children if c.kind is not NodeKind.TABLE_ALIAS]
     return decided
 
 
@@ -458,7 +414,8 @@ def label_with_context(
     gold_nodes = preorder(gold)
     _fill_keys(gold_nodes, ctx.gold_keys)
     gen_nodes = preorder(gen)
-    first = _first_pass(gen_nodes, gold, ctx)
+    _fill_keys(gen_nodes, ctx.gen_keys)
+    first = _first_pass(gen, gold, ctx)
 
     labels = {}
     prov = {}
