@@ -71,8 +71,6 @@ def featurize_cmd(dataset_path: str, schemas_dir: str, out_dir: str):
     try:
         labeled, skipped, _ = label_dataset(dataset_path, schemas_dir)
         n_rows = write_features(out_dir, labeled)
-    except SchemaFormatError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
     except OSError as exc:
         _fail(EXIT_IO, str(exc))
     click.echo(f"wrote {n_rows} node rows; skipped {len(skipped)} records")
@@ -102,7 +100,7 @@ def train_cmd(dataset_path, schemas_dir, split_text, out_dir, n_trees,
         result = run_experiment(
             dataset_path, schemas_dir, split, config=config, out_dir=out_dir
         )
-    except (UnknownDbId, SchemaFormatError, ValueError) as exc:
+    except (UnknownDbId, ValueError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
     except OSError as exc:
         _fail(EXIT_IO, str(exc))

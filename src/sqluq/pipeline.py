@@ -34,7 +34,7 @@ from sqluq.gbdt import (
     render_eval_table,
     train,
 )
-from sqluq.schema import Schema, load_schema
+from sqluq.schema import Schema, SchemaFormatError, load_schema
 
 DATASET_FORMAT = "sqluq-dataset"
 
@@ -258,18 +258,20 @@ class ExperimentResult:
     out_dir: Path | None = None
 
 
-def load_schemas(schemas_dir: str | Path, db_ids: set[str]) -> dict[str, Schema]:
-    """The schema of every db in db_ids that has a schema file."""
-    schemas: dict[str, Schema] = {}
+def load_schemas(schemas_dir: str | Path, db_ids: set[str]) -> dict[str, Schema | Exception]:
+    """The schema of every db in db_ids, each file read once; a db whose
+    file is missing or malformed maps to its MissingSchema or
+    SchemaFormatError instead."""
+    schemas: dict[str, Schema | Exception] = {}
     for db_id in sorted(db_ids):
-        path = _schema_path(schemas_dir, db_id)
-        if path.exists():
+        path = Path(schemas_dir) / f"{db_id}.json"
+        try:
+            if not path.exists():
+                raise MissingSchema(f"no schema file for db {db_id!r} at {path}")
             schemas[db_id] = load_schema(path)
+        except (MissingSchema, SchemaFormatError) as exc:
+            schemas[db_id] = exc
     return schemas
-
-
-def _schema_path(schemas_dir: str | Path, db_id: str) -> Path:
-    return Path(schemas_dir) / f"{db_id}.json"
 
 
 def label_and_featurize(record: DatasetRecord, schema: Schema) -> LabeledQuery:
@@ -314,11 +316,11 @@ def label_dataset(
     labeled: list[LabeledQuery] = []
     skipped = [(f"line {ln}", reason) for ln, reason in loaded.skipped]
     for record in loaded.records:
+        schema = schemas[record.db_id]
         try:
-            if record.db_id not in schemas:
-                path = _schema_path(schemas_dir, record.db_id)
-                raise MissingSchema(f"no schema file for db {record.db_id!r} at {path}")
-            labeled.append(label_and_featurize(record, schemas[record.db_id]))
+            if isinstance(schema, Exception):
+                raise schema.with_traceback(None)
+            labeled.append(label_and_featurize(record, schema))
         except Exception as exc:  # one bad record is a skip, never the end of a run
             skipped.append((record.query_id, f"{type(exc).__name__}: {exc}"))
     labeled.sort(key=lambda lq: lq.record.query_id)

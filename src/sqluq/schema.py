@@ -140,20 +140,28 @@ def load_schema(path: str | Path) -> Schema:
         raise SchemaFormatError(f"{path}: expected an object with a 'tables' field")
     db_id = raw.get("db_id", path.stem)
     tables = []
-    for ti, tdoc in enumerate(raw["tables"]):
-        if not isinstance(tdoc, dict) or "name" not in tdoc:
-            raise SchemaFormatError(f"{path}: tables[{ti}] missing 'name'")
-        columns = []
-        for ci, cdoc in enumerate(tdoc.get("columns", [])):
-            if not isinstance(cdoc, dict) or "name" not in cdoc:
-                raise SchemaFormatError(
-                    f"{path}: tables[{ti}].columns[{ci}] missing 'name'"
-                )
-            columns.append(
-                ColumnDef(name=cdoc["name"], data_type=coarsen_type(str(cdoc.get("type", "other"))))
-            )
-        tables.append(TableDef(name=tdoc["name"], columns=tuple(columns)))
+    for ti, tdoc in enumerate(_as_list(raw["tables"], path, "tables")):
+        where = f"tables[{ti}]"
+        name = _name(tdoc, path, where)
+        columns = tuple(
+            ColumnDef(_name(cdoc, path, f"{where}.columns[{ci}]"),
+                      coarsen_type(str(cdoc.get("type", "other"))))
+            for ci, cdoc in enumerate(_as_list(tdoc.get("columns", []), path, f"{where}.columns"))
+        )
+        tables.append(TableDef(name=name, columns=columns))
     return Schema(db_id=db_id, tables=tuple(tables))
+
+
+def _as_list(value, path: Path, where: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaFormatError(f"{path}: {where} is not a list")
+    return value
+
+
+def _name(doc, path: Path, where: str) -> str:
+    if not isinstance(doc, dict) or not isinstance(doc.get("name"), str):
+        raise SchemaFormatError(f"{path}: {where} needs a string 'name'")
+    return doc["name"]
 
 
 @dataclass

@@ -276,3 +276,16 @@ def test_predict_model_with_feature_out_of_range_exit_code_1(runner, workspace):
     result = _predict(runner, workspace, model)
     assert result.exit_code == 1
     assert result.stderr.startswith("error: malformed model file")
+
+
+def test_predict_with_a_wrong_shape_schema_exit_code_1(runner, workspace):
+    tmp_path, _, schemas = workspace
+    stump = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
+             "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, -1.0, 1.0]}
+    model = _write_model(tmp_path / "model.json", MANIFEST.version_hash, MANIFEST.length,
+                         trees=[stump])
+    (schemas / "db1.json").write_text(json.dumps({"tables": 5}), encoding="utf-8")
+    result = _predict(runner, workspace, model)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: {schemas / 'db1.json'}: tables is not a list\n"

@@ -264,6 +264,18 @@ class TestRunExperiment:
         prefix = f"{MissingSchema.__name__}: no schema file for db 'nope' at "
         assert reason == prefix + str(schemas_dir / "nope.json")
 
+    def test_malformed_schema_file_is_a_skip(self, tmp_path, schemas_dir):
+        (schemas_dir / "bad.json").write_text("{not json", encoding="utf-8")
+        lines = [record_line("q1"), record_line("q2", db="bad"), record_line("q3", db="nope")]
+        path = self._dataset(tmp_path, lines)
+        labeled, skipped, n_in = label_dataset(path, schemas_dir)
+        assert [lq.record.query_id for lq in labeled] == ["q1"]
+        assert n_in == 3
+        [(q2, bad), (q3, missing)] = skipped
+        assert (q2, q3) == ("q2", "q3")
+        assert bad.startswith(f"SchemaFormatError: {schemas_dir / 'bad.json'}: invalid JSON (")
+        assert missing.startswith("MissingSchema: no schema file for db 'nope'")
+
     def test_artifacts_written_and_reproducible(self, tmp_path, schemas_dir):
         lines = []
         for i in range(8):

@@ -107,6 +107,23 @@ def test_load_schema_bad_json(tmp_path):
         load_schema(path)
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"tables": 5}, "tables is not a list"),
+        ({"tables": [{"name": 5, "columns": []}]}, "tables[0] needs a string 'name'"),
+        ({"tables": [{"name": "t", "columns": [{"name": None}]}]},
+         "tables[0].columns[0] needs a string 'name'"),
+        ({"tables": [{"name": "t", "columns": 7}]}, "tables[0].columns is not a list"),
+    ],
+)
+def test_load_schema_wrong_shape_names_the_field(tmp_path, doc, field):
+    path = write_schema(tmp_path, doc)
+    with pytest.raises(SchemaFormatError) as info:
+        load_schema(path)
+    assert str(info.value) == f"{path}: {field}"
+
+
 def test_coarsen_type_buckets():
     assert coarsen_type("INTEGER") is DataType.NUMERIC
     assert coarsen_type("varchar(100)") is DataType.TEXT
