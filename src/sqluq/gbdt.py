@@ -540,16 +540,12 @@ def roc_auc(scores, labels) -> float:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("both classes must be present")
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(s.shape[0], dtype=np.float64)
-    sorted_scores = s[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average rank, 1-based
-        i = j + 1
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
+    # the average 1-based rank of each score among its ties
+    sorted_scores = np.sort(s)
+    ranks = (np.searchsorted(sorted_scores, s, "left")
+             + np.searchsorted(sorted_scores, s, "right") + 1) / 2.0
     rank_sum_pos = float(ranks[y == 1].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

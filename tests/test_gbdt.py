@@ -158,6 +158,10 @@ class TestRocAuc:
         with pytest.raises(SingleClass):
             roc_auc([0.1, 0.2], [1, 1])
 
+    def test_nan_score_raises(self):
+        with pytest.raises(ValueError, match="finite"):
+            roc_auc([0.1, float("nan"), 0.3], [0, 1, 1])
+
     def test_six_point_mixed_set_matches_oracle(self):
         scores = [0.9, 0.1, 0.5, 0.5, 0.3, 0.8]
         labels = [1, 0, 1, 0, 0, 1]
