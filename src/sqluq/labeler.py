@@ -397,7 +397,8 @@ def _first_pass(gen: SqlNode, gold: SqlNode, ctx: EquivalenceContext) -> dict[in
                 up[c.id] = x
                 todo.append((c, depth + 1, below, seen))
         if x.kind in _LEAF_LIKE_KINDS:  # children that no pair visit reaches
-            todo += [(c, 0, None, seen) for c in x.children if c.kind is not NodeKind.TABLE_ALIAS]
+            todo += [(c, depth + 1, None, seen)
+                     for c in x.children if c.kind is not NodeKind.TABLE_ALIAS]
     return decided
 
 
