@@ -44,6 +44,8 @@ from sqluq.ast_core import (
 from sqluq.schema import DataType, Schema, ScopeFrame
 
 LEVENSHTEIN_SENTINEL = 64
+# answers a schema remembers, so that a stream of new names cannot grow it
+_NEAREST_MEMO_SIZE = 4096
 
 KIND_ORDER: tuple[NodeKind, ...] = tuple(NodeKind)
 
@@ -171,18 +173,22 @@ def _edit_distance(masks: dict[str, int], m: int, b: str) -> int:
     return dist
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance (insert, delete, substitute)."""
-    return _edit_distance(_char_masks(a), len(a), b)
-
-
 def nearest_schema_identifier(name: str, schema: Schema) -> tuple[str, int]:
     """Closest table or column name in the whole schema; ties break
-    lexicographically on the identifier."""
-    candidates = schema.identifier_names()
+    lexicographically on the identifier.  Each schema remembers its first
+    _NEAREST_MEMO_SIZE answers."""
+    folded = name.casefold()
+    found = schema.nearest.get(folded)
+    if found is None:
+        found = _nearest(folded, schema.identifier_names())
+        if len(schema.nearest) < _NEAREST_MEMO_SIZE:
+            schema.nearest[folded] = found
+    return found
+
+
+def _nearest(folded: str, candidates: tuple[str, ...]) -> tuple[str, int]:
     if not candidates:
         raise EmptySchema("schema has no tables or columns")
-    folded = name.casefold()
     masks, m = _char_masks(folded), len(folded)
     best_name, best_dist = None, None
     for cand in candidates:  # sorted, so first minimum wins ties

@@ -4,13 +4,18 @@ The ensemble is fit by logistic loss: the score starts at the log-odds
 of the training prevalence, and each round fits a regression tree to the
 negative gradients using second-order (gradient/hessian) leaf values,
 stepping by the learning rate.  Trees grow best-first up to a leaf
-budget.  Split search is still exact greedy: it reads per-leaf
-gradient, hessian and count histograms whose bins are each column's
-unique values, so its candidate thresholds are the midpoints of adjacent
-values present in the leaf, as in a scan over the sorted rows.  Ties go
-to the highest gain, then the lowest feature index, then the lowest
-threshold.  Training uses no randomness: identical records and config
-reproduce the model bit for bit.
+budget.  Split search is still exact greedy, over cut histograms: a cut
+is the gap between two adjacent unique values of a column, and one
+``bincount`` per sum gives the gradient, hessian and row count right of
+every cut.  Each column's cuts form a Fenwick tree, so a row adds to at
+most log2(cuts) + 1 cells of the column, and a cut's sums add up as many.
+One pass over the flat cuts scores every split of the leaf, and the
+threshold is the midpoint of the values present in the leaf on either
+side of the winning cut, as in a scan over the sorted rows.  Ties go to
+the highest gain, then the lowest feature index, then the lowest
+threshold.  A leaf splits only on a gain above a fixed share of its own
+G^2/H, which rounding noise stays far below.  Training uses no
+randomness: identical records and config reproduce the model bit for bit.
 
 A model validates its trees and packs them QuickScorer-style when it is
 built.  It scores rows in blocks: all internal nodes of all trees at
@@ -32,7 +37,10 @@ import numpy as np
 from sqluq.featurizer import MANIFEST, NodeRecord
 
 _EPS_HESSIAN = 1e-16
-_MIN_GAIN = 1e-12
+# A leaf splits only on a gain above this share of its own G**2 / H.  When a
+# split gains nothing, its children's terms G**2 / H add up to the leaf's,
+# so rounding leaves the computed gain within a few ulps of G**2 / H.
+_MIN_RELATIVE_GAIN = 1e-12
 _MAX_LEAF_VALUE = 10.0
 _PREVALENCE_CLIP = 1e-4
 
@@ -303,7 +311,7 @@ class _Leaf:
     gain: float = -1.0
     feature: int = -1
     threshold: float = 0.0
-    # (3, bins) histogram, kept while the leaf may still be split
+    # (3, cells) cut histogram, kept while the leaf may still be split
     hist: np.ndarray | None = None
 
 
@@ -314,81 +322,108 @@ def _leaf_value(g: float, h: float) -> float:
 
 @dataclass(frozen=True)
 class _Bins:
-    """Each non-constant column's sorted unique values, one histogram bin
-    per value.  Bins are numbered flat, column after column; ``pad`` lays
-    them out as (column, value), padded with the spare last bin, which no
-    row falls in."""
+    """Cut bins.  A cut is the gap between two adjacent unique values of a
+    non-constant column, and its right side holds the rows above it.  Cuts
+    are numbered flat, column after column, each column's from its lowest
+    value up.  A column's K cuts are the positions of a Fenwick tree
+    (Fenwick 1994) counted from its top cut down, so a row adds to the node
+    cells on the update path of its value's position (none for the lowest
+    value), at most ``K.bit_length()`` of them, and the right-side sums of
+    a cut add up the node cells on its position's prefix path."""
 
     columns: np.ndarray  # original index of each binned column
-    values: list[np.ndarray]
-    codes: np.ndarray  # (rows, binned columns): the flat bin of each cell
-    pad: np.ndarray
-    size: int  # bins, the spare one included
+    values: list[np.ndarray]  # each binned column's sorted unique values
+    starts: np.ndarray  # each binned column's first cut, then the cut count
+    codes: np.ndarray  # (rows, width): each row's node cells, then the sink
+    index: np.ndarray  # (L, cuts): each cut's node cells by level, then the zero cell
+    size: int  # node cells, the sink and the zero cell
+
+
+def _fenwick_path(pos: np.ndarray, levels: int, step: int) -> np.ndarray:
+    """(positions, levels): each position, then the next ones on its
+    Fenwick path, each the last plus step times its lowest set bit; +1
+    walks the update path up, -1 the prefix path down to 0."""
+    path = np.empty((pos.size, levels), dtype=np.intp)
+    for level in range(levels):
+        path[:, level] = pos
+        pos = pos + step * (pos & -pos)
+    return path
 
 
 def _bin_columns(X: np.ndarray) -> _Bins:
-    # a constant column never splits, so it gets no bins
+    # a constant column never splits, so it gets no cuts
     columns = np.flatnonzero(X.min(axis=0) != X.max(axis=0))
+    # Asked for the inverse too, np.unique sorts; without it, numpy 2 keeps
+    # a hash table of about 1 MB alive after the first call.  Ranks are found
+    # again column by column below, so that only one column's are held.
+    values = [np.unique(X[:, j], return_inverse=True)[0] for j in columns]
+    levels = [(uniq.size - 1).bit_length() for uniq in values]
+    starts = np.cumsum([0, *(uniq.size - 1 for uniq in values)])
+    sink, zero = int(starts[-1]), int(starts[-1]) + 1
+    # int32 while every column's cells sit side by side; a row holds only a
+    # few of them, so after sorting the sink to the end the codes are cut
+    # down to the widest row's count
+    codes = np.empty((X.shape[0], sum(levels)), dtype=np.int32)
+    index = np.full((max(levels, default=0), sink), zero)
+    left = 0
+    for j, uniq, level, lo in zip(columns, values, levels, starts):
+        cuts = uniq.size - 1
+        # position cuts - c is cut c; a row's value of rank r sits at
+        # cuts + 1 - r, above every cut below it and past the top for r = 0
+        path = _fenwick_path(cuts + 1 - np.searchsorted(uniq, X[:, j]), level, 1)
+        codes[:, left : left + level] = np.where(path <= cuts, lo + path - 1, sink)
+        read = _fenwick_path(np.arange(cuts, 0, -1), level, -1)
+        index[:level, lo : lo + cuts] = np.where(read > 0, lo + read - 1, zero).T
+        left += level
+    codes.sort(axis=1)
+    width = int((codes < sink).sum(axis=1).max(initial=0))
     # intp, not int32: bincount would convert int32 codes on every call
-    codes = np.empty((X.shape[0], columns.size), dtype=np.intp)
-    values, starts = [], []
-    n_bins = 0
-    for k, j in enumerate(columns):
-        uniq, codes[:, k] = np.unique(X[:, j], return_inverse=True)
-        codes[:, k] += n_bins
-        values.append(uniq)
-        starts.append(n_bins)
-        n_bins += uniq.size
-    pad = np.full((columns.size, max(map(len, values), default=0)), n_bins)
-    for k, uniq in enumerate(values):
-        pad[k, : uniq.size] = np.arange(starts[k], starts[k] + uniq.size)
-    return _Bins(columns=columns, values=values, codes=codes, pad=pad, size=n_bins + 1)
+    return _Bins(columns=columns, values=values, starts=starts,
+                 codes=codes[:, :width].astype(np.intp), index=index, size=sink + 2)
 
 
-def _histogram(bins: _Bins, rows: np.ndarray | slice, grad: np.ndarray,
-               hess: np.ndarray) -> np.ndarray:
-    """(3, bins) sums of gradient, hessian and row count of the given rows."""
-    cells = bins.codes[rows].ravel()
+def _histogram(bins: _Bins, rows: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """(3, cells) sums of gradient, hessian and row count of the given rows
+    in each node cell; the sink takes the padding, the zero cell nothing."""
+    cells = np.take(bins.codes, rows, axis=0).ravel()
     width = bins.codes.shape[1]
-    return np.stack([
-        np.bincount(cells, weights=np.repeat(grad[rows], width), minlength=bins.size),
-        np.bincount(cells, weights=np.repeat(hess[rows], width), minlength=bins.size),
-        np.bincount(cells, minlength=bins.size),
-    ])
+    hist = np.empty((3, bins.size))
+    hist[0] = np.bincount(cells, weights=np.repeat(grad[rows], width), minlength=bins.size)
+    hist[1] = np.bincount(cells, weights=np.repeat(hess[rows], width), minlength=bins.size)
+    hist[2] = np.bincount(cells, minlength=bins.size)
+    return hist
 
 
 def _best_split(leaf: _Leaf, hist: np.ndarray, bins: _Bins, min_samples_leaf: int):
-    """Exact greedy split search over the leaf's histogram, whose bins are
-    each column's unique values.  The candidate thresholds are the
-    midpoints of adjacent values present in the leaf.  Ties go to the
-    highest gain, then the lowest feature index, then the lowest threshold."""
+    """Exact greedy split search over the leaf's cut histogram: every cut
+    that leaves rows of the leaf on both sides is a candidate, with the
+    midpoint of the values present in the leaf on either side of it as its
+    threshold.  Ties go to the highest gain, then the lowest feature index,
+    then the lowest threshold."""
     n_rows = leaf.rows.size
     leaf.gain = -1.0
-    if n_rows < 2 * min_samples_leaf or bins.pad.size == 0:
+    if n_rows < 2 * min_samples_leaf or bins.index.size == 0:
         return
+    gr, hr, cr = np.take(hist, bins.index, axis=1).sum(axis=1)
+    gl, hl, cl = leaf.grad_sum - gr, leaf.hess_sum - hr, n_rows - cr
     parent_obj = leaf.grad_sum**2 / (leaf.hess_sum + _EPS_HESSIAN)
-    # Running sums per column, one row each, so that columns splitting the
-    # leaf alike get bit-identical gains.  A subtracted histogram can keep
-    # rounding residue in an empty bin; zeroed, an empty bin leaves the sums
-    # as they were, so they run over the leaf's non-empty bins only, and its
-    # gain repeats that of the bin before it, which argmax sees first.
-    padded = hist[:, bins.pad]
-    padded[:, padded[2] == 0] = 0.0
-    gl, hl, cl = np.cumsum(padded, axis=2)
-    gr = gl[:, -1:] - gl
-    hr = hl[:, -1:] - hl
     gains = gl**2 / (hl + _EPS_HESSIAN) + gr**2 / (hr + _EPS_HESSIAN) - parent_obj
     side = max(min_samples_leaf, 1)  # rows each side needs
-    legal = (cl >= side) & (cl <= n_rows - side)
-    f, b = divmod(int(np.argmax(np.where(legal, gains, -np.inf))), gains.shape[1])
-    if not legal[f, b]:
+    legal = (cl >= side) & (cr >= side)
+    cut = int(np.argmax(np.where(legal, gains, -np.inf)))
+    if not legal[cut]:
         return
-    count = padded[2, f]
-    upper = b + 1 + int(np.flatnonzero(count[b + 1 :])[0])
-    vals = bins.values[f]
-    leaf.gain = float(gains[f, b])
-    leaf.feature = int(bins.columns[f])
-    leaf.threshold = float((vals[b] + vals[upper]) / 2.0)
+    # The column's cuts between the same two values present in the leaf
+    # split it alike, so they share one exact count: they run from the lower
+    # value's cut to the cut below the upper value.
+    k = int(np.searchsorted(bins.starts, cut, side="right")) - 1
+    counts = -cr[bins.starts[k] : bins.starts[k + 1]]  # ascending
+    below = int(np.searchsorted(counts, -cr[cut], side="left"))
+    above = int(np.searchsorted(counts, -cr[cut], side="right"))
+    vals = bins.values[k]
+    leaf.gain = float(gains[cut])
+    leaf.feature = int(bins.columns[k])
+    leaf.threshold = float((vals[below] + vals[above]) / 2.0)
 
 
 def _grow_tree(
@@ -412,12 +447,13 @@ def _grow_tree(
 
     def search(leaf: _Leaf, hist: np.ndarray):
         _best_split(leaf, hist, bins, min_leaf)
-        if leaf.gain > _MIN_GAIN:
+        floor = _MIN_RELATIVE_GAIN * leaf.grad_sum**2 / (leaf.hess_sum + _EPS_HESSIAN)
+        if leaf.gain > floor:
             leaf.hist = hist
 
     root_rows = np.arange(X.shape[0])
     root = _Leaf(rows=root_rows, grad_sum=float(grad.sum()), hess_sum=float(hess.sum()))
-    search(root, _histogram(bins, slice(None), grad, hess))  # a view, not a copy
+    search(root, _histogram(bins, root_rows, grad, hess))
     root_id = new_node()
     open_leaves: list[tuple[_Leaf, int]] = [(root, root_id)]
     n_leaves = 1
@@ -425,7 +461,7 @@ def _grow_tree(
         # deterministic best-first: highest gain, node id breaks ties
         best = -1
         for i, (leaf, _) in enumerate(open_leaves):
-            if leaf.gain > _MIN_GAIN and (best < 0 or leaf.gain > open_leaves[best][0].gain):
+            if leaf.hist is not None and (best < 0 or leaf.gain > open_leaves[best][0].gain):
                 best = i
         if best < 0:
             break
@@ -438,7 +474,8 @@ def _grow_tree(
         left_leaf = _Leaf(rows=left_rows, grad_sum=gl, hess_sum=hl)
         right_leaf = _Leaf(rows=right_rows, grad_sum=leaf.grad_sum - gl, hess_sum=leaf.hess_sum - hl)
         small, large = sorted((left_leaf, right_leaf), key=lambda c: c.rows.size)
-        if large.rows.size >= 2 * min_leaf:  # else neither child can split
+        # else neither child can split, or the tree is full once they exist
+        if large.rows.size >= 2 * min_leaf and n_leaves + 1 < config.max_leaves:
             small_hist = _histogram(bins, small.rows, grad, hess)
             search(small, small_hist)
             search(large, leaf.hist - small_hist)

@@ -260,8 +260,8 @@ class ExperimentResult:
 
 def load_schemas(schemas_dir: str | Path, db_ids: set[str]) -> dict[str, Schema | Exception]:
     """The schema of every db in db_ids, each file read once; a db whose
-    file is missing or malformed maps to its MissingSchema or
-    SchemaFormatError instead."""
+    file is missing, unreadable or malformed maps to its MissingSchema,
+    OSError or SchemaFormatError instead."""
     schemas: dict[str, Schema | Exception] = {}
     for db_id in sorted(db_ids):
         path = Path(schemas_dir) / f"{db_id}.json"
@@ -269,7 +269,7 @@ def load_schemas(schemas_dir: str | Path, db_ids: set[str]) -> dict[str, Schema 
             if not path.exists():
                 raise MissingSchema(f"no schema file for db {db_id!r} at {path}")
             schemas[db_id] = load_schema(path)
-        except (MissingSchema, SchemaFormatError) as exc:
+        except (MissingSchema, OSError, SchemaFormatError) as exc:
             schemas[db_id] = exc
     return schemas
 

@@ -80,6 +80,10 @@ class Schema:
     _table_index: dict[str, TableDef] = field(init=False, repr=False)
     _column_tables: dict[str, set[str]] = field(init=False, repr=False)
     _identifier_names: tuple[str, ...] = field(init=False, repr=False)
+    # featurizer.nearest_schema_identifier's answers by case-folded name
+    nearest: dict[str, tuple[str, int]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         self._table_index = {}

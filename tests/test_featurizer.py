@@ -17,10 +17,11 @@ from sqluq.featurizer import (
     EmptySchema,
     LEVENSHTEIN_SENTINEL,
     MANIFEST,
+    _char_masks,
+    _edit_distance,
     _name_pattern_bits,
     _schema_validity,
     featurize_tree,
-    levenshtein,
     nearest_schema_identifier,
     node_logprob_score,
     operand_type_compat,
@@ -92,16 +93,21 @@ def dp_oracle(a, b):
     return table[-1][-1]
 
 
+def edit_distance(a, b):
+    """Edit distance from a to b, as nearest_schema_identifier computes it."""
+    return _edit_distance(_char_masks(a), len(a), b)
+
+
 class TestLevenshtein:
     def test_single_deletion(self):
-        assert levenshtein("artists", "artist") == 1
+        assert edit_distance("artists", "artist") == 1
 
     def test_identity(self):
-        assert levenshtein("same", "same") == 0
+        assert edit_distance("same", "same") == 0
 
     def test_known_distance(self):
         # w->s, g->l, e->a, then insert r and y
-        assert levenshtein("wage", "salary") == 5
+        assert edit_distance("wage", "salary") == 5
 
     def test_against_dp_oracle(self):
         import random
@@ -111,7 +117,7 @@ class TestLevenshtein:
         for _ in range(200):
             a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
             b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
-            assert levenshtein(a, b) == dp_oracle(a, b)
+            assert edit_distance(a, b) == dp_oracle(a, b)
 
     def test_against_dp_oracle_past_one_word_and_beyond_ascii(self):
         import random
@@ -129,7 +135,7 @@ class TestLevenshtein:
         pairs += [(b, a) for a, b in pairs[-5:]]
         assert sum(len(a) > 64 for a, _ in pairs) >= 20  # masks wider than a word
         for a, b in pairs:
-            assert levenshtein(a, b) == dp_oracle(a, b), (a, b)
+            assert edit_distance(a, b) == dp_oracle(a, b), (a, b)
 
 
 class TestNearestIdentifier:
@@ -143,10 +149,10 @@ class TestNearestIdentifier:
     def test_brute_force_scan(self, org_schema):
         candidates = org_schema.identifier_names()
         target = "hada"
-        expected = min(candidates, key=lambda c: (levenshtein(target, c), c))
+        expected = min(candidates, key=lambda c: (edit_distance(target, c), c))
         name, dist = nearest_schema_identifier(target, org_schema)
         assert name == expected
-        assert dist == levenshtein(target, expected)
+        assert dist == edit_distance(target, expected)
 
     def test_tie_breaks_lexicographically(self):
         schema = Schema(
@@ -159,6 +165,14 @@ class TestNearestIdentifier:
     def test_empty_schema_raises(self):
         with pytest.raises(EmptySchema):
             nearest_schema_identifier("x", Schema(db_id="e", tables=()))
+
+    def test_answers_are_remembered_per_schema(self, org_schema):
+        first = nearest_schema_identifier("Employes", org_schema)
+        assert org_schema.nearest == {"employes": first}
+        assert nearest_schema_identifier("EMPLOYES", org_schema) == first
+        other = Schema(db_id="o", tables=(TableDef("employed", ()),))
+        assert nearest_schema_identifier("employes", other) == ("employed", 1)
+        assert len(org_schema.nearest) == 1
 
     def test_pruned_search_matches_full_scan_with_ties(self):
         import random
@@ -181,7 +195,7 @@ class TestNearestIdentifier:
             except SchemaFormatError:
                 continue  # a duplicate name
             name = word(0, 9)
-            full = sorted((levenshtein(name, c), c) for c in schema.identifier_names())
+            full = sorted((edit_distance(name, c), c) for c in schema.identifier_names())
             ties += len(full) > 1 and full[0][0] == full[1][0]
             assert nearest_schema_identifier(name, schema) == (full[0][1], full[0][0])
         assert ties >= 30

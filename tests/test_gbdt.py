@@ -338,6 +338,37 @@ class TestSplitSearch:
                     unique_best += not subtract
         assert unique_best >= 150
 
+    def test_wide_columns_match_oracle_within_the_cell_bound(self):
+        # up to 300 distinct values, skewed low like depth and sibling_index
+        rng = np.random.RandomState(16)
+        for case in range(30):
+            n = rng.randint(40, 1200)
+            X = np.stack([
+                np.minimum(rng.geometric(rng.uniform(0.005, 0.3), n), 300),
+                rng.randint(0, rng.randint(2, 301), n),
+                rng.randint(0, 2, n),
+            ], axis=1).astype(float)
+            bins = _bin_columns(X)
+            for k, j in enumerate(bins.columns):
+                cuts = np.unique(X[:, j]).size - 1
+                lo, hi = bins.starts[k], bins.starts[k + 1]
+                assert hi - lo == cuts
+                own = ((bins.codes >= lo) & (bins.codes < hi)).sum(axis=1)
+                assert own.max() <= int(np.log2(cuts)) + 1, case
+            grad = rng.randn(n)
+            hess = rng.uniform(0.05, 0.25, n)
+            mask = rng.rand(n) < rng.uniform(0.3, 1.0)
+            idx = np.flatnonzero(mask)
+            min_samples_leaf = rng.randint(1, 10)
+            found = exact_greedy_candidates(X, grad, hess, mask, min_samples_leaf)
+            best = max(found, key=found.get)
+            for subtract in (False, True):
+                gain, feature, threshold = histogram_split(
+                    X, grad, hess, idx, min_samples_leaf, subtract, rng
+                )
+                assert (feature, threshold) == best, case
+                assert gain == pytest.approx(found[best], rel=1e-9)
+
     def test_threshold_is_midpoint_of_values_present_in_leaf(self):
         # the column holds 0, 1 and 2; the leaf holds only the 0s and 2s
         rng = np.random.RandomState(15)

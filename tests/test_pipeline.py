@@ -276,6 +276,16 @@ class TestRunExperiment:
         assert bad.startswith(f"SchemaFormatError: {schemas_dir / 'bad.json'}: invalid JSON (")
         assert missing.startswith("MissingSchema: no schema file for db 'nope'")
 
+    def test_unreadable_schema_path_is_a_skip(self, tmp_path, schemas_dir):
+        (schemas_dir / "bad.json").mkdir()
+        path = self._dataset(tmp_path, [record_line("q1"), record_line("q2", db="bad")])
+        labeled, skipped, n_in = label_dataset(path, schemas_dir)
+        assert [lq.record.query_id for lq in labeled] == ["q1"]
+        assert n_in == 2
+        [(qid, reason)] = skipped
+        assert qid == "q2"
+        assert reason.startswith("IsADirectoryError: ")
+
     def test_artifacts_written_and_reproducible(self, tmp_path, schemas_dir):
         lines = []
         for i in range(8):
