@@ -5,8 +5,12 @@ SELECT queries: projections, FROM with joins and subqueries, WHERE,
 GROUP BY, HAVING, ORDER BY, LIMIT, aggregates, binary comparisons,
 LIKE, IN, arithmetic, aliases and stars.  Anything outside the subset
 raises UnsupportedConstruct so callers can skip a query instead of
-silently mislabeling it.  Expressions are parsed by one precedence-climbing
-loop over explicit stacks, so parenthesis nesting has no depth limit.
+silently mislabeling it.
+
+Nesting has no depth limit.  The parser is one cursor over the lexer's token
+lists; parentheses, calls and IN lists push frames onto explicit stacks, and
+each SELECT level, subqueries included, is a generator on a stack of levels
+that parse_sql runs.  No parse method calls itself.
 
 Lexical rules: a number is ASCII digits with an optional fraction (`1`,
 `1.5`, `.5`) and must not touch a following word character (`1a` is an
@@ -18,6 +22,7 @@ between `/*` and `*/`.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -179,73 +184,99 @@ KEYWORDS = {
 
 AGGREGATE_NAMES = {"count", "sum", "avg", "min", "max", "total", "group_concat"}
 
-# One named group per token class, tried in order at each position; the
-# group that matched names the token kind.  Numbers come before words
-# because \w (exactly str.isalnum() or '_') also matches digits.
+# Each match is the blanks and comments before one token, then the token,
+# whose group names its class; `end` and `bad` make every match succeed at
+# once, so matches are contiguous.  Numbers come before words because \w
+# (exactly str.isalnum() or '_') also matches digits.
 _TOKEN_RE = re.compile(
-    r"""(?P<skip>[ \t\r\n]+|--[^\n]*|/\*.*?\*/)
+    r"""(?:[ \t\r\n]+|--[^\n]*|/\*.*?\*/)*
     # ASCII digits only: SQLite reads other digits, like '٣', as name characters.
     # A trailing dot belongs to the next token; a glued word character is refused.
-    |(?P<num>(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?P<glued>\w)?)
+    (?:(?P<num>(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?P<glued>\w)?)
     # '' is an escaped quote; the lookahead keeps backtracking from closing inside one
     |(?P<str>'(?:[^']|'')*'(?!'))
     |(?P<qident>"[^"]*"|`[^`]*`|\[[^\]]*\])
     |(?P<word>\w+)
     # a '/' that opens an unterminated comment is an error, not an operator
-    |(?P<op>==|!=|<>|<=|>=|[=<>+\-*(),.;]|/(?!\*))""",
+    |(?P<op>==|!=|<>|<=|>=|[=<>+\-*(),.;]|/(?!\*))
+    |(?P<end>\Z)
+    |(?P<bad>.))""",
     re.VERBOSE | re.DOTALL,
 )
 
+# A keyword's or operator's kind is its own text, any other token's a class code.
+_END, _IDENT, _QIDENT, _NUM, _STR = range(5)
+_NAMES = frozenset({_IDENT, _QIDENT})
+_CLASS_NAMES = {_END: "end", _IDENT: "ident", _QIDENT: "qident", _NUM: "num", _STR: "str"}
+_UNTERMINATED = {"'": "unterminated string literal", '"': "unterminated quoted identifier",
+                 "`": "unterminated quoted identifier", "[": "unterminated quoted identifier"}
 
-@dataclass
-class Token:
-    kind: str  # kw | ident | qident | num | str | op | end
-    text: str  # normalized lexeme (case-folded idents, unquoted strings)
-    start: int  # byte offset
-    end: int  # byte offset (exclusive)
-    raw: str = ""  # source lexeme before normalization
 
-    def case_flags(self) -> tuple[str, ...]:
-        letters = [c for c in self.raw if c.isalpha()]
-        if not letters:
-            return ()
-        if all(c.isupper() for c in letters):
-            return (FLAG_ALL_CAPS,)
-        if any(c.isupper() for c in letters) and any(c.islower() for c in letters):
-            return (FLAG_MIXED_CASE,)
-        return ()
+def _case_flags(raw: str) -> tuple[str, ...]:
+    """ALL_CAPS or mixedCase marker of a name's source lexeme."""
+    letters = [c for c in raw if c.isalpha()]
+    upper = sum(c.isupper() for c in letters)
+    if letters and upper == len(letters):
+        return (FLAG_ALL_CAPS,)
+    return (FLAG_MIXED_CASE,) if upper and any(c.islower() for c in letters) else ()
+
+
+def _lex(text: str) -> tuple[list, list[str], list[int], list[int], list[tuple[str, ...]]]:
+    """One pass over `text` into parallel lists per token, end token included: kind,
+    normalized text (names case-folded, strings unquoted), byte span, a name's case flags."""
+    kinds, texts, starts, ends, flags = [], [], [], [], []
+    ascii_text = text.isascii()
+    end = 0
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastgroup
+        lexeme = match[group]
+        # byte offsets: character offsets in ASCII text, else encoded lengths summed
+        end = match.end() if ascii_text else end + len(match[0].encode())
+        start = end - (len(lexeme) if ascii_text else len(lexeme.encode()))
+        if group == "word":
+            norm = lexeme.casefold()
+            kind = norm if norm in KEYWORDS else _IDENT
+        elif group == "op":
+            kind = norm = lexeme
+        elif group == "num" and not match["glued"]:
+            kind, norm = _NUM, lexeme
+        elif group == "str":
+            kind, norm = _STR, lexeme[1:-1].replace("''", "'")
+        elif group == "qident":
+            kind, lexeme = _QIDENT, lexeme[1:-1]
+            norm = lexeme.casefold()
+        elif group == "end":
+            kind, norm = _END, ""
+        elif group == "num":  # SQLite refuses `1a` as an unrecognized token
+            raise ParseError("word character after number", start)
+        elif lexeme == "/":  # a '/' that is no operator opens a comment that never closes
+            raise ParseError("unterminated block comment", len(text.encode("utf-8")))
+        else:  # a character that starts no token
+            raise ParseError(_UNTERMINATED.get(lexeme, f"unexpected character {lexeme!r}"), start)
+        kinds.append(kind)
+        texts.append(norm)
+        starts.append(start)
+        ends.append(end)
+        plain = kind not in _NAMES or ascii_text and norm == lexeme  # an ASCII name without capitals
+        flags.append(() if plain else _case_flags(lexeme))
+        if kind == _END:
+            return kinds, texts, starts, ends, flags
+
+
+# kind: kw | ident | qident | num | str | op | end; text: the normalized lexeme;
+# start, end: byte offsets; raw: a keyword's or name's source lexeme, else ""
+Token = namedtuple("Token", "kind text start end raw")
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i = pos = 0  # character index, byte offset
-    for match in _TOKEN_RE.finditer(text):
-        if match.start() != i:  # no token starts at text[i]
-            break
-        kind, lexeme, start = match.lastgroup, match[0], pos
-        i += len(lexeme)
-        pos += len(lexeme.encode("utf-8"))
-        if kind == "word":
-            folded = lexeme.casefold()
-            kind = "kw" if folded in KEYWORDS else "ident"
-            tokens.append(Token(kind, folded, start, pos, raw=lexeme))
-        elif kind == "str":
-            tokens.append(Token("str", lexeme[1:-1].replace("''", "'"), start, pos))
-        elif kind == "qident":
-            tokens.append(Token("qident", lexeme[1:-1].casefold(), start, pos, raw=lexeme[1:-1]))
-        elif kind == "num" and match["glued"]:  # SQLite refuses `1a` as an unrecognized token
-            raise ParseError("word character after number", start)
-        elif kind != "skip":
-            tokens.append(Token(kind, lexeme, start, pos))
-    if i < len(text):
-        if text.startswith("/*", i):
-            raise ParseError("unterminated block comment", len(text.encode("utf-8")))
-        if text[i] == "'":
-            raise ParseError("unterminated string literal", pos)
-        if text[i] in '"`[':
-            raise ParseError("unterminated quoted identifier", pos)
-        raise ParseError(f"unexpected character {text[i]!r}", pos)
-    tokens.append(Token("end", "", pos, pos))
+    """The tokens of `text`, ending in one end token: a view of `_lex`."""
+    data = text.encode("utf-8")
+    tokens = []
+    for kind, norm, start, end, _ in zip(*_lex(text)):
+        name = _CLASS_NAMES.get(kind) or ("kw" if kind in KEYWORDS else "op")
+        quoted = name == "qident"
+        raw = data[start + quoted:end - quoted].decode() if name in ("kw", "ident", "qident") else ""
+        tokens.append(Token(name, norm, start, end, raw))
     return tokens
 
 
@@ -253,9 +284,8 @@ def tokenize(text: str) -> list[Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
-# Infix operators by token: (binding power, kind).  Prefix NOT binds at 3,
-# between AND and the comparisons, and an open parenthesis is an operator
-# stack entry of power 0.  Comparisons, LIKE and IN are non-associative.
+# Infix operators by token: (binding power, kind).  Prefix NOT binds at 3, between
+# AND and the comparisons.  Comparisons, LIKE and IN are non-associative.
 _INFIX = {
     "or": (1, NodeKind.OR), "and": (2, NodeKind.AND),
     "=": (4, NodeKind.EQ), "==": (4, NodeKind.EQ), "!=": (4, NodeKind.NEQ),
@@ -269,370 +299,323 @@ _UNSUPPORTED_KEYWORDS = {
     "between", "exists", "case", "union", "intersect", "except", "with",
     "over", "cast", "is", "natural", "using",
 }
+_JOIN_WORDS = frozenset({"join", "inner", "left", "right", "full", "cross"})
+
+# Operator stack entries are (binding power, kind, start, negated).  A bracket
+# pushes a frame, an entry of power 0 that no operator reduces past: (0, tag,
+# index of its '(' or a call's name, flag, operand count).  The flag is a call's
+# DISTINCT, or a subquery in the brackets; the items are the operands above the count.
+_BASE = (0, "base")  # the bottom of one expression
+_PAREN, _IN, _CALL = "(", "in", "call"
+
+# Flags by token kind: an identifier's, quoted or not, then its role; a literal's.
+_TABLE_FLAGS = {_IDENT: (FLAG_TABLE_NAME,), _QIDENT: (FLAG_QUOTED, FLAG_TABLE_NAME)}
+_COLUMN_FLAGS = {_IDENT: (FLAG_COLUMN_NAME,), _QIDENT: (FLAG_QUOTED, FLAG_COLUMN_NAME)}
+_QUALIFIER_FLAGS = {_IDENT: (FLAG_QUALIFIER,), _QIDENT: (FLAG_QUOTED, FLAG_QUALIFIER)}
+_LITERAL_FLAGS = {_NUM: (), _STR: (FLAG_STRING,), "null": (FLAG_NULL,)}
+
+
+def _node(kind: NodeKind, content: str | None, children: list[SqlNode],
+          span: tuple[int, int], flags: tuple[str, ...] = ()) -> SqlNode:
+    """A node whose id and depth parse_sql assigns."""
+    return SqlNode(-1, kind, content, children, span, -1, flags)
+
+
+def _reduce(entry: tuple, operands: list[SqlNode]):
+    """Apply one operator stack entry to the operands on top of the stack."""
+    _, kind, start, negated = entry
+    rhs = operands.pop()
+    if kind is NodeKind.NOT:
+        operands.append(_node(kind, None, [rhs], (start, rhs.span[1])))
+        return
+    lhs = operands.pop()
+    if kind is NodeKind.AND or kind is NodeKind.OR:
+        # n-ary normalization: chained AND/OR extend the left operand in place
+        if lhs.kind is not kind:
+            lhs = _node(kind, None, [lhs], lhs.span)
+        lhs.children += rhs.children if rhs.kind is kind else [rhs]
+        lhs.span = (lhs.span[0], rhs.span[1])
+        operands.append(lhs)
+        return
+    items = rhs.children if kind is NodeKind.IN else [rhs]
+    node = _node(kind, None, [lhs, *items], (lhs.span[0], rhs.span[1]))
+    operands.append(_node(NodeKind.NOT, None, [node], node.span) if negated else node)
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """One cursor over `_lex`'s lists; `parse_sql` runs its SELECT levels."""
+
+    def __init__(self, text: str):
+        self.kinds, self.texts, self.starts, self.ends, self.flags = _lex(text)
+        self.kinds.append(_END)  # so that a lookahead of one never runs off the end
         self.i = 0
+        self.operands: list[SqlNode] = []
+        self.ops: list[tuple] = []
 
-    # -- cursor helpers -----------------------------------------------------
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
+    def guard(self, i: int):
+        """Refuse a keyword of a construct outside the subset."""
+        if self.kinds[i] in _UNSUPPORTED_KEYWORDS:
+            raise UnsupportedConstruct(self.kinds[i].upper(), self.starts[i])
 
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "end":
-            self.i += 1
-        return tok
-
-    def at_kw(self, *words: str, offset: int = 0) -> bool:
-        tok = self.peek(offset)
-        return tok.kind == "kw" and tok.text in words
-
-    def at_op(self, *ops: str, offset: int = 0) -> bool:
-        tok = self.peek(offset)
-        return tok.kind == "op" and tok.text in ops
-
-    def expect_kw(self, word: str) -> Token:
-        tok = self.peek()
-        if not (tok.kind == "kw" and tok.text == word):
-            raise ParseError(f"expected {word.upper()}", tok.start)
-        return self.next()
-
-    def expect_op(self, op: str) -> Token:
-        tok = self.peek()
-        if not (tok.kind == "op" and tok.text == op):
-            raise ParseError(f"expected {op!r}", tok.start)
-        return self.next()
-
-    def guard_unsupported(self):
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text in _UNSUPPORTED_KEYWORDS:
-            raise UnsupportedConstruct(tok.text.upper(), tok.start)
-
-    def comma_list(self, parse_item) -> list[SqlNode]:
-        """One item, then one more for each comma that follows."""
-        items = [parse_item()]
-        while self.at_op(","):
-            self.next()
-            items.append(parse_item())
-        return items
-
-    # -- node factory (ids/depths assigned later) ---------------------------
-    @staticmethod
-    def node(kind: NodeKind, content: str | None, children: list[SqlNode],
-             span: tuple[int, int], flags: tuple[str, ...] = ()) -> SqlNode:
-        return SqlNode(id=-1, kind=kind, content=content, children=children,
-                       span=span, depth=-1, flags=flags)
-
-    # -- grammar ------------------------------------------------------------
-    def parse_select(self) -> SqlNode:
-        start = self.expect_kw("select").start
+    def select(self):
+        """One SELECT level, from its SELECT keyword at self.i: a generator that
+        yields at each subquery, with self.i at its SELECT, and is sent it parsed."""
+        K, T, S, E, F = self.kinds, self.texts, self.starts, self.ends, self.flags
+        start, i = S[self.i], self.i + 1
         children: list[SqlNode] = []
-        if self.at_kw("distinct"):
-            tok = self.next()
-            children.append(self.node(NodeKind.OTHER, "distinct", [], (tok.start, tok.end)))
-        children.extend(self.comma_list(self.parse_select_item))
-        children.append(self.parse_from())
-        if self.at_kw("where"):
-            kw = self.next()
-            expr = self.parse_expr()
-            children.append(self.node(NodeKind.WHERE, None, [expr], (kw.start, expr.span[1])))
-        if self.at_kw("group"):
-            kw = self.next()
-            self.expect_kw("by")
-            items = self.comma_list(self.parse_expr)
-            children.append(self.node(NodeKind.GROUP_BY, None, items, (kw.start, items[-1].span[1])))
-        if self.at_kw("having"):
-            kw = self.next()
-            expr = self.parse_expr()
-            children.append(self.node(NodeKind.HAVING, None, [expr], (kw.start, expr.span[1])))
-        if self.at_kw("order"):
-            kw = self.next()
-            self.expect_kw("by")
-            items = self.comma_list(self.parse_ordered)
-            children.append(self.node(NodeKind.ORDER_BY, None, items, (kw.start, items[-1].span[1])))
-        if self.at_kw("limit"):
-            kw = self.next()
-            counts = [self.parse_literal_only("LIMIT count")]
-            if self.at_kw("offset"):
-                self.next()
-                counts.append(self.parse_literal_only("OFFSET count"))
-            elif self.at_op(","):
-                raise UnsupportedConstruct("LIMIT offset, count", self.peek().start)
-            children.append(self.node(NodeKind.LIMIT, None, counts, (kw.start, counts[-1].span[1])))
-        self.guard_unsupported()
-        end = children[-1].span[1]
-        return self.node(NodeKind.SELECT, None, children, (start, end))
+        if K[i] == "distinct":
+            children.append(_node(NodeKind.OTHER, "distinct", [], (S[i], E[i])))
+            i += 1
+        while True:  # select items
+            if K[i] == "*":
+                item = _node(NodeKind.STAR, None, [], (S[i], E[i]))
+                i += 1
+            else:
+                item = self.expr(i)
+                while item is None:  # at a subquery, which parse_sql sends back parsed
+                    sub = yield
+                    item = self.expr(self.i, sub)
+                i = self.i
+                alias = self.alias(i)
+                if alias is not None:
+                    item = _node(NodeKind.ALIAS, T[alias], [item], (item.span[0], E[alias]))
+                    i = alias + 1
+            children.append(item)
+            if K[i] != ",":
+                break
+            i += 1
+        if K[i] != "from":
+            raise ParseError("expected FROM", S[i])
+        from_start, items, join = S[i], [], None  # join: the index of the JOIN's first word
+        i += 1
+        while True:  # table items, each after FROM, a comma or a JOIN
+            if K[i] == "(":
+                if K[i + 1] != "select":
+                    raise ParseError("expected SELECT", S[i + 1])
+                self.i = i + 1
+                item = _node(NodeKind.SUBQUERY, None, [(yield)], (S[i], -1))
+                i = self.i
+            elif K[i] in _NAMES:
+                ident = _node(NodeKind.IDENTIFIER, T[i], [], (S[i], E[i]), _TABLE_FLAGS[K[i]] + F[i])
+                item = _node(NodeKind.TABLE, T[i], [ident], (S[i], -1), F[i])
+            else:
+                self.guard(i)
+                raise ParseError("expected table name", S[i])
+            i += 1
+            alias = self.alias(i)
+            if alias is not None:
+                item.children.append(_node(NodeKind.TABLE_ALIAS, T[alias], [], (S[alias], E[alias])))
+                i = alias + 1
+            item.span = (item.span[0], E[i - 1])  # to the table, its ')' or its alias
+            if join is not None:
+                parts = [item]
+                if K[i] == "on":
+                    on = self.expr(i + 1)
+                    while on is None:
+                        sub = yield
+                        on = self.expr(self.i, sub)
+                    parts.append(on)
+                    i = self.i
+                word = K[join]
+                item = _node(NodeKind.JOIN, "inner" if word == "join" else word, parts,
+                             (S[join], parts[-1].span[1]))
+            items.append(item)
+            if K[i] == ",":
+                join = None
+            elif K[i] in _JOIN_WORDS:
+                join, word = i, K[i]
+                if word == "right" or word == "full":
+                    raise UnsupportedConstruct(f"{word.upper()} JOIN", S[i])
+                if word != "join":  # past INNER, CROSS or LEFT [OUTER]
+                    i += 2 if word == "left" and K[i + 1] == "outer" else 1
+                if K[i] != "join":
+                    raise ParseError("expected JOIN", S[i])
+            else:
+                break
+            i += 1
+        children.append(_node(NodeKind.FROM, None, items, (from_start, items[-1].span[1])))
 
-    def parse_ordered(self) -> SqlNode:
-        expr = self.parse_expr()
-        direction = None
-        end = expr.span[1]
-        if self.at_kw("asc"):
-            end = self.next().end  # explicit ASC normalizes to the default
-        elif self.at_kw("desc"):
-            direction = "desc"
-            end = self.next().end
-        return self.node(NodeKind.ORDERED, direction, [expr], (expr.span[0], end))
+        for word, clause in (("where", NodeKind.WHERE), ("group", NodeKind.GROUP_BY),
+                             ("having", NodeKind.HAVING), ("order", NodeKind.ORDER_BY)):
+            if K[i] != word:
+                continue
+            kw, i = i, i + 1
+            listed = clause is NodeKind.GROUP_BY or clause is NodeKind.ORDER_BY
+            if listed and K[i] != "by":
+                raise ParseError("expected BY", S[i])
+            i += 1 if listed else 0
+            items = []
+            while True:
+                item = self.expr(i)
+                while item is None:
+                    sub = yield
+                    item = self.expr(self.i, sub)
+                i = self.i
+                if clause is NodeKind.ORDER_BY:
+                    end = item.span[1]
+                    direction = "desc" if K[i] == "desc" else None  # explicit ASC is the default
+                    if K[i] == "asc" or direction:
+                        end = E[i]
+                        i += 1
+                    item = _node(NodeKind.ORDERED, direction, [item], (item.span[0], end))
+                items.append(item)
+                if K[i] != "," or not listed:
+                    break
+                i += 1
+            children.append(_node(clause, None, items, (S[kw], items[-1].span[1])))
 
-    def parse_literal_only(self, what: str) -> SqlNode:
-        tok = self.peek()
-        if tok.kind != "num":
-            raise ParseError(f"expected numeric literal for {what}", tok.start)
-        self.next()
-        return self.node(NodeKind.LITERAL, tok.text, [], (tok.start, tok.end))
+        if K[i] == "limit":
+            kw, counts = i, []
+            for what in ("LIMIT", "OFFSET"):  # each keyword, then its count
+                if K[i + 1] != _NUM:
+                    raise ParseError(f"expected numeric literal for {what} count", S[i + 1])
+                counts.append(_node(NodeKind.LITERAL, T[i + 1], [], (S[i + 1], E[i + 1])))
+                i += 2
+                if K[i] == "," and what == "LIMIT":
+                    raise UnsupportedConstruct("LIMIT offset, count", S[i])
+                if K[i] != "offset":
+                    break
+            children.append(_node(NodeKind.LIMIT, None, counts, (S[kw], counts[-1].span[1])))
+        self.guard(i)
+        self.i = i
+        return _node(NodeKind.SELECT, None, children, (start, children[-1].span[1]))
 
-    def parse_select_item(self) -> SqlNode:
-        if self.at_op("*"):
-            tok = self.next()
-            return self.node(NodeKind.STAR, None, [], (tok.start, tok.end))
-        expr = self.parse_expr()
-        alias = self.parse_optional_alias()
-        if alias is not None:
-            return self.node(NodeKind.ALIAS, alias.text, [expr], (expr.span[0], alias.end))
-        return expr
-
-    def parse_optional_alias(self) -> Token | None:
-        if self.at_kw("as"):
-            self.next()
-            tok = self.peek()
-            if tok.kind not in ("ident", "qident"):
-                raise ParseError("expected alias name after AS", tok.start)
-            return self.next()
-        tok = self.peek()
-        if tok.kind in ("ident", "qident"):
-            # bare alias; only when not followed by '(' (function call) or '.'
-            if not self.at_op("(", ".", offset=1):
-                return self.next()
+    def alias(self, i: int) -> int | None:
+        """The index of the alias name at i, after AS or bare, if there is one."""
+        K = self.kinds
+        if K[i] == "as":
+            if K[i + 1] not in _NAMES:
+                raise ParseError("expected alias name after AS", self.starts[i + 1])
+            return i + 1
+        # a bare alias is not followed by '(' (a call) or '.'
+        if K[i] in _NAMES and K[i + 1] != "(" and K[i + 1] != ".":
+            return i
         return None
 
-    def parse_from(self) -> SqlNode:
-        kw = self.expect_kw("from")
-        items = [self.parse_table_item()]
-        while True:
-            if self.at_op(","):
-                self.next()
-                items.append(self.parse_table_item())
-                continue
-            join = self.parse_optional_join()
-            if join is None:
-                break
-            items.append(join)
-        return self.node(NodeKind.FROM, None, items, (kw.start, items[-1].span[1]))
-
-    def parse_optional_join(self) -> SqlNode | None:
-        word = self.peek()
-        if not self.at_kw("join", "inner", "left", "right", "full", "cross"):
-            return None
-        if word.text in ("right", "full"):
-            raise UnsupportedConstruct(f"{word.text.upper()} JOIN", word.start)
-        if word.text != "join":
-            self.next()
-        if word.text == "left" and self.at_kw("outer"):
-            self.next()
-        self.expect_kw("join")
-        join_type = "inner" if word.text == "join" else word.text
-        children = [self.parse_table_item()]
-        if self.at_kw("on"):
-            self.next()
-            children.append(self.parse_expr())
-        return self.node(NodeKind.JOIN, join_type, children, (word.start, children[-1].span[1]))
-
-    def parse_table_item(self) -> SqlNode:
-        tok = self.peek()
-        if self.at_op("("):
-            self.next()
-            children = [self.parse_select()]
-            end = self.expect_op(")").end
-            kind, content, flags = NodeKind.SUBQUERY, None, ()
+    def expr(self, i: int, sub: SqlNode | None = None) -> SqlNode | None:
+        """The expression at token i, by precedence climbing; self.i ends after it.
+        At a subquery it returns None with self.i at its SELECT and its stacks
+        kept; called back with the subquery as `sub`, at i after it, it goes on."""
+        K, T, S, E, F = self.kinds, self.texts, self.starts, self.ends, self.flags
+        operands, ops = self.operands, self.ops
+        if sub is None:
+            ops.append(_BASE)
         else:
-            if tok.kind not in ("ident", "qident"):
-                self.guard_unsupported()
-                raise ParseError("expected table name", tok.start)
-            self.next()
-            quoted = (FLAG_QUOTED,) if tok.kind == "qident" else ()
-            children = [self.node(NodeKind.IDENTIFIER, tok.text, [], (tok.start, tok.end),
-                                  flags=quoted + (FLAG_TABLE_NAME,) + tok.case_flags())]
-            end = tok.end
-            kind, content, flags = NodeKind.TABLE, tok.text, tok.case_flags()
-        alias = self.parse_optional_alias()
-        if alias is not None:
-            children.append(self.node(NodeKind.TABLE_ALIAS, alias.text, [], (alias.start, alias.end)))
-            end = alias.end
-        return self.node(kind, content, children, (tok.start, end), flags=flags)
-
-    def parse_expr(self) -> SqlNode:
-        """One expression, by precedence climbing over an operand stack and
-        an operator stack of (binding power, kind, start, negated) entries.
-
-        Parentheses push a power-0 entry instead of recursing, so nesting
-        depth costs stack entries, not interpreter frames.
-        """
-        operands: list[SqlNode] = []
-        ops: list[tuple[int, NodeKind | None, int, bool]] = []
+            operands.append(sub)
+        want = sub is None  # at the start of an operand, not past one
+        after_in = False  # an IN list ends its comparison; no operator of power 4+ may follow
         while True:
-            if self.at_kw("not") and (not ops or ops[-1][0] <= 3):
-                # prefix NOT only where a boolean operand may start:
-                # first, or after '(', AND, OR or NOT
-                ops.append((3, NodeKind.NOT, self.next().start, False))
-                continue
-            if self.at_op("(") and not self.at_kw("select", offset=1):
-                ops.append((0, None, self.next().start, False))
-                continue
-            operands.append(self.parse_primary())
-            after_in = False  # an IN list ends its comparison; no operator of power 4+ may follow
-            while True:  # past an operand: ')', an infix operator, or the end
-                tok = self.peek()
-                negated = self.at_kw("not") and self.at_kw("like", "in", offset=1)
-                op = self.peek(1) if negated else tok  # quoted names and strings are operands
-                power, kind = _INFIX.get(op.text, (0, None)) if op.kind in ("kw", "op") else (0, None)
-                if after_in and power >= 4:
-                    raise ParseError("operator after IN list", tok.start)
-                if not power and not after_in:
-                    # guard unless a comparison is pending: the innermost entry of power <= 4 is one
-                    if next((p for p, *_ in reversed(ops) if p <= 4), 0) != 4:
-                        self.guard_unsupported()
-                while ops and ops[-1][0] >= max(power, 1):  # left associative
-                    if ops[-1][0] == power == 4:
-                        raise ParseError("chained comparison", tok.start)
-                    self._reduce(ops.pop(), operands)
-                if not power:
-                    if not ops:
-                        return operands[0]
-                    self.expect_op(")")
-                    ops.pop()  # redundant grouping is dropped; the inner node keeps its span
-                    after_in = False
+            if want:
+                kind = K[i]
+                if kind == "not" and ops[-1][0] <= 3:  # first, or after '(', AND, OR or NOT
+                    ops.append((3, NodeKind.NOT, S[i], False))
+                    i += 1
                     continue
-                self.next()
-                if negated:
-                    self.next()
-                if kind is not NodeKind.IN:
-                    ops.append((power, kind, tok.start, negated))
-                    break
-                operands.append(self.parse_in_list())
-                self._reduce((power, kind, tok.start, negated), operands)
-                after_in = True
+                if kind == "(":  # an IN's brackets, or grouping or a scalar subquery
+                    tag = _IN if ops[-1][1] is NodeKind.IN else _PAREN
+                    ops.append((0, tag, i, K[i + 1] == "select", len(operands)))
+                    i += 1
+                    if K[i] == "select":
+                        self.i = i
+                        return None
+                    continue
+                if kind in _NAMES and K[i + 1] == "(":  # a call
+                    distinct = K[i + 2] == "distinct"
+                    ops.append((0, _CALL, i, distinct, len(operands)))
+                    i += 3 if distinct else 2
+                    star = K[i] == "*"
+                    if star:
+                        if distinct:  # as in SQLite, which refuses count(DISTINCT *)
+                            raise ParseError("expected expression after DISTINCT", S[i])
+                        operands.append(_node(NodeKind.STAR, None, [], (S[i], E[i])))
+                        i += 1
+                    if K[i] == ")":  # no more arguments: close the call below
+                        want = after_in = False
+                    elif star:
+                        raise ParseError("expected ')'", S[i])
+                    continue
+                if kind in _NAMES and K[i + 1] != ".":
+                    ident = _node(NodeKind.IDENTIFIER, T[i], [], (S[i], E[i]),
+                                  _COLUMN_FLAGS[kind] + F[i])
+                    operands.append(_node(NodeKind.COLUMN, T[i], [ident], (S[i], E[i]), F[i]))
+                elif kind in _NAMES:  # qualified: a column or a star
+                    j = i + 2
+                    if K[j] != "*" and K[j] not in _NAMES:
+                        raise ParseError("expected column name after '.'", S[j])
+                    qual = [_node(NodeKind.IDENTIFIER, T[i], [], (S[i], E[i]),
+                                  _QUALIFIER_FLAGS[kind] + F[i])]
+                    operands.append(_node(NodeKind.STAR, None, qual, (S[i], E[j])) if K[j] == "*"
+                                    else _node(NodeKind.COLUMN, T[j], qual, (S[i], E[j]), F[j]))
+                    i = j
+                elif kind in _LITERAL_FLAGS:
+                    operands.append(_node(NodeKind.LITERAL, T[i], [], (S[i], E[i]),
+                                          _LITERAL_FLAGS[kind]))
+                elif kind == "-":
+                    if K[i + 1] != _NUM:
+                        raise UnsupportedConstruct("unary minus on non-literal", S[i])
+                    operands.append(_node(NodeKind.LITERAL, "-" + T[i + 1], [], (S[i], E[i + 1])))
+                    i += 1
+                else:
+                    self.guard(i)
+                    raise ParseError("expected expression", S[i])
+                i += 1
+                want = after_in = False
+                continue
 
-    def _reduce(self, entry: tuple[int, NodeKind | None, int, bool], operands: list[SqlNode]):
-        """Apply one operator stack entry to the operands on top of the stack."""
-        _, kind, start, negated = entry
-        rhs = operands.pop()
-        if kind is NodeKind.NOT:
-            operands.append(self.node(kind, None, [rhs], (start, rhs.span[1])))
-            return
-        lhs = operands.pop()
-        if kind in (NodeKind.AND, NodeKind.OR):
-            # n-ary normalization: chained AND/OR extend the left operand in place
-            if lhs.kind is not kind:
-                lhs = self.node(kind, None, [lhs], lhs.span)
-            lhs.children += rhs.children if rhs.kind is kind else [rhs]
-            lhs.span = (lhs.span[0], rhs.span[1])
-            operands.append(lhs)
-            return
-        items = rhs.children if kind is NodeKind.IN else [rhs]
-        node = self.node(kind, None, [lhs, *items], (lhs.span[0], rhs.span[1]))
-        operands.append(self.node(NodeKind.NOT, None, [node], node.span) if negated else node)
-
-    def parse_in_list(self) -> SqlNode:
-        """`(SELECT …)` or `(expr, …)`: an In node holding the right side of IN."""
-        open_tok = self.expect_op("(")
-        if self.at_kw("select"):
-            sub = self.parse_select()
-            close = self.expect_op(")")
-            items = [self.node(NodeKind.SUBQUERY, None, [sub], (sub.span[0], close.end))]
-        else:
-            items = self.comma_list(self.parse_expr)
-            close = self.expect_op(")")
-        return self.node(NodeKind.IN, None, items, (open_tok.start, close.end))
-
-    def parse_primary(self) -> SqlNode:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.next()
-            num = self.peek()
-            if num.kind != "num":
-                raise UnsupportedConstruct("unary minus on non-literal", tok.start)
-            self.next()
-            return self.node(NodeKind.LITERAL, "-" + num.text, [], (tok.start, num.end))
-        if tok.kind == "num":
-            self.next()
-            return self.node(NodeKind.LITERAL, tok.text, [], (tok.start, tok.end))
-        if tok.kind == "str":
-            self.next()
-            return self.node(NodeKind.LITERAL, tok.text, [], (tok.start, tok.end),
-                             flags=(FLAG_STRING,))
-        if tok.kind == "kw" and tok.text == "null":
-            self.next()
-            return self.node(NodeKind.LITERAL, "null", [], (tok.start, tok.end),
-                             flags=(FLAG_NULL,))
-        if tok.kind == "op" and tok.text == "(":  # a scalar subquery; parse_expr takes grouping
-            self.next()
-            sub = self.parse_select()
-            close = self.expect_op(")")
-            return self.node(NodeKind.SUBQUERY, None, [sub], (tok.start, close.end))
-        if tok.kind in ("ident", "qident"):
-            if self.at_op("(", offset=1):
-                return self.parse_call()
-            return self.parse_column_ref()
-        self.guard_unsupported()
-        raise ParseError("expected expression", tok.start)
-
-    def parse_call(self) -> SqlNode:
-        name_tok = self.next()
-        self.expect_op("(")
-        kind = NodeKind.AGG if name_tok.text in AGGREGATE_NAMES else NodeKind.FUNC
-        args: list[SqlNode] = []
-        distinct_tok = None
-        if self.at_kw("distinct"):
-            distinct_tok = self.next()
-        if self.at_op("*"):
-            star = self.next()
-            args.append(self.node(NodeKind.STAR, None, [], (star.start, star.end)))
-        elif not self.at_op(")"):
-            args = self.comma_list(self.parse_expr)
-        close = self.expect_op(")")
-        if distinct_tok is not None:
-            if not args:
-                raise ParseError("DISTINCT requires an argument", distinct_tok.start)
-            args[0] = self.node(NodeKind.OTHER, "distinct", [args[0]],
-                                (distinct_tok.start, args[0].span[1]))
-        if self.at_kw("over"):
-            raise UnsupportedConstruct("window function", self.peek().start)
-        return self.node(kind, name_tok.text, args, (name_tok.start, close.end),
-                         flags=name_tok.case_flags())
-
-    def parse_column_ref(self) -> SqlNode:
-        first = self.next()
-        first_flags = (FLAG_QUOTED,) if first.kind == "qident" else ()
-        if not self.at_op("."):
-            ident = self.node(NodeKind.IDENTIFIER, first.text, [], (first.start, first.end),
-                              flags=first_flags + (FLAG_COLUMN_NAME,) + first.case_flags())
-            return self.node(NodeKind.COLUMN, first.text, [ident], (first.start, first.end),
-                             flags=first.case_flags())
-        self.next()
-        qual = self.node(NodeKind.IDENTIFIER, first.text, [], (first.start, first.end),
-                         flags=first_flags + (FLAG_QUALIFIER,) + first.case_flags())
-        if self.at_op("*"):
-            star = self.next()
-            return self.node(NodeKind.STAR, None, [qual], (first.start, star.end))
-        name_tok = self.peek()
-        if name_tok.kind not in ("ident", "qident"):
-            raise ParseError("expected column name after '.'", name_tok.start)
-        self.next()
-        return self.node(NodeKind.COLUMN, name_tok.text, [qual], (first.start, name_tok.end),
-                         flags=name_tok.case_flags())
-
-
-def _finalize(root: SqlNode) -> SqlNode:
-    """Assign contiguous preorder ids and depths."""
-    root.depth = 0
-    for i, node in enumerate(root.walk()):
-        node.id = i
-        for child in node.children:
-            child.depth = node.depth + 1
-    return root
+            # past an operand: an infix operator, a bracket's ',' or ')', or the end
+            negated = K[i] == "not" and (K[i + 1] == "like" or K[i + 1] == "in")
+            power, kind = _INFIX.get(K[i + 1] if negated else K[i], (0, None))
+            if after_in and power >= 4:
+                raise ParseError("operator after IN list", S[i])
+            # guard unless a comparison is pending: the innermost entry of power <= 4 is one
+            if not power and not after_in and next(p for p, *_ in reversed(ops) if p <= 4) != 4:
+                self.guard(i)
+            while ops[-1][0] >= (power or 1):  # left associative
+                if ops[-1][0] == power == 4:
+                    raise ParseError("chained comparison", S[i])
+                _reduce(ops.pop(), operands)
+            if power:
+                ops.append((power, kind, S[i], negated))
+                i += 2 if negated else 1
+                want = True
+                if kind is NodeKind.IN and K[i] != "(":  # the IN applies when its brackets close
+                    raise ParseError("expected '('", S[i])
+                continue
+            if ops[-1] is _BASE:
+                ops.pop()
+                self.i = i
+                return operands.pop()
+            _, tag, first, flag, count = ops[-1]
+            if K[i] == "," and (tag is _CALL or tag is _IN and not flag):  # the next item
+                i += 1
+                want = True
+                continue
+            if K[i] != ")":
+                raise ParseError("expected ')'", S[i])
+            ops.pop()
+            items = operands[count:]
+            del operands[count:]
+            if tag is _CALL:
+                if flag:
+                    if not items:
+                        raise ParseError("DISTINCT requires an argument", S[first + 2])
+                    items[0] = _node(NodeKind.OTHER, "distinct", [items[0]],
+                                     (S[first + 2], items[0].span[1]))
+                if K[i + 1] == "over":
+                    raise UnsupportedConstruct("window function", S[i + 1])
+                kind = NodeKind.AGG if T[first] in AGGREGATE_NAMES else NodeKind.FUNC
+                operands.append(_node(kind, T[first], items, (S[first], E[i]), F[first]))
+            elif tag is _PAREN and not flag:  # grouping is dropped; the inner node keeps its span
+                operands += items
+            elif tag is _PAREN:
+                operands.append(_node(NodeKind.SUBQUERY, None, items, (S[first], E[i])))
+            else:
+                if flag:
+                    items = [_node(NodeKind.SUBQUERY, None, items, (items[0].span[0], E[i]))]
+                operands.append(_node(NodeKind.IN, None, items, (S[first], E[i])))
+                _reduce(ops.pop(), operands)
+            after_in = tag is _IN
+            i += 1
 
 
 def parse_sql(text: str) -> SqlNode:
@@ -643,18 +626,34 @@ def parse_sql(text: str) -> SqlNode:
     """
     if not text or not text.strip():
         raise ParseError("empty input", 0)
-    tokens = tokenize(text)
-    parser = _Parser(tokens)
-    if not parser.at_kw("select"):
-        parser.guard_unsupported()
-        raise ParseError("expected SELECT", parser.peek().start)
-    root = parser.parse_select()
-    while parser.at_op(";"):
-        parser.next()
-    if parser.peek().kind != "end":
-        parser.guard_unsupported()
-        raise ParseError("unexpected trailing input", parser.peek().start)
-    return _finalize(root)
+    parser = _Parser(text)
+    kinds = parser.kinds
+    if kinds[0] != "select":
+        parser.guard(0)
+        raise ParseError("expected SELECT", parser.starts[0])
+    levels, root = [parser.select()], None  # open SELECT levels; a subquery's goes on top
+    while levels:
+        try:
+            levels[-1].send(root)  # the top level runs to its next subquery
+            levels.append(parser.select())
+            root = None
+        except StopIteration as done:  # it is finished: send it to the level below
+            levels.pop()
+            root = done.value
+            if levels and kinds[parser.i] != ")":  # a subquery closes its bracket
+                raise ParseError("expected ')'", parser.starts[parser.i])
+    i = parser.i
+    while kinds[i] == ";":
+        i += 1
+    if kinds[i] != _END:
+        parser.guard(i)
+        raise ParseError("unexpected trailing input", parser.starts[i])
+    root.depth = 0
+    for node_id, node in enumerate(root.walk()):  # contiguous preorder ids, and depths
+        node.id = node_id
+        for child in node.children:
+            child.depth = node.depth + 1
+    return root
 
 
 def build_alias_map(tree: SqlNode) -> AliasMap:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from sqluq.ast_core import (
@@ -286,3 +288,53 @@ def test_content_populated_exactly_for_content_kinds():
             assert node.content, f"{node.kind} missing content"
         elif node.kind not in structural_with_content:
             assert node.content is None, f"{node.kind} unexpectedly carries content"
+
+
+def test_count_distinct_star_is_a_parse_error():
+    # SQLite answers `near "*": syntax error`
+    with pytest.raises(ParseError) as err:
+        parse_sql("SELECT count(DISTINCT *) FROM t")
+    assert err.value.position == 22
+    with pytest.raises(ParseError) as err:
+        parse_sql("SELECT count(DISTINCT) FROM t")
+    assert err.value.position == 13
+    star, distinct = parse_sql("SELECT count(*), count(DISTINCT a) FROM t").children[:2]
+    assert [n.kind for n in preorder(star)] == [NodeKind.AGG, NodeKind.STAR]
+    assert [(n.kind, n.content) for n in preorder(distinct)][:2] == [
+        (NodeKind.AGG, "count"), (NodeKind.OTHER, "distinct")]
+
+
+def test_parsing_does_not_recurse():
+    n = 200
+    sql = (
+        "SELECT " + "f(" * n + "a" + ")" * n
+        + ", " + "(SELECT " * n + "a" + " FROM t)" * n
+        + " FROM " + "(SELECT a FROM " * n + "t" + ")" * n
+        + " WHERE " + "a IN (" * n + "1" + ")" * n
+        + " AND a IN " + "(SELECT a FROM t WHERE a IN " * n + "(1)" + ")" * n
+        + " AND " + "(" * n + "a = 1" + ")" * n
+    )
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)  # far fewer frames than 200 levels of any construct
+    try:
+        tree = parse_sql(sql)
+    finally:
+        sys.setrecursionlimit(limit)
+    kinds = [n.kind for n in preorder(tree)]
+    assert kinds.count(NodeKind.FUNC) == n
+    assert kinds.count(NodeKind.SUBQUERY) == 3 * n
+    assert kinds.count(NodeKind.IN) == 2 * n + 1
+
+
+@pytest.mark.parametrize("sql, position", [
+    ("SELECT a FROM t WHERE a IN (SELECT b FROM u b = 1)", 46),
+    ("SELECT (SELECT b FROM u) + 1, (SELECT b FROM u c d) FROM t", 49),
+    ("SELECT a FROM (SELECT b FROM u LIMIT 1 OFFSET 2, 3)", 47),
+])
+def test_a_subquery_closes_its_bracket(sql, position):
+    with pytest.raises(ParseError, match="expected '\\)'") as err:
+        parse_sql(sql)
+    assert err.value.position == position

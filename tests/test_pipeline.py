@@ -364,3 +364,25 @@ def test_10000_nested_parentheses_parse_label_and_predict():
                       manifest_hash=MANIFEST.version_hash, feature_count=MANIFEST.length)
     nodes, proba = predict_sql(model, sql, SYNTH_SCHEMA)
     assert proba.shape == (len(nodes),) == (len(list(tree.walk())),)
+
+
+DEEP = 10000
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT " + "f(" * DEEP + "amount" + ")" * DEEP + " FROM sale",
+    "SELECT amount FROM sale WHERE " + "amount IN (" * DEEP + "1" + ")" * DEEP,
+    "SELECT amount FROM sale WHERE amount IN "
+    + "(SELECT amount FROM sale WHERE amount IN " * DEEP + "(1)" + ")" * DEEP,
+    "SELECT amount FROM " + "(SELECT amount FROM " * DEEP + "sale" + ")" * DEEP,
+], ids=["calls", "in_lists", "in_subqueries", "from_subqueries"])
+def test_10000_nested_levels_parse_and_predict(sql):
+    # calls, IN lists and subqueries push parser frames and SELECT levels,
+    # not interpreter frames
+    tree = parse_sql(sql)
+    assert max(n.depth for n in tree.walk()) >= DEEP
+    model = GbdtModel(config=GbdtConfig(), base_score=0.0, trees=[],
+                      manifest_hash=MANIFEST.version_hash, feature_count=MANIFEST.length)
+    nodes, proba = predict_sql(model, sql, SYNTH_SCHEMA)
+    assert [n.id for n in nodes] == list(range(len(nodes))) == [n.id for n in tree.walk()]
+    assert proba.shape == (len(nodes),)

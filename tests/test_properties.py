@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
-from sqluq.ast_core import NodeKind, build_alias_map, parse_sql, preorder
+from sqluq.ast_core import NodeKind, build_alias_map, parse_sql, preorder, tokenize
 from sqluq.labeler import (
     CORRECT,
     ERROR,
@@ -96,6 +96,51 @@ def test_monotone_rescue(seed):
     with_rescue = label_with_context(gen, gold, enable_rescue=True)[0]
     without = label_with_context(gen, gold, enable_rescue=False)[0]
     assert with_rescue.error_ids() <= without.error_ids()
+
+
+# Blanks and comments put between tokens.  Some hold non-ASCII text, as does
+# the literal 'röd', which moves every later byte offset off its character offset.
+GAPS = (" ", "\t", "\r\n", "\n  ", "/**/", " /* é */ ", "-- é ü\n", "--\n", "/* x\n ß */")
+
+
+def respace(sql: str, rng: random.Random) -> tuple[str, list[tuple[int, str]]]:
+    """`sql` with a random gap between its tokens and before and after them,
+    and each keyword in a random case; with each token's byte start and
+    lexeme in the new text.  Names keep their case, which their flags record."""
+    data = sql.encode()
+    text, tokens = rng.choice(("",) + GAPS), []
+    for tok in tokenize(sql)[:-1]:
+        lexeme = data[tok.start:tok.end].decode()
+        if tok.kind == "kw":
+            lexeme = rng.choice((str.lower, str.upper, str.capitalize))(lexeme)
+        tokens.append((len(text.encode()), lexeme))
+        text += lexeme + rng.choice(GAPS)
+    return text, tokens
+
+
+def tree_shape(tree):
+    return [(n.kind, n.content, n.flags, n.depth, len(n.children)) for n in preorder(tree)]
+
+
+@PROPERTY_SETTINGS
+@given(seeds)
+def test_blanks_comments_and_keyword_case_leave_the_tree_alone(seed):
+    rng = random.Random(seed)
+    sql = random_draft(rng, with_alias_prob=0.5).render().replace("'red'", "'röd'")
+    text, tokens = respace(sql, rng)
+    tree, moved = parse_sql(sql), parse_sql(text)
+    assert tree_shape(moved) == tree_shape(tree)
+    # each span starts at the new start of the token that began it, and ends
+    # at the new end of the token that ended it
+    old = tokenize(sql)[:-1]
+    old_first = {tok.start: k for k, tok in enumerate(old)}
+    old_last = {tok.end: k for k, tok in enumerate(old)}
+    data = text.encode()
+    for node, new in zip(preorder(tree), preorder(moved)):
+        start, lexeme = tokens[old_first[node.span[0]]]
+        last_start, last_lexeme = tokens[old_last[node.span[1]]]
+        assert new.span == (start, last_start + len(last_lexeme.encode()))
+        assert data[new.span[0]:new.span[1]].decode().startswith(lexeme)
 
 
 class _NoKeys(dict):
