@@ -371,10 +371,7 @@ class _Parser:
                 item = _node(NodeKind.STAR, None, [], (S[i], E[i]))
                 i += 1
             else:
-                item = self.expr(i)
-                while item is None:  # at a subquery, which parse_sql sends back parsed
-                    sub = yield
-                    item = self.expr(self.i, sub)
+                item = yield from self.operand(i)
                 i = self.i
                 alias = self.alias(i)
                 if alias is not None:
@@ -410,11 +407,7 @@ class _Parser:
             if join is not None:
                 parts = [item]
                 if K[i] == "on":
-                    on = self.expr(i + 1)
-                    while on is None:
-                        sub = yield
-                        on = self.expr(self.i, sub)
-                    parts.append(on)
+                    parts.append((yield from self.operand(i + 1)))
                     i = self.i
                 word = K[join]
                 item = _node(NodeKind.JOIN, "inner" if word == "join" else word, parts,
@@ -446,10 +439,7 @@ class _Parser:
             i += 1 if listed else 0
             items = []
             while True:
-                item = self.expr(i)
-                while item is None:
-                    sub = yield
-                    item = self.expr(self.i, sub)
+                item = yield from self.operand(i)
                 i = self.i
                 if clause is NodeKind.ORDER_BY:
                     end = item.span[1]
@@ -479,6 +469,15 @@ class _Parser:
         self.guard(i)
         self.i = i
         return _node(NodeKind.SELECT, None, children, (start, children[-1].span[1]))
+
+    def operand(self, i: int):
+        """The expression at token i, as a generator that waits at each of its
+        subqueries as `select` does; self.i ends after it."""
+        item = self.expr(i)
+        while item is None:  # at a subquery, which parse_sql sends back parsed
+            sub = yield  # self.i moves past the subquery while this waits
+            item = self.expr(self.i, sub)
+        return item
 
     def alias(self, i: int) -> int | None:
         """The index of the alias name at i, after AS or bare, if there is one."""

@@ -83,10 +83,10 @@ def featurize_cmd(dataset_path: str, schemas_dir: str, out_dir: str):
 @click.option("--schemas", "schemas_dir", required=True, type=click.Path())
 @click.option("--split", "split_text", default="within:0.8", show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--n-trees", default=100, show_default=True)
-@click.option("--learning-rate", default=0.05, show_default=True)
-@click.option("--max-leaves", default=31, show_default=True)
-@click.option("--min-samples-leaf", default=20, show_default=True)
+@click.option("--n-trees", default=GbdtConfig.n_trees, show_default=True)
+@click.option("--learning-rate", default=GbdtConfig.learning_rate, show_default=True)
+@click.option("--max-leaves", default=GbdtConfig.max_leaves, show_default=True)
+@click.option("--min-samples-leaf", default=GbdtConfig.min_samples_leaf, show_default=True)
 def train_cmd(dataset_path, schemas_dir, split_text, out_dir, n_trees,
               learning_rate, max_leaves, min_samples_leaf):
     """Train on the split, print the per-kind evaluation table, save artifacts."""

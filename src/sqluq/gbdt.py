@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -236,12 +236,7 @@ class GbdtModel:
         doc = {
             "format": "sqluq-gbdt-model",
             "version": 1,
-            "config": {
-                "n_trees": self.config.n_trees,
-                "learning_rate": self.config.learning_rate,
-                "max_leaves": self.config.max_leaves,
-                "min_samples_leaf": self.config.min_samples_leaf,
-            },
+            "config": asdict(self.config),
             "base_score": self.base_score,
             "manifest_hash": self.manifest_hash,
             "feature_count": self.feature_count,
@@ -589,7 +584,7 @@ def roc_auc(scores, labels) -> float:
 
 
 @dataclass
-class EvalRow:
+class EvalRow:  # report.json writes a row's fields in this order
     node_kind: str
     n: int
     proportion: float

@@ -9,6 +9,9 @@ Labeling runs in three passes over the generated tree:
 3. a global rescue pass that clears any remaining error node that is
    recursively equivalent to some gold node anywhere in the gold tree.
 
+After the alignment, one children-first sweep makes passes 2 and 3 and
+has each alias wrapper take the label of the node it wraps.
+
 Equivalence is semantic rather than structural: symmetric operators may
 match with swapped operands, anti-symmetric comparison pairs may match
 with the operator flipped, and column qualifiers are normalized through
@@ -418,49 +421,34 @@ def label_with_context(
     _fill_keys(gen_nodes, ctx.gen_keys)
     first = _first_pass(gen, gold, ctx)
 
+    gold_kinds = {n.kind for n in gold_nodes}
+    # gold nodes by key, for rescue; alias wrappers sit out: a generated one
+    # mirrors the node it wraps, and a gold one is equivalent to exactly what
+    # its node is
+    rescuers: dict[int, list[SqlNode]] = {}
+    for gnode in gold_nodes if enable_rescue else ():
+        if gnode.kind is not NodeKind.ALIAS:
+            rescuers.setdefault(ctx.gold_keys[gnode.id], []).append(gnode)
+
     labels = {}
     prov = {}
-    for node in gen_nodes:
-        label = first.get(node.id)
-        if label is None:
-            labels[node.id] = ERROR
-            prov[node.id] = Provenance.INITIAL
-        else:
-            labels[node.id] = label
-            prov[node.id] = Provenance.FIRST_PASS
-
-    gold_kinds = {n.kind for n in gold_nodes}
-    for node in gen_nodes:
-        if (
-            labels[node.id] == ERROR
-            and node.kind in SUPPRESSIBLE_KINDS
-            and node.kind in gold_kinds
-        ):
-            labels[node.id] = CORRECT
-            prov[node.id] = Provenance.SUPPRESSED
-
-    if enable_rescue:
-        # alias wrappers sit out: a generated one mirrors the node it wraps,
-        # and a gold one is equivalent to exactly what its node is
-        by_key: dict[int, list[SqlNode]] = {}
-        for gnode in gold_nodes:
-            if gnode.kind is not NodeKind.ALIAS:
-                by_key.setdefault(ctx.gold_keys[gnode.id], []).append(gnode)
-        for node in gen_nodes:
-            if labels[node.id] != ERROR or node.kind is NodeKind.ALIAS:
-                continue
-            for gnode in by_key.get(ctx.gen_keys[node.id], ()):
-                if recursively_equivalent(node, gnode, ctx):
-                    labels[node.id] = CORRECT
-                    prov[node.id] = Provenance.RESCUED
-                    break
-
-    # alias wrappers mirror the expression they name
-    for node in gen_nodes:
+    for node in reversed(gen_nodes):  # children first, so an alias finds its node decided
         if node.kind is NodeKind.ALIAS:
-            inner = _unwrap(node)
-            labels[node.id] = labels[inner.id]
-            prov[node.id] = prov[inner.id]
+            inner = node.children[0]
+            labels[node.id], prov[node.id] = labels[inner.id], prov[inner.id]
+            continue
+        if node.id in first:
+            label, why = first[node.id], Provenance.FIRST_PASS
+        else:
+            label, why = ERROR, Provenance.INITIAL
+        if label == ERROR and node.kind in SUPPRESSIBLE_KINDS and node.kind in gold_kinds:
+            label, why = CORRECT, Provenance.SUPPRESSED
+        elif label == ERROR:
+            for gnode in rescuers.get(ctx.gen_keys[node.id], ()):
+                if recursively_equivalent(node, gnode, ctx):
+                    label, why = CORRECT, Provenance.RESCUED
+                    break
+        labels[node.id], prov[node.id] = label, why
 
     return LabelMap(labels=labels, provenance=prov), ctx
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -454,17 +454,7 @@ def run_experiment(
             "records_skipped": result.records_skipped,
             "train_queries": len(train_ids),
             "test_queries": len(test_ids),
-            "rows": [
-                {
-                    "node_kind": r.node_kind,
-                    "n": r.n,
-                    "proportion": r.proportion,
-                    "proportion_error": r.proportion_error,
-                    "auc_model": r.auc_model,
-                    "auc_logprob": r.auc_logprob,
-                }
-                for r in eval_rows
-            ],
+            "rows": [asdict(r) for r in eval_rows],
         }
         (out / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
         (out / "report.txt").write_text(render_eval_table(eval_rows) + "\n", encoding="utf-8")

@@ -78,7 +78,8 @@ class Schema:
     db_id: str
     tables: tuple[TableDef, ...]
     _table_index: dict[str, TableDef] = field(init=False, repr=False)
-    _column_tables: dict[str, set[str]] = field(init=False, repr=False)
+    # case-folded column name -> {case-folded table name -> its type}
+    _columns: dict[str, dict[str, DataType]] = field(init=False, repr=False)
     _identifier_names: tuple[str, ...] = field(init=False, repr=False)
     # featurizer.nearest_schema_identifier's answers by case-folded name
     nearest: dict[str, tuple[str, int]] = field(
@@ -87,23 +88,21 @@ class Schema:
 
     def __post_init__(self):
         self._table_index = {}
-        self._column_tables = {}
+        self._columns = {}
         for table in self.tables:
             key = table.name.casefold()
             if key in self._table_index:
                 raise SchemaFormatError(f"duplicate table name {table.name!r}")
             self._table_index[key] = table
-            seen = set()
             for col in table.columns:
-                ckey = col.name.casefold()
-                if ckey in seen:
+                types = self._columns.setdefault(col.name.casefold(), {})
+                if key in types:
                     raise SchemaFormatError(
                         f"duplicate column {col.name!r} in table {table.name!r}"
                     )
-                seen.add(ckey)
-                self._column_tables.setdefault(ckey, set()).add(key)
+                types[key] = col.data_type
         self._identifier_names = tuple(
-            sorted(self._table_index.keys() | self._column_tables.keys())
+            sorted(self._table_index.keys() | self._columns.keys())
         )
 
     def has_table(self, name: str) -> bool:
@@ -113,20 +112,12 @@ class Schema:
         return self._table_index.get(name.casefold())
 
     def has_column(self, name: str, table: str | None = None) -> bool:
-        ckey = name.casefold()
         if table is None:
-            return ckey in self._column_tables
-        return table.casefold() in self._column_tables.get(ckey, ())
+            return name.casefold() in self._columns
+        return table.casefold() in self._columns.get(name.casefold(), ())
 
     def column_type(self, table: str, column: str) -> DataType | None:
-        tdef = self.table(table)
-        if tdef is None:
-            return None
-        ckey = column.casefold()
-        for col in tdef.columns:
-            if col.name.casefold() == ckey:
-                return col.data_type
-        return None
+        return self._columns.get(column.casefold(), {}).get(table.casefold())
 
     def identifier_names(self) -> tuple[str, ...]:
         """Every table and column name, case-folded, sorted, deduplicated."""

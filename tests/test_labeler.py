@@ -218,6 +218,19 @@ class TestAlignAndLabel:
         lm = label_with_context(gen, gold)[0]
         assert set(lm.labels.values()) == {0}
 
+    def test_alias_wrapper_takes_its_expressions_provenance(self):
+        cases = [
+            ("SELECT a = 1 AS f FROM t", "SELECT a = 2 FROM t", Provenance.SUPPRESSED),
+            ("SELECT name AS n FROM artists", "SELECT name FROM artist", Provenance.RESCUED),
+        ]
+        for gen_sql, gold_sql, why in cases:
+            gen = parse_sql(gen_sql)
+            lm = label_with_context(gen, parse_sql(gold_sql))[0]
+            alias = find(gen, NodeKind.ALIAS)
+            assert (lm.labels[alias.id], lm.provenance[alias.id]) == (0, why)
+            inner = alias.children[0]
+            assert (lm.labels[inner.id], lm.provenance[inner.id]) == (0, why)
+
 
 class TestRescueAblation:
     def test_monotone_rescue(self):

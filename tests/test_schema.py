@@ -137,6 +137,16 @@ def test_lookup_case_insensitive(org_schema):
     assert org_schema.has_column("SALARY", "EMPLOYEE")
 
 
+def test_column_lookups_ignore_case_and_miss_unknown_names(org_schema):
+    assert org_schema.column_type("EMPLOYEE", "Salary") is DataType.NUMERIC
+    assert org_schema.column_type("Department", "NAME") is DataType.TEXT
+    assert org_schema.has_column("Department_ID")
+    for table, column in (("employee", "name"), ("office", "id"), ("office", "floor")):
+        assert org_schema.column_type(table, column) is None
+        assert not org_schema.has_column(column, table)
+    assert not org_schema.has_column("floor")
+
+
 def test_resolve_scope_single_table(org_schema):
     tree = parse_sql("SELECT name FROM department AS d")
     aliases = build_alias_map(tree)
