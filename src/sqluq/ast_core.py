@@ -64,6 +64,11 @@ class NodeKind(Enum):
     ALIAS = "Alias"
     OTHER = "Other"
 
+    # Members are singletons, so identity hashes them.  Enum's own __hash__
+    # is a Python function that hashes the name, run on every set and dict
+    # lookup by kind.
+    __hash__ = object.__hash__
+
 
 # Kinds whose content field must be non-empty.
 CONTENT_KINDS = frozenset(

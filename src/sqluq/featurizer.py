@@ -125,6 +125,11 @@ def _build_manifest() -> FeatureManifest:
 MANIFEST = _build_manifest()
 
 _IDX = {name: i for i, name in enumerate(MANIFEST.names)}
+# the one-hot column of each node kind, and of each parent kind (None: no parent)
+_KIND_COLUMN = {kind: _IDX[f"kind={kind.value}"] for kind in KIND_ORDER}
+_PARENT_KIND_COLUMN = {None: _IDX["parent_kind=none"]} | {
+    kind: _IDX[f"parent_kind={kind.value}"] for kind in KIND_ORDER
+}
 
 
 @dataclass
@@ -315,12 +320,9 @@ def _node_row(
     parent_compat are the operand_type_compat of the node and of its
     parent, None where that is not a binary operator."""
     row = list(MANIFEST.defaults)
-    row[_IDX[f"kind={node.kind.value}"]] = 1.0
+    row[_KIND_COLUMN[node.kind]] = 1.0
     row[_IDX["depth"]] = float(node.depth)
-    if parent is None:
-        row[_IDX["parent_kind=none"]] = 1.0
-    else:
-        row[_IDX[f"parent_kind={parent.kind.value}"]] = 1.0
+    row[_PARENT_KIND_COLUMN[None if parent is None else parent.kind]] = 1.0
     row[_IDX["child_count"]] = float(len(node.children))
     row[_IDX["sibling_index"]] = float(sibling)
 

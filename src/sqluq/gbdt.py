@@ -11,11 +11,14 @@ every cut.  Each column's cuts form a Fenwick tree, so a row adds to at
 most log2(cuts) + 1 cells of the column, and a cut's sums add up as many.
 One pass over the flat cuts scores every split of the leaf, and the
 threshold is the midpoint of the values present in the leaf on either
-side of the winning cut, as in a scan over the sorted rows.  Ties go to
-the highest gain, then the lowest feature index, then the lowest
-threshold.  A leaf splits only on a gain above a fixed share of its own
-G^2/H, which rounding noise stays far below.  Training uses no
-randomness: identical records and config reproduce the model bit for bit.
+side of the winning cut, as in a scan over the sorted rows.  The highest
+gain wins; only bit-identical gains tie, and a tie goes to the lowest
+feature index, then the lowest threshold.  Columns that split a leaf
+alike sum their gradients in different orders, so their gains can differ
+in the last bits, and then the larger one wins.  A leaf splits only on a
+gain above a fixed share of its own G^2/H, which rounding noise stays far
+below.  Training uses no randomness: identical records and config
+reproduce the model bit for bit.
 
 A model validates its trees and packs them QuickScorer-style when it is
 built.  It scores rows in blocks: all internal nodes of all trees at
@@ -27,6 +30,7 @@ bit.  So the number of array operations does not grow with depth.
 
 from __future__ import annotations
 
+import heapq
 import json
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -311,8 +315,7 @@ class _Leaf:
 
 
 def _leaf_value(g: float, h: float) -> float:
-    v = -g / (h + _EPS_HESSIAN)
-    return float(np.clip(v, -_MAX_LEAF_VALUE, _MAX_LEAF_VALUE))
+    return min(max(-g / (h + _EPS_HESSIAN), -_MAX_LEAF_VALUE), _MAX_LEAF_VALUE)
 
 
 @dataclass(frozen=True)
@@ -329,6 +332,7 @@ class _Bins:
     columns: np.ndarray  # original index of each binned column
     values: list[np.ndarray]  # each binned column's sorted unique values
     starts: np.ndarray  # each binned column's first cut, then the cut count
+    cut_column: list[int]  # each cut's binned column
     codes: np.ndarray  # (rows, width): each row's node cells, then the sink
     index: np.ndarray  # (L, cuts): each cut's node cells by level, then the zero cell
     size: int  # node cells, the sink and the zero cell
@@ -373,18 +377,19 @@ def _bin_columns(X: np.ndarray) -> _Bins:
     codes.sort(axis=1)
     width = int((codes < sink).sum(axis=1).max(initial=0))
     # intp, not int32: bincount would convert int32 codes on every call
-    return _Bins(columns=columns, values=values, starts=starts,
+    cut_column = np.repeat(np.arange(columns.size), np.diff(starts)).tolist()
+    return _Bins(columns=columns, values=values, starts=starts, cut_column=cut_column,
                  codes=codes[:, :width].astype(np.intp), index=index, size=sink + 2)
 
 
 def _histogram(bins: _Bins, rows: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     """(3, cells) sums of gradient, hessian and row count of the given rows
     in each node cell; the sink takes the padding, the zero cell nothing."""
-    cells = np.take(bins.codes, rows, axis=0).ravel()
+    cells = bins.codes.take(rows, axis=0).ravel()
     width = bins.codes.shape[1]
     hist = np.empty((3, bins.size))
-    hist[0] = np.bincount(cells, weights=np.repeat(grad[rows], width), minlength=bins.size)
-    hist[1] = np.bincount(cells, weights=np.repeat(hess[rows], width), minlength=bins.size)
+    hist[0] = np.bincount(cells, weights=grad.take(rows).repeat(width), minlength=bins.size)
+    hist[1] = np.bincount(cells, weights=hess.take(rows).repeat(width), minlength=bins.size)
     hist[2] = np.bincount(cells, minlength=bins.size)
     return hist
 
@@ -393,28 +398,39 @@ def _best_split(leaf: _Leaf, hist: np.ndarray, bins: _Bins, min_samples_leaf: in
     """Exact greedy split search over the leaf's cut histogram: every cut
     that leaves rows of the leaf on both sides is a candidate, with the
     midpoint of the values present in the leaf on either side of it as its
-    threshold.  Ties go to the highest gain, then the lowest feature index,
-    then the lowest threshold."""
+    threshold.  The highest gain wins; of cuts with bit-identical gains, the
+    lowest feature index, then the lowest threshold.  Columns that split
+    the leaf alike sum their gradients in different orders, so their gains
+    can differ in the last bits, and then the larger one wins."""
     n_rows = leaf.rows.size
     leaf.gain = -1.0
     if n_rows < 2 * min_samples_leaf or bins.index.size == 0:
         return
-    gr, hr, cr = np.take(hist, bins.index, axis=1).sum(axis=1)
-    gl, hl, cl = leaf.grad_sum - gr, leaf.hess_sum - hr, n_rows - cr
-    parent_obj = leaf.grad_sum**2 / (leaf.hess_sum + _EPS_HESSIAN)
-    gains = gl**2 / (hl + _EPS_HESSIAN) + gr**2 / (hr + _EPS_HESSIAN) - parent_obj
+    right_sums = hist.take(bins.index, axis=1).sum(axis=1)
+    gr, hr, cr = right_sums[0], right_sums[1], right_sums[2]
+    # gl**2 / (hl + eps) + gr**2 / (hr + eps) - G**2 / (H + eps), with
+    # gl = G - gr and hl = H - hr, evaluated in that order in place
+    gains = leaf.grad_sum - gr
+    gains *= gains
+    gains /= (leaf.hess_sum - hr) + _EPS_HESSIAN
+    right = gr * gr
+    right /= hr + _EPS_HESSIAN
+    gains += right
+    gains -= leaf.grad_sum**2 / (leaf.hess_sum + _EPS_HESSIAN)
     side = max(min_samples_leaf, 1)  # rows each side needs
-    legal = (cl >= side) & (cr >= side)
-    cut = int(np.argmax(np.where(legal, gains, -np.inf)))
-    if not legal[cut]:
+    illegal = cr < side
+    illegal |= cr > n_rows - side
+    np.putmask(gains, illegal, -np.inf)
+    cut = int(gains.argmax())
+    if illegal[cut]:
         return
     # The column's cuts between the same two values present in the leaf
     # split it alike, so they share one exact count: they run from the lower
     # value's cut to the cut below the upper value.
-    k = int(np.searchsorted(bins.starts, cut, side="right")) - 1
+    k = bins.cut_column[cut]
     counts = -cr[bins.starts[k] : bins.starts[k + 1]]  # ascending
-    below = int(np.searchsorted(counts, -cr[cut], side="left"))
-    above = int(np.searchsorted(counts, -cr[cut], side="right"))
+    below = int(counts.searchsorted(-cr[cut], side="left"))
+    above = int(counts.searchsorted(-cr[cut], side="right"))
     vals = bins.values[k]
     leaf.gain = float(gains[cut])
     leaf.feature = int(bins.columns[k])
@@ -429,16 +445,7 @@ def _grow_tree(
     config: GbdtConfig,
 ) -> tuple[Tree, np.ndarray]:
     """Grow one tree best-first; also return each training row's leaf value."""
-    tree = Tree(feature=[], threshold=[], left=[], right=[], value=[])
     min_leaf = config.min_samples_leaf
-
-    def new_node() -> int:
-        tree.feature.append(-1)
-        tree.threshold.append(0.0)
-        tree.left.append(-1)
-        tree.right.append(-1)
-        tree.value.append(0.0)
-        return len(tree.feature) - 1
 
     def search(leaf: _Leaf, hist: np.ndarray):
         _best_split(leaf, hist, bins, min_leaf)
@@ -449,44 +456,51 @@ def _grow_tree(
     root_rows = np.arange(X.shape[0])
     root = _Leaf(rows=root_rows, grad_sum=float(grad.sum()), hess_sum=float(hess.sum()))
     search(root, _histogram(bins, root_rows, grad, hess))
-    root_id = new_node()
-    open_leaves: list[tuple[_Leaf, int]] = [(root, root_id)]
+    nodes = [root]  # by node id; a split node keeps its rows and sums
+    left_child = [-1]  # by node id; the right child is the next node
+    # deterministic best-first: highest gain, node id breaks ties
+    open_splits = [(-root.gain, 0)] if root.hist is not None else []
     n_leaves = 1
-    while n_leaves < config.max_leaves:
-        # deterministic best-first: highest gain, node id breaks ties
-        best = -1
-        for i, (leaf, _) in enumerate(open_leaves):
-            if leaf.hist is not None and (best < 0 or leaf.gain > open_leaves[best][0].gain):
-                best = i
-        if best < 0:
-            break
-        leaf, node_id = open_leaves.pop(best)
-        go_left = X[leaf.rows, leaf.feature] <= leaf.threshold
-        left_rows = leaf.rows[go_left]
-        right_rows = leaf.rows[~go_left]
-        gl = float(grad[left_rows].sum())
-        hl = float(hess[left_rows].sum())
+    while open_splits and n_leaves < config.max_leaves:
+        node_id = heapq.heappop(open_splits)[1]
+        leaf = nodes[node_id]
+        go_left = X[:, leaf.feature].take(leaf.rows) <= leaf.threshold
+        left_rows = leaf.rows.compress(go_left)
+        right_rows = leaf.rows.compress(~go_left)
+        gl = float(grad.take(left_rows).sum())
+        hl = float(hess.take(left_rows).sum())
         left_leaf = _Leaf(rows=left_rows, grad_sum=gl, hess_sum=hl)
         right_leaf = _Leaf(rows=right_rows, grad_sum=leaf.grad_sum - gl, hess_sum=leaf.hess_sum - hl)
-        small, large = sorted((left_leaf, right_leaf), key=lambda c: c.rows.size)
+        small, large = left_leaf, right_leaf
+        if right_rows.size < left_rows.size:
+            small, large = right_leaf, left_leaf
         # else neither child can split, or the tree is full once they exist
         if large.rows.size >= 2 * min_leaf and n_leaves + 1 < config.max_leaves:
             small_hist = _histogram(bins, small.rows, grad, hess)
             search(small, small_hist)
             search(large, leaf.hist - small_hist)
-        left_id = new_node()
-        right_id = new_node()
-        tree.feature[node_id] = leaf.feature
-        tree.threshold[node_id] = leaf.threshold
-        tree.left[node_id] = left_id
-        tree.right[node_id] = right_id
-        open_leaves.append((left_leaf, left_id))
-        open_leaves.append((right_leaf, right_id))
+        leaf.hist = None
+        left_child[node_id] = len(nodes)
+        for child in (left_leaf, right_leaf):
+            if child.hist is not None:
+                heapq.heappush(open_splits, (-child.gain, len(nodes)))
+            nodes.append(child)
+            left_child.append(-1)
         n_leaves += 1
+    tree = Tree(feature=[], threshold=[], left=left_child, right=[], value=[])
     row_value = np.empty(X.shape[0], dtype=np.float64)
-    for leaf, node_id in open_leaves:
-        tree.value[node_id] = _leaf_value(leaf.grad_sum, leaf.hess_sum)
-        row_value[leaf.rows] = tree.value[node_id]
+    for node, left in zip(nodes, left_child):
+        if left < 0:
+            tree.feature.append(-1)
+            tree.threshold.append(0.0)
+            tree.right.append(-1)
+            tree.value.append(_leaf_value(node.grad_sum, node.hess_sum))
+            row_value[node.rows] = tree.value[-1]
+        else:
+            tree.feature.append(node.feature)
+            tree.threshold.append(node.threshold)
+            tree.right.append(left + 1)
+            tree.value.append(0.0)
     return tree, row_value
 
 
@@ -593,17 +607,21 @@ class EvalRow:  # report.json writes a row's fields in this order
     auc_logprob: float | None
 
 
-def eval_by_kind(model: GbdtModel, records: list[NodeRecord]) -> list[EvalRow]:
+def eval_by_kind(
+    model: GbdtModel, records: list[NodeRecord], scores: np.ndarray | None = None
+) -> list[EvalRow]:
     """Per-kind evaluation table with an 'All' row first.
 
-    The log-probability baseline scores error as the negated mean token
-    log-probability and is computed only over records that carry one;
-    kinds with a single label class report their AUC as undefined.
+    scores, if given, are the model's predict_proba of the records' rows,
+    for a caller that has them already.  The log-probability baseline
+    scores error as the negated mean token log-probability and is computed
+    only over records that carry one; kinds with a single label class
+    report their AUC as undefined.
     """
     if not records:
         return []
-    X = np.stack([r.features for r in records])
-    scores = np.asarray(predict_proba(model, X), dtype=np.float64)
+    if scores is None:
+        scores = predict_proba(model, np.stack([r.features for r in records]))
     labels = np.array([r.label for r in records])
     kinds = [r.node_kind for r in records]
     logprobs = np.array(

@@ -396,10 +396,16 @@ def run_experiment(
     train_ids, test_ids = make_split(usable, split)
     train_set, test_set = set(train_ids), set(test_ids)
     train_rows = [nr for lq in labeled if lq.record.query_id in train_set for nr in lq.node_records]
-    test_rows = [nr for lq in labeled if lq.record.query_id in test_set for nr in lq.node_records]
+    test_queries = [lq for lq in labeled if lq.record.query_id in test_set]
+    test_rows = [nr for lq in test_queries for nr in lq.node_records]
 
     model = train(train_rows, config=config)
-    eval_rows = eval_by_kind(model, test_rows)
+    # the held-out rows are scored once, for the table and predictions.jsonl
+    X_test = np.empty((0, model.feature_count))
+    if test_rows:
+        X_test = np.stack([nr.features for nr in test_rows])
+    p_error = predict_proba(model, X_test)
+    eval_rows = eval_by_kind(model, test_rows, p_error)
 
     result = ExperimentResult(
         eval_rows=eval_rows,
@@ -417,28 +423,21 @@ def run_experiment(
         out.mkdir(parents=True, exist_ok=True)
         model.save(out / "model.json")
         _write_manifest(out)
-        pred_rows = []
-        for lq in labeled:
-            if lq.record.query_id not in test_set:
-                continue
-            X = np.stack([nr.features for nr in lq.node_records])
-            proba = predict_proba(model, X)
-            for nr, node, prov, p in zip(
-                lq.node_records, lq.nodes, lq.label_provenance, proba
-            ):
-                pred_rows.append(
-                    {
-                        "query_id": nr.query_id,
-                        "db_id": nr.db_id,
-                        **node_row(
-                            node,
-                            label=nr.label,
-                            provenance=prov,
-                            p_error=round(float(p), 6),
-                            logprob_score=nr.logprob_score,
-                        ),
-                    }
-                )
+        nodes = [pair for lq in test_queries for pair in zip(lq.nodes, lq.label_provenance)]
+        pred_rows = [
+            {
+                "query_id": nr.query_id,
+                "db_id": nr.db_id,
+                **node_row(
+                    node,
+                    label=nr.label,
+                    provenance=prov,
+                    p_error=round(p, 6),
+                    logprob_score=nr.logprob_score,
+                ),
+            }
+            for nr, (node, prov), p in zip(test_rows, nodes, p_error.tolist())
+        ]
         pred_rows.sort(key=lambda r: (r["query_id"], r["node_id"]))
         _write_jsonl(out / "predictions.jsonl", "sqluq-predictions", pred_rows)
         _write_jsonl(

@@ -1,8 +1,12 @@
+import importlib.util
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sqluq import gbdt
 from sqluq.featurizer import MANIFEST, NodeRecord
 from sqluq.gbdt import (
     DegenerateLabels,
@@ -392,6 +396,19 @@ class TestSplitSearch:
         model = train_matrix(X, y, GbdtConfig(n_trees=10, min_samples_leaf=3))
         used = {f for t in model.trees for f, l in zip(t.feature, t.left) if l != -1}
         assert 1 in used and 2 not in used
+
+
+def test_check_splits_script_finds_no_mismatch(capsys):
+    # the exact row-scan check of every leaf search, on a small planted corpus
+    path = Path(__file__).resolve().parents[1] / "scripts" / "check_splits.py"
+    spec = importlib.util.spec_from_file_location("check_splits", path)
+    check_splits = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_splits)
+    assert check_splits.main(["--pairs", "40", "--seeds", "0"]) == 0
+    out = capsys.readouterr().out
+    searches = re.search(r"(\d+) leaf searches", out)
+    assert searches and int(searches.group(1)) > 0, out
+    assert gbdt._best_split is _best_split  # the script put the trainer back
 
 
 def traverse_oracle(model, X):

@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from sqluq.ast_core import parse_sql
 from sqluq.featurizer import MANIFEST
-from sqluq.gbdt import DegenerateLabels, GbdtConfig, GbdtModel
+from sqluq.gbdt import DegenerateLabels, GbdtConfig, GbdtModel, predict_proba
 from sqluq.pipeline import (
     CrossDatabase,
     DatasetRecord,
@@ -20,7 +21,7 @@ from sqluq.pipeline import (
     run_experiment,
     write_dataset,
 )
-from sqluq.synth import SYNTH_SCHEMA
+from sqluq.synth import SYNTH_SCHEMA, build_planted_corpus
 
 
 def write_lines(path, lines):
@@ -340,6 +341,39 @@ class TestRunExperiment:
         all_row = result.eval_rows[0]
         assert all_row.auc_logprob is not None
         assert {r.node_kind for r in result.eval_rows} >= {"All", "Column", "Identifier"}
+
+    def test_predictions_match_each_query_scored_alone(self, tmp_path):
+        # run_experiment scores the held-out rows in one pass; every p_error
+        # must equal predict_proba of its query's rows alone, rounded
+        pairs = build_planted_corpus(40, seed=1)
+        dataset = tmp_path / "d.jsonl"
+        write_dataset(dataset, [p.record for p in pairs])
+        schemas = tmp_path / "schemas"
+        schemas.mkdir()
+        tables = [
+            {"name": t.name, "columns": [{"name": c.name, "type": c.data_type.value}
+                                         for c in t.columns]}
+            for t in SYNTH_SCHEMA.tables
+        ]
+        (schemas / f"{SYNTH_SCHEMA.db_id}.json").write_text(
+            json.dumps({"db_id": SYNTH_SCHEMA.db_id, "tables": tables}), encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        result = run_experiment(
+            dataset, schemas, WithinDatabase(0.5, seed=0),
+            config=GbdtConfig(n_trees=10, min_samples_leaf=2), out_dir=out,
+        )
+        test_ids = set(result.test_query_ids)
+        alone = {}
+        for lq in label_dataset(dataset, schemas)[0]:
+            if lq.record.query_id in test_ids:
+                proba = predict_proba(result.model, np.stack([nr.features for nr in lq.node_records]))
+                for nr, p in zip(lq.node_records, proba):
+                    alone[nr.query_id, nr.node_id] = round(float(p), 6)
+        rows = [json.loads(line) for line in (out / "predictions.jsonl").read_text().splitlines()[1:]]
+        assert len(rows) == len(alone) == result.eval_rows[0].n
+        assert {(r["query_id"], r["node_id"]): r["p_error"] for r in rows} == alone
+        assert len(set(alone.values())) > 1
 
 
 def test_predict_sql_on_a_3000_term_chain():
