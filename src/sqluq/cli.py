@@ -49,9 +49,11 @@ def label_cmd(generated: str, gold: str, no_rescue: bool):
     try:
         gen_tree = parse_sql(generated)
         gold_tree = parse_sql(gold)
+        label_map, _ = labeler.label_with_context(gen_tree, gold_tree, enable_rescue=not no_rescue)
     except (ParseError, UnsupportedConstruct) as exc:
         _fail(EXIT_VALIDATION, str(exc))
-    label_map, _ = labeler.label_with_context(gen_tree, gold_tree, enable_rescue=not no_rescue)
+    except RecursionError as exc:  # the equivalence check recurses once per tree level
+        _fail(EXIT_VALIDATION, f"RecursionError: {exc}")
     click.echo(json.dumps({"format": "sqluq-labeled-nodes", "version": 1}))
     for node in gen_tree.walk():
         row = node_row(

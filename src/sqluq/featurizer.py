@@ -18,7 +18,9 @@ class) so the classifier always receives an identically shaped input.
 featurize_tree makes one preorder walk per tree.  The level-dependent
 features read facts built once per query level, when the walk enters its
 SELECT: the level's scope frame and whether its SELECT list holds an
-aggregate while it has no GROUP BY.
+aggregate while it has no GROUP BY.  The walk collects only the cells a
+node may change from the defaults, as (column, value) pairs, and one
+indexed assignment writes them all into a matrix of default rows.
 """
 
 from __future__ import annotations
@@ -130,6 +132,20 @@ _KIND_COLUMN = {kind: _IDX[f"kind={kind.value}"] for kind in KIND_ORDER}
 _PARENT_KIND_COLUMN = {None: _IDX["parent_kind=none"]} | {
     kind: _IDX[f"parent_kind={kind.value}"] for kind in KIND_ORDER
 }
+# the other columns that featurize_tree writes
+_DEPTH, _CHILD_COUNT, _SIBLING_INDEX, _SCHEMA_VALID, _COLUMN_IN_SCOPE = (
+    _IDX[n] for n in ("depth", "child_count", "sibling_index", "schema_valid", "column_in_scope"))
+_QUALIFIER_SCOPE_VALID, _COLUMN_AMBIGUOUS, _AGGREGATE_CONTEXT, _LEVENSHTEIN_NEAREST = (
+    _IDX[n] for n in ("qualifier_scope_valid", "column_ambiguous", "aggregate_context",
+                      "levenshtein_nearest"))
+# in the order of _name_pattern_bits
+_NAME_BIT_COLUMNS = tuple(
+    _IDX[n] for n in ("name_has_digit", "name_has_underscore", "name_all_caps", "name_mixed_case"))
+_OPERAND_TYPE_COMPAT, _PARENT_TYPE_COMPAT, _LIKE_HAS_WILDCARD, _LIKE_PATTERN_LENGTH = (
+    _IDX[n] for n in ("operand_type_compat", "parent_type_compat", "like_has_wildcard",
+                      "like_pattern_length"))
+_IN_LIST_SIZE = _IDX["in_list_size"]
+_DEFAULT_ROW = np.array([MANIFEST.defaults], dtype=np.float64)
 
 
 @dataclass
@@ -260,7 +276,7 @@ def node_logprob_score(
 
 def _name_pattern_bits(node: SqlNode, name: str) -> tuple[int, int, int, int]:
     # case patterns come from parse-time flags: content is case-folded
-    has_digit = int(any(c.isdigit() for c in name))
+    has_digit = int(any(map(str.isdigit, name)))
     has_underscore = int("_" in name)
     all_caps = int(FLAG_ALL_CAPS in node.flags)
     mixed = int(FLAG_MIXED_CASE in node.flags)
@@ -306,100 +322,78 @@ def _schema_validity(node: SqlNode, frame: ScopeFrame, schema: Schema) -> tuple[
     return 0, None
 
 
-def _node_row(
-    node: SqlNode,
-    parent: SqlNode | None,
-    sibling: int,
-    frame: ScopeFrame,
-    aggregate_context: bool,
-    compat: Compat | None,
-    parent_compat: Compat | None,
-    schema: Schema,
-) -> list[float]:
-    """One node's feature row; identical layout for every node.  compat and
-    parent_compat are the operand_type_compat of the node and of its
-    parent, None where that is not a binary operator."""
-    row = list(MANIFEST.defaults)
-    row[_KIND_COLUMN[node.kind]] = 1.0
-    row[_IDX["depth"]] = float(node.depth)
-    row[_PARENT_KIND_COLUMN[None if parent is None else parent.kind]] = 1.0
-    row[_IDX["child_count"]] = float(len(node.children))
-    row[_IDX["sibling_index"]] = float(sibling)
-
-    valid, lexical_name = _schema_validity(node, frame, schema)
-    row[_IDX["schema_valid"]] = float(valid)
-
-    if node.kind is NodeKind.COLUMN:
-        carriers = frame.carriers(node.content, schema)
-        row[_IDX["column_in_scope"]] = float(bool(carriers))
-        qualifier = node.qualifier()
-        if qualifier is not None:
-            known = qualifier in frame.aliases.entries or qualifier in frame.table_names()
-            row[_IDX["qualifier_scope_valid"]] = float(known)
-        else:
-            row[_IDX["column_ambiguous"]] = float(len(carriers) >= 2)
-
-    if lexical_name is not None:
-        if valid:
-            row[_IDX["levenshtein_nearest"]] = 0.0
-        else:
-            try:
-                _, dist = nearest_schema_identifier(lexical_name, schema)
-                row[_IDX["levenshtein_nearest"]] = float(min(dist, LEVENSHTEIN_SENTINEL))
-            except EmptySchema:
-                pass  # keep the sentinel
-        bits = _name_pattern_bits(node, lexical_name)
-        row[_IDX["name_has_digit"]] = float(bits[0])
-        row[_IDX["name_has_underscore"]] = float(bits[1])
-        row[_IDX["name_all_caps"]] = float(bits[2])
-        row[_IDX["name_mixed_case"]] = float(bits[3])
-
-    row[_IDX["aggregate_context"]] = float(aggregate_context)
-
-    if compat is not None:
-        row[_IDX["operand_type_compat"]] = float(compat)
-    if parent_compat is not None:
-        row[_IDX["parent_type_compat"]] = float(parent_compat)
-
-    if node.kind is NodeKind.LIKE and len(node.children) >= 2:
-        pattern = node.children[1]
-        if pattern.kind is NodeKind.LITERAL and FLAG_STRING in pattern.flags:
-            row[_IDX["like_has_wildcard"]] = float("%" in pattern.content or "_" in pattern.content)
-            row[_IDX["like_pattern_length"]] = float(len(pattern.content))
-    if node.kind is NodeKind.IN:
-        items = node.children[1:]
-        if not (len(items) == 1 and items[0].kind is NodeKind.SUBQUERY):
-            row[_IDX["in_list_size"]] = float(len(items))
-    return row
-
-
 def featurize_tree(
     tree: SqlNode, aliases: AliasMap, schema: Schema
 ) -> tuple[list[SqlNode], np.ndarray]:
     """Every node of one tree in preorder, and one feature row per node in
     the same order."""
     nodes: list[SqlNode] = []
-    rows: list[list[float]] = []
-    # (node, parent, sibling index, scope frame, level's bare-aggregate bit,
-    #  projected: inside its level's SELECT list and outside any aggregate call,
-    #  the parent's operand_type_compat)
+    # the cells of each row that may differ from the defaults: the row's
+    # cell count, then every cell's column and value
+    widths: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    # (node, parent's kind, sibling index, scope frame, level's bare-aggregate
+    #  bit, projected: inside its level's SELECT list and outside any aggregate
+    #  call, the parent's operand_type_compat)
     stack = [(tree, None, 0, ScopeFrame(tables=(), aliases=aliases), False, False, None)]
     while stack:
-        node, parent, sibling, frame, bare_agg, projected, parent_compat = stack.pop()
-        is_select = node.kind is NodeKind.SELECT
+        node, parent_kind, sibling, frame, bare_agg, projected, parent_compat = stack.pop()
+        kind = node.kind
+        is_select = kind is NodeKind.SELECT
         if is_select:
             frame = frame.enter(node, schema)
             bare_agg = _bare_aggregate(node)
-        aggregate_context = node.kind is NodeKind.COLUMN and bare_agg and projected
         # computed once per operator; an operand is never a SELECT, so it
         # shares its operator's frame
-        compat = operand_type_compat(node, frame, schema) if node.kind in BINARY_OP_KINDS else None
+        compat = operand_type_compat(node, frame, schema) if kind in BINARY_OP_KINDS else None
         nodes.append(node)
-        rows.append(_node_row(node, parent, sibling, frame, aggregate_context, compat,
-                              parent_compat, schema))
+        valid, lexical_name = _schema_validity(node, frame, schema)
+        start = len(cols)
+        cols += (_KIND_COLUMN[kind], _DEPTH, _PARENT_KIND_COLUMN[parent_kind], _CHILD_COUNT,
+                 _SIBLING_INDEX, _SCHEMA_VALID)
+        vals += (1.0, node.depth, 1.0, len(node.children), sibling, valid)
+        if kind is NodeKind.COLUMN:
+            carriers = frame.carriers(node.content, schema)
+            qualifier = node.qualifier()
+            if qualifier is not None:
+                cols += (_COLUMN_IN_SCOPE, _QUALIFIER_SCOPE_VALID, _AGGREGATE_CONTEXT)
+                vals += (bool(carriers), qualifier in frame.aliases.entries
+                         or qualifier in frame.table_names(), bare_agg and projected)
+            else:
+                cols += (_COLUMN_IN_SCOPE, _COLUMN_AMBIGUOUS, _AGGREGATE_CONTEXT)
+                vals += (bool(carriers), len(carriers) >= 2, bare_agg and projected)
+        if lexical_name is not None:
+            dist = 0 if valid else LEVENSHTEIN_SENTINEL
+            if not valid:
+                try:
+                    dist = min(nearest_schema_identifier(lexical_name, schema)[1], dist)
+                except EmptySchema:
+                    pass  # keep the sentinel
+            cols += (_LEVENSHTEIN_NEAREST, *_NAME_BIT_COLUMNS)
+            vals += (dist, *_name_pattern_bits(node, lexical_name))
+        if compat:  # None and Compat.UNKNOWN keep the default, 0
+            cols.append(_OPERAND_TYPE_COMPAT)
+            vals.append(compat)
+        if parent_compat:
+            cols.append(_PARENT_TYPE_COMPAT)
+            vals.append(parent_compat)
+        if kind is NodeKind.LIKE and len(node.children) >= 2:
+            pattern = node.children[1]
+            if pattern.kind is NodeKind.LITERAL and FLAG_STRING in pattern.flags:
+                cols += (_LIKE_HAS_WILDCARD, _LIKE_PATTERN_LENGTH)
+                vals += ("%" in pattern.content or "_" in pattern.content, len(pattern.content))
+        elif kind is NodeKind.IN:
+            items = node.children[1:]
+            if not (len(items) == 1 and items[0].kind is NodeKind.SUBQUERY):
+                cols.append(_IN_LIST_SIZE)
+                vals.append(len(items))
+        widths.append(len(cols) - start)
         for i in range(len(node.children) - 1, -1, -1):
             child = node.children[i]
             in_list = child.kind not in _CLAUSE_KINDS if is_select else projected
-            stack.append((child, node, i, frame, bare_agg,
+            stack.append((child, kind, i, frame, bare_agg,
                           in_list and child.kind is not NodeKind.AGG, compat))
-    return nodes, np.array(rows, dtype=np.float64)
+    matrix = _DEFAULT_ROW.repeat(len(nodes), axis=0)
+    matrix[np.repeat(np.arange(len(nodes)), widths), cols] = vals
+    return nodes, matrix

@@ -21,11 +21,12 @@ below.  Training uses no randomness: identical records and config
 reproduce the model bit for bit.
 
 A model validates its trees and packs them QuickScorer-style when it is
-built.  It scores rows in blocks: all internal nodes of all trees at
-once, one comparison each, and then each tree's exit leaf by bit mask.
-Each node's mask clears the leaves of its left subtree; ANDing the masks
-of the nodes a row goes right at leaves the exit leaf as the lowest set
-bit.  So the number of array operations does not grow with depth.
+built.  It scores rows in blocks: each distinct (feature, threshold)
+condition of the model once, then every node of every tree at once, and
+then each tree's exit leaf by bit mask.  A right turn at a node rules out
+the leaves of its left subtree; ORing those leaves over the nodes a row
+goes right at leaves the exit leaf as the lowest clear bit.  So the
+number of array operations does not grow with depth.
 """
 
 from __future__ import annotations
@@ -92,7 +93,6 @@ class Tree:
 # Cells of the (rows, nodes, words) mask array scored in one block.
 _SCORE_BLOCK_CELLS = 1 << 16
 _WORD_BITS = 64
-_ALL_LEAVES = np.uint64((1 << _WORD_BITS) - 1)
 # _LOW_BITS[k] has the low k bits of a word set
 _LOW_BITS = np.array([(1 << k) - 1 for k in range(_WORD_BITS + 1)], dtype=np.uint64)
 
@@ -101,15 +101,20 @@ _LOW_BITS = np.array([(1 << k) - 1 for k in range(_WORD_BITS + 1)], dtype=np.uin
 class _Ensemble:
     """Every tree of a model as QuickScorer arrays (Lucchese et al., SIGIR
     2015).  Each tree's leaves are numbered left to right; bit ``b`` of
-    word ``w`` stands for leaf ``64 * w + b``.  An internal node's mask
-    clears the leaves of its left subtree, so ANDing the masks of the
-    nodes a row goes right at leaves its exit leaf as the lowest set bit.
-    Each tree's run of nodes starts with a pad node whose mask clears
-    nothing, so no run is empty."""
+    word ``w`` stands for leaf ``64 * w + b``.  An internal node's clear
+    bits are the leaves of its left subtree, and its mask is their
+    complement; ORing the clear bits of the nodes a row goes right at
+    leaves its exit leaf as the lowest bit still clear.  Each tree's run
+    of nodes starts with a pad node that clears nothing, so no run is
+    empty.  The nodes of all trees index one table of their distinct
+    (feature, threshold) conditions, so a row is compared once per
+    condition, not once per node."""
 
-    feature: np.ndarray  # split column of each node, pads included
-    threshold: np.ndarray
+    cond_feature: np.ndarray  # split column of each distinct condition
+    cond_threshold: np.ndarray
+    cond: np.ndarray  # each node's condition, pads included
     mask: np.ndarray  # (nodes, words) uint64
+    clear: np.ndarray  # ~mask: the leaves a right turn at the node rules out
     starts: np.ndarray  # first node of each tree
     leaf_start: np.ndarray  # first leaf of each tree in ``value``
     value: np.ndarray  # leaf value times the learning rate, left to right
@@ -119,15 +124,16 @@ class _Ensemble:
         """base_score plus every tree's scaled leaf value, added tree by
         tree in model order, for the rows of X."""
         leaf = np.zeros((X.shape[0], self.starts.size), dtype=np.intp)
-        if self.feature.size > self.starts.size:  # else all lone leaves, maybe over no columns
-            go_left = np.take(X, self.feature, axis=1) <= self.threshold  # NaN goes right
-            kept = np.where(go_left[:, :, None], _ALL_LEAVES, self.mask)
-            kept = np.bitwise_and.reduceat(kept, self.starts, axis=1)
-            word = np.argmax(kept != 0, axis=2)
-            bits = np.take_along_axis(kept, word[:, :, None], axis=2)[:, :, 0]
-            lowest = bits & (~bits + np.uint64(1))
-            # a power of two converts to float exactly; frexp reads its exponent
-            leaf = _WORD_BITS * word + np.frexp(lowest.astype(np.float64))[1] - 1
+        if self.cond.size > self.starts.size:  # else all lone leaves, maybe over no columns
+            right = ~(X.take(self.cond_feature, axis=1) <= self.cond_threshold)  # NaN goes right
+            cleared = right.take(self.cond, axis=1)[:, :, None] * self.clear
+            cleared = np.bitwise_or.reduceat(cleared, self.starts, axis=1)
+            # each word's lowest clear bit, or 0 where every bit is set; a
+            # power of two converts to float exactly, frexp reads its exponent
+            # as 1 to 64, and 0 becomes a bit past every leaf of the tree
+            exponent = np.frexp((~cleared & (cleared + np.uint64(1))).astype(np.float64))[1]
+            exponent[exponent == 0] = _WORD_BITS * self.clear.shape[1] + 1
+            leaf = (exponent + _WORD_BITS * np.arange(self.clear.shape[1]) - 1).min(axis=2)
         acc = np.empty((X.shape[0], self.starts.size + 1), dtype=np.float64)
         acc[:, 0] = base_score
         acc[:, 1:] = self.value[self.leaf_start + leaf]
@@ -195,14 +201,20 @@ def _pack(trees: list[Tree], feature_count: int, learning_rate: float) -> _Ensem
         n_nodes += 1 + len(inner)
         n_leaves += len(leaves)
     words = -(-max(1, *map(len, values)) // _WORD_BITS)
-    # clip each [lo, hi) to every word; a word's mask clears the bits inside
+    # clip each [lo, hi) to every word; a word's clear bits are the bits inside
     edges = _WORD_BITS * np.arange(words)
     lo = np.clip(np.array(lo, dtype=np.intp)[:, None] - edges, 0, _WORD_BITS)
     hi = np.clip(np.array(hi, dtype=np.intp)[:, None] - edges, 0, _WORD_BITS)
+    clear = _LOW_BITS[hi] & ~_LOW_BITS[lo]
+    # 0.0 and -0.0 compare alike, so they share a condition
+    conds: dict[tuple[int, float], int] = {}
+    cond = [conds.setdefault(key, len(conds)) for key in zip(features, thresholds)]
     return _Ensemble(
-        feature=np.array(features, dtype=np.intp),
-        threshold=np.array(thresholds, dtype=np.float64),
-        mask=~(_LOW_BITS[hi] & ~_LOW_BITS[lo]),
+        cond_feature=np.array([f for f, _ in conds], dtype=np.intp),
+        cond_threshold=np.array([t for _, t in conds], dtype=np.float64),
+        cond=np.array(cond, dtype=np.intp),
+        mask=~clear,
+        clear=clear,
         starts=np.array(starts, dtype=np.intp),
         leaf_start=np.array(leaf_start, dtype=np.intp),
         value=np.concatenate(values, dtype=np.float64),

@@ -74,6 +74,15 @@ def test_label_invalid_sql_exit_code_1(runner):
     assert result.exit_code == 1
 
 
+def test_label_too_deep_to_compare_is_a_validation_error(runner):
+    # the equivalence check still recurses once per level of the chain
+    chain = "SELECT " + " + ".join(["amount"] * 1000) + " FROM sale"
+    result = runner.invoke(main, ["label", "--generated", chain, "--gold", chain])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: RecursionError: ")
+    assert "Traceback" not in result.output
+
+
 def test_corpus_test_passes(runner):
     result = runner.invoke(main, ["corpus-test"])
     assert result.exit_code == 0

@@ -1,3 +1,4 @@
+import random
 from itertools import chain, product
 
 import numpy as np
@@ -36,6 +37,8 @@ from sqluq.schema import (
     _query_level_tables,
 )
 from sqluq.synth import SYNTH_SCHEMA, build_planted_corpus
+
+from querygen import random_draft
 
 
 @pytest.fixture
@@ -572,8 +575,15 @@ def test_featurize_tree_matches_per_node_reference(org_schema):
         "aggregate_context", "column_ambiguous", "qualifier_scope_valid",
         "parent_type_compat", "in_list_size",
     )}
+    rng = random.Random(0)
+    queries = (
+        *ORACLE_QUERIES,
+        "SELECT name FROM employee WHERE salary IN (5)",
+        *(pair.record.generated_sql for pair in build_planted_corpus(200, seed=0)),
+        *(random_draft(rng).render() for _ in range(200)),
+    )
     for schema in (SYNTH_SCHEMA, org_schema):
-        for sql in ORACLE_QUERIES:
+        for sql in queries:
             tree = parse_sql(sql)
             aliases = build_alias_map(tree)
             parent, sibling = ref_parents(tree)

@@ -511,6 +511,108 @@ class TestPackedEnsemble:
             assert predict_proba(model, row) == expected
 
 
+def random_tree(rng, leaves, n_features, threshold):
+    """A random tree in preorder with ``leaves`` leaves; ``threshold(rng)``
+    draws each split's threshold."""
+    feature, thresholds, left, right, value = [], [], [], [], []
+
+    def grow(n):
+        i = len(feature)
+        feature.append(-1), thresholds.append(0.0), left.append(-1), right.append(-1)
+        value.append(float(rng.randn()))
+        if n > 1:
+            k = rng.randint(1, n)
+            feature[i], thresholds[i] = int(rng.randint(n_features)), float(threshold(rng))
+            left[i] = grow(k)
+            right[i] = grow(n - k)
+        return i
+
+    grow(leaves)
+    return Tree(feature=feature, threshold=thresholds, left=left, right=right, value=value)
+
+
+def hand_tree(spec):
+    """A tree from nested ``(feature, threshold, left, right)`` tuples with
+    leaf values at the bottom, numbered in preorder."""
+    tree = Tree(feature=[], threshold=[], left=[], right=[], value=[])
+    stack = [(spec, None, None)]
+    while stack:
+        node, parent, side = stack.pop()
+        i = len(tree.feature)
+        if parent is not None:
+            getattr(tree, side)[parent] = i
+        leaf = not isinstance(node, tuple)
+        tree.feature.append(-1 if leaf else node[0])
+        tree.threshold.append(0.0 if leaf else node[1])
+        tree.left.append(-1), tree.right.append(-1)
+        tree.value.append(float(node) if leaf else 0.0)
+        if not leaf:
+            stack += [(node[3], i, "right"), (node[2], i, "left")]
+    return tree
+
+
+def scoring_rows(rng, n, n_features, pool):
+    """Rows whose cells come from ``pool`` (split thresholds among them),
+    NaN, +-inf and +-0.0; in the first half of the rows, about half the
+    cells are random normals instead."""
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    cells = np.concatenate([np.asarray(pool, dtype=np.float64), special])
+    X = cells[rng.randint(cells.size, size=(n, n_features))]
+    X[: n // 2] = np.where(rng.rand(n // 2, n_features) < 0.5, X[: n // 2],
+                           rng.randn(n // 2, n_features) * 3)
+    return X
+
+
+def assert_scores_match_oracle(model, X):
+    for rows in (X, X[:1], X[1:2]):
+        got = model.decision_function(rows)
+        assert got.view(np.uint64).tolist() == traverse_oracle(model, rows).view(np.uint64).tolist()
+
+
+class TestScoringDifferential:
+    """decision_function against per-row traversal, bit for bit, on models
+    whose nodes share few or many (feature, threshold) conditions."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_models_over_integer_features(self, seed):
+        rng = np.random.RandomState(seed)
+        trees = [random_tree(rng, rng.randint(1, 40), 4, lambda r: r.randint(-2, 4) + 0.5)
+                 for _ in range(12)]
+        model = GbdtModel(config=GbdtConfig(learning_rate=0.3), base_score=0.1, trees=trees,
+                          manifest_hash="h", feature_count=4)
+        assert model._ensemble.cond_feature.size <= 4 * 6 + 1  # 6 thresholds a column, the pads
+        X = scoring_rows(rng, 200, 4, np.arange(-3.0, 6.0, 0.5))
+        assert_scores_match_oracle(model, X)
+
+    @pytest.mark.parametrize("budget, words", [(60, 1), (100, 2), (150, 3), (250, 4)])
+    def test_random_models_over_continuous_features(self, budget, words):
+        rng = np.random.RandomState(budget)
+        grid = np.round(rng.randn(40), 2)
+        leaves = [budget, 1, *rng.randint(1, budget + 1, size=4)]
+        trees = [random_tree(rng, n, 5, lambda r: r.choice(grid)) for n in leaves]
+        model = GbdtModel(config=GbdtConfig(learning_rate=0.2), base_score=-0.4, trees=trees,
+                          manifest_hash="h", feature_count=5)
+        assert model._ensemble.mask.shape[1] == words
+        assert_scores_match_oracle(model, scoring_rows(rng, 300, 5, grid))
+
+    def test_one_condition_repeated_within_and_across_trees(self):
+        trees = [
+            hand_tree((0, 0.0, (0, 0.0, 1.0, 2.0), (1, -0.0, (0, 0.0, 3.0, 4.0), 5.0))),
+            hand_tree((0, -0.0, (1, 0.0, 6.0, (0, -0.0, 7.0, 8.0)), (0, 0.0, 9.0, 10.0))),
+            hand_tree(11.0),
+            hand_tree((1, -0.0, (1, -0.0, (1, 0.0, 12.0, 13.0), 14.0), (2, 2.5, 15.0, 16.0))),
+        ]
+        model = GbdtModel(config=GbdtConfig(learning_rate=0.5), base_score=0.25, trees=trees,
+                          manifest_hash="h", feature_count=3)
+        # 0.0 and -0.0 compare alike, so each column holds one condition at 0
+        packed = model._ensemble
+        conds = zip(packed.cond_feature.tolist(), packed.cond_threshold.tolist())
+        assert sorted(conds) == [(0, 0.0), (1, 0.0), (2, 2.5)]
+        values = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, 2.5, 3.0]
+        X = np.array([[a, b, c] for a in values for b in values for c in (2.5, np.nan, 9.0)])
+        assert_scores_match_oracle(model, X)
+
+
 def test_a_node_with_two_parents_is_rejected():
     # children lie after their parent, yet node 3 is reachable twice
     shared = Tree(feature=[0, 1, 1, -1, -1], threshold=[0.0] * 5,
