@@ -2,17 +2,19 @@
 """Check every split search of planted GBDT runs against the exact row scan.
 
 For each seed, labels and featurizes a planted corpus and trains the
-default 100-tree model on all its node rows.  Every leaf the trainer
-searches is scanned again over its own rows, sorted by each column, for the
-best exact greedy split, with extended-precision running sums.  The
-histogram search must find that best gain, its threshold must split the
-leaf's rows into two legal sides, and the leaf's rows on either side must
-give the gain it reported.  A gain is the left and right sides' G**2 / H
-less the leaf's, so "equal" allows 1e-9 of the sum of those three terms of
-the best split.  A search whose reported
-and best gains are both at or below the trainer's noise floor
-(``_MIN_RELATIVE_GAIN * G**2 / H``) is rounding noise on both sides and
-passes.  Exits 1 on any other mismatch.
+default 100-tree model on all its node rows.  The trainer grows its trees
+on the distinct feature rows, each weighted by its count.  Every leaf it
+searches is scanned again over its own distinct rows, sorted by each
+column, for the best exact greedy split, with extended-precision running
+sums of gradient, hessian and weight; a side is legal if its weight, the
+training rows it holds, reaches ``min_samples_leaf``.  The histogram search
+must find that best gain, its threshold must split the leaf's rows into two
+legal sides, and the leaf's rows on either side must give the gain it
+reported.  A gain is the left and right sides' G**2 / H less the leaf's, so
+"equal" allows 1e-9 of the sum of those three terms of the best split.  A
+search whose reported and best gains are both at or below the trainer's
+noise floor (``_MIN_RELATIVE_GAIN * G**2 / H``) is rounding noise on both
+sides and passes.  Exits 1 on any other mismatch.
 
     python3 scripts/check_splits.py [--pairs 2000] [--seeds 0 2]
 """
@@ -38,28 +40,28 @@ def terms(gl, hl, G, H):
     return gl**2 / (hl + EPS), (G - gl) ** 2 / (H - hl + EPS), G**2 / (H + EPS)
 
 
-def split_gain(g, h, left, side):
+def split_gain(g, h, w, left, side):
     """Gain of sending the rows in ``left`` left, or None if a side is short."""
-    n_left = int(left.sum())
-    if n_left < side or g.size - n_left < side:
+    n_left = w[left].sum()
+    if n_left < side or w.sum() - n_left < side:
         return None
     left_obj, right_obj, leaf_obj = terms(g[left].sum(), h[left].sum(), g.sum(), h.sum())
     return left_obj + right_obj - leaf_obj
 
 
-def exact_best(values, g, h, side):
+def exact_best(values, g, h, w, side):
     """(gain, scale) of the best split over every threshold between adjacent
     distinct values of each column, scanning the rows in sorted order with
-    running sums added in extended precision.  scale is the sum of the
-    split's three terms, which bounds its rounding error; (-inf, 0) if no
-    split is legal."""
-    n = g.size
+    running sums added in extended precision; row i counts as w[i] rows.
+    scale is the sum of the split's three terms, which bounds its rounding
+    error; (-inf, 0) if no split is legal."""
     order = np.argsort(values, axis=0, kind="stable")
     vals = np.take_along_axis(values, order, axis=0)
-    gl, hl = (np.cumsum(w.astype(np.longdouble)[order], axis=0).astype(np.float64)
-              for w in (g, h))
+    gl, hl, count = (np.cumsum(v.astype(np.longdouble)[order], axis=0).astype(np.float64)
+                     for v in (g, h, w))
     left_obj, right_obj, leaf_obj = terms(gl[:-1], hl[:-1], gl[-1, 0], hl[-1, 0])
-    count = np.arange(1, n)[:, None]
+    n = count[-1, 0]
+    count = count[:-1]
     legal = (vals[:-1] != vals[1:]) & (count >= side) & (n - count >= side)
     if not legal.any():
         return -np.inf, 0.0
@@ -75,34 +77,37 @@ def check_seed(seed: int, pairs: int) -> tuple[dict, list[str]]:
     y = np.array([nr.label for lq in labeled for nr in lq.node_records], dtype=np.float64)
     config = gbdt.GbdtConfig()
     side = max(config.min_samples_leaf, 1)
-    stats = {"rows": X.shape[0], "searches": 0, "none": 0, "both_noise": 0, "max_rel_diff": 0.0}
+    stats = {"rows": X.shape[0], "distinct": len({row.tobytes() for row in X}),
+             "searches": 0, "none": 0, "both_noise": 0, "max_rel_diff": 0.0}
     bad: list[str] = []
     state = {"tree": -1}
     grow, best_split = gbdt._grow_tree, gbdt._best_split
 
-    def traced_grow(X_, bins, grad, hess, config_):
-        state.update(tree=state["tree"] + 1, grad=grad, hess=hess, columns=bins.columns)
-        return grow(X_, bins, grad, hess, config_)
+    def traced_grow(distinct, bins, grad, hess, weight, config_):
+        state.update(tree=state["tree"] + 1, distinct=distinct, grad=grad, hess=hess, weight=weight,
+                     columns=bins.columns)
+        return grow(distinct, bins, grad, hess, weight, config_)
 
     def traced_best_split(leaf, hist, bins, min_samples_leaf):
         best_split(leaf, hist, bins, min_samples_leaf)
         rows = leaf.rows
-        if rows.size < 2 * min_samples_leaf:
+        g, h, w = state["grad"][rows], state["hess"][rows], state["weight"][rows]
+        if w.sum() < 2 * min_samples_leaf:
             return
-        g, h = state["grad"][rows], state["hess"][rows]
         stats["searches"] += 1
-        best, scale = exact_best(X[np.ix_(rows, state["columns"])], g, h, side)
+        distinct = state["distinct"]
+        best, scale = exact_best(distinct[np.ix_(rows, state["columns"])], g, h, w, side)
         floor = gbdt._MIN_RELATIVE_GAIN * leaf.grad_sum**2 / (leaf.hess_sum + EPS)
         if leaf.gain <= floor and best <= floor:
             stats["none" if best == -np.inf and leaf.feature < 0 else "both_noise"] += 1
             return
         own = None
         if leaf.feature >= 0:
-            own = split_gain(g, h, X[rows, leaf.feature] <= leaf.threshold, side)
+            own = split_gain(g, h, w, distinct[rows, leaf.feature] <= leaf.threshold, side)
         diff = abs(leaf.gain - best) / scale
         stats["max_rel_diff"] = max(stats["max_rel_diff"], diff)
         if own is None or diff > TOLERANCE or abs(own - leaf.gain) > TOLERANCE * scale:
-            bad.append(f"seed {seed} tree {state['tree']}, leaf of {rows.size} rows: "
+            bad.append(f"seed {seed} tree {state['tree']}, leaf of {w.sum():g} rows: "
                        f"x[{leaf.feature}] <= {leaf.threshold} reports {leaf.gain!r}, "
                        f"its rows give {own!r}, exact best {best!r}")
 
@@ -122,7 +127,8 @@ def main(argv=None) -> int:
     failed = 0
     for seed in args.seeds:
         stats, bad = check_seed(seed, args.pairs)
-        print(f"seed {seed}: {stats['rows']} rows, {stats['searches']} leaf searches, "
+        print(f"seed {seed}: {stats['rows']} rows ({stats['distinct']} distinct), "
+              f"{stats['searches']} leaf searches, "
               f"{stats['none']} with no legal split, {stats['both_noise']} noise on both sides, "
               f"largest difference {stats['max_rel_diff']:.2e} of the terms, "
               f"{len(bad)} mismatches")

@@ -3,19 +3,24 @@
 The ensemble is fit by logistic loss: the score starts at the log-odds
 of the training prevalence, and each round fits a regression tree to the
 negative gradients using second-order (gradient/hessian) leaf values,
-stepping by the learning rate.  Trees grow best-first up to a leaf
-budget.  Split search is still exact greedy, over cut histograms: a cut
-is the gap between two adjacent unique values of a column, and one
-``bincount`` per sum gives the gradient, hessian and row count right of
-every cut.  Each column's cuts form a Fenwick tree, so a row adds to at
-most log2(cuts) + 1 cells of the column, and a cut's sums add up as many.
-One pass over the flat cuts scores every split of the leaf, and the
+stepping by the learning rate.  A row's score depends only on its
+features, so the copies of a row share their gradient and hessian in
+every round: training runs on the distinct feature rows, each weighted by
+its count, with its gradient and hessian summed over its copies.  Trees
+grow best-first up to a leaf budget, and ``min_samples_leaf`` counts
+training rows, copies included.  Split search is still exact greedy, over
+cut histograms: a cut is the gap between two adjacent unique values of a
+column, and one ``bincount`` gives the gradient, hessian and row count
+right of every cut.  Each column's cuts form a Fenwick tree, so a row adds
+to at most log2(cuts) + 1 cells of the column, and a cut's sums add up as
+many.  One pass over the flat cuts scores every split of the leaf, and the
 threshold is the midpoint of the values present in the leaf on either
-side of the winning cut, as in a scan over the sorted rows.  The highest
-gain wins; only bit-identical gains tie, and a tie goes to the lowest
-feature index, then the lowest threshold.  Columns that split a leaf
-alike sum their gradients in different orders, so their gains can differ
-in the last bits, and then the larger one wins.  A leaf splits only on a
+side of the winning cut, as in a scan over the sorted rows.  The winning
+cut's sums are the right child's, and the leaf's less them the left's.
+The highest gain wins; only bit-identical gains tie, and a tie goes to the
+lowest feature index, then the lowest threshold.  Columns that split a
+leaf alike sum their gradients in different orders, so their gains can
+differ in the last bits, and then the larger one wins.  A leaf splits only on a
 gain above a fixed share of its own G^2/H, which rounding noise stays far
 below.  Training uses no randomness: identical records and config
 reproduce the model bit for bit.
@@ -76,6 +81,8 @@ class GbdtConfig:
             raise ValueError("learning_rate must be in (0, 1]")
         if self.max_leaves < 2:
             raise ValueError("max_leaves must be >= 2")
+        if self.min_samples_leaf < 0:
+            raise ValueError("min_samples_leaf must be >= 0")
 
 
 @dataclass
@@ -315,13 +322,15 @@ def _log_loss(y: np.ndarray, score: np.ndarray) -> float:
 
 @dataclass
 class _Leaf:
-    rows: np.ndarray  # sorted indices of the leaf's training rows
+    rows: np.ndarray  # sorted indices of the leaf's distinct training rows
     grad_sum: float
     hess_sum: float
+    count: float  # training rows: the weights of its distinct rows summed
     # populated by _best_split
     gain: float = -1.0
     feature: int = -1
     threshold: float = 0.0
+    right_sums: list[float] | None = None  # the split's right side: gradient, hessian, weight
     # (3, cells) cut histogram, kept while the leaf may still be split
     hist: np.ndarray | None = None
 
@@ -345,7 +354,9 @@ class _Bins:
     values: list[np.ndarray]  # each binned column's sorted unique values
     starts: np.ndarray  # each binned column's first cut, then the cut count
     cut_column: list[int]  # each cut's binned column
-    codes: np.ndarray  # (rows, width): each row's node cells, then the sink
+    # (rows, 3 * width): each row's node cells, then the sink, three times,
+    # the k-th copy offset by k * size, for the gradient, hessian and weight
+    codes: np.ndarray
     index: np.ndarray  # (L, cuts): each cut's node cells by level, then the zero cell
     size: int  # node cells, the sink and the zero cell
 
@@ -388,22 +399,23 @@ def _bin_columns(X: np.ndarray) -> _Bins:
         left += level
     codes.sort(axis=1)
     width = int((codes < sink).sum(axis=1).max(initial=0))
-    # intp, not int32: bincount would convert int32 codes on every call
     cut_column = np.repeat(np.arange(columns.size), np.diff(starts)).tolist()
+    size = sink + 2
+    # intp, not int32: bincount would convert int32 codes on every call
+    codes = codes[:, :width].astype(np.intp)
     return _Bins(columns=columns, values=values, starts=starts, cut_column=cut_column,
-                 codes=codes[:, :width].astype(np.intp), index=index, size=sink + 2)
+                 codes=np.concatenate([codes, codes + size, codes + 2 * size], axis=1),
+                 index=index, size=size)
 
 
-def _histogram(bins: _Bins, rows: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """(3, cells) sums of gradient, hessian and row count of the given rows
-    in each node cell; the sink takes the padding, the zero cell nothing."""
+def _histogram(bins: _Bins, rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """(3, cells) sums of gradient, hessian and weight (row count) of the
+    given rows in each node cell, from ``sums``, one (gradient, hessian,
+    weight) row per training row, in one ``bincount``; the sink takes the
+    padding, the zero cell nothing."""
     cells = bins.codes.take(rows, axis=0).ravel()
-    width = bins.codes.shape[1]
-    hist = np.empty((3, bins.size))
-    hist[0] = np.bincount(cells, weights=grad.take(rows).repeat(width), minlength=bins.size)
-    hist[1] = np.bincount(cells, weights=hess.take(rows).repeat(width), minlength=bins.size)
-    hist[2] = np.bincount(cells, minlength=bins.size)
-    return hist
+    per_cell = sums.take(rows, axis=0).repeat(bins.codes.shape[1] // 3, axis=1).ravel()
+    return np.bincount(cells, weights=per_cell, minlength=3 * bins.size).reshape(3, bins.size)
 
 
 def _best_split(leaf: _Leaf, hist: np.ndarray, bins: _Bins, min_samples_leaf: int):
@@ -414,9 +426,10 @@ def _best_split(leaf: _Leaf, hist: np.ndarray, bins: _Bins, min_samples_leaf: in
     lowest feature index, then the lowest threshold.  Columns that split
     the leaf alike sum their gradients in different orders, so their gains
     can differ in the last bits, and then the larger one wins."""
-    n_rows = leaf.rows.size
+    n_rows = leaf.count
     leaf.gain = -1.0
-    if n_rows < 2 * min_samples_leaf or bins.index.size == 0:
+    # one distinct row has no cut with rows on both sides
+    if n_rows < 2 * min_samples_leaf or leaf.rows.size < 2 or bins.index.size == 0:
         return
     right_sums = hist.take(bins.index, axis=1).sum(axis=1)
     gr, hr, cr = right_sums[0], right_sums[1], right_sums[2]
@@ -447,6 +460,7 @@ def _best_split(leaf: _Leaf, hist: np.ndarray, bins: _Bins, min_samples_leaf: in
     leaf.gain = float(gains[cut])
     leaf.feature = int(bins.columns[k])
     leaf.threshold = float((vals[below] + vals[above]) / 2.0)
+    leaf.right_sums = right_sums[:, cut].tolist()
 
 
 def _grow_tree(
@@ -454,10 +468,13 @@ def _grow_tree(
     bins: _Bins,
     grad: np.ndarray,
     hess: np.ndarray,
+    weight: np.ndarray,
     config: GbdtConfig,
 ) -> tuple[Tree, np.ndarray]:
-    """Grow one tree best-first; also return each training row's leaf value."""
+    """Grow one tree best-first on the distinct rows X, each standing for
+    ``weight`` training rows; also return each distinct row's leaf value."""
     min_leaf = config.min_samples_leaf
+    sums = np.stack((grad, hess, weight), axis=1)
 
     def search(leaf: _Leaf, hist: np.ndarray):
         _best_split(leaf, hist, bins, min_leaf)
@@ -466,8 +483,9 @@ def _grow_tree(
             leaf.hist = hist
 
     root_rows = np.arange(X.shape[0])
-    root = _Leaf(rows=root_rows, grad_sum=float(grad.sum()), hess_sum=float(hess.sum()))
-    search(root, _histogram(bins, root_rows, grad, hess))
+    root = _Leaf(rows=root_rows, grad_sum=float(grad.sum()), hess_sum=float(hess.sum()),
+                 count=float(weight.sum()))
+    search(root, _histogram(bins, root_rows, sums))
     nodes = [root]  # by node id; a split node keeps its rows and sums
     left_child = [-1]  # by node id; the right child is the next node
     # deterministic best-first: highest gain, node id breaks ties
@@ -479,16 +497,17 @@ def _grow_tree(
         go_left = X[:, leaf.feature].take(leaf.rows) <= leaf.threshold
         left_rows = leaf.rows.compress(go_left)
         right_rows = leaf.rows.compress(~go_left)
-        gl = float(grad.take(left_rows).sum())
-        hl = float(hess.take(left_rows).sum())
-        left_leaf = _Leaf(rows=left_rows, grad_sum=gl, hess_sum=hl)
-        right_leaf = _Leaf(rows=right_rows, grad_sum=leaf.grad_sum - gl, hess_sum=leaf.hess_sum - hl)
+        gr, hr, cr = leaf.right_sums
+        left_leaf = _Leaf(rows=left_rows, grad_sum=leaf.grad_sum - gr,
+                          hess_sum=leaf.hess_sum - hr, count=leaf.count - cr)
+        right_leaf = _Leaf(rows=right_rows, grad_sum=gr, hess_sum=hr, count=cr)
+        # the child of fewer distinct rows gets its own histogram
         small, large = left_leaf, right_leaf
         if right_rows.size < left_rows.size:
             small, large = right_leaf, left_leaf
         # else neither child can split, or the tree is full once they exist
-        if large.rows.size >= 2 * min_leaf and n_leaves + 1 < config.max_leaves:
-            small_hist = _histogram(bins, small.rows, grad, hess)
+        if max(left_leaf.count, cr) >= 2 * min_leaf and n_leaves + 1 < config.max_leaves:
+            small_hist = _histogram(bins, small.rows, sums)
             search(small, small_hist)
             search(large, leaf.hist - small_hist)
         leaf.hist = None
@@ -528,24 +547,33 @@ def train_matrix(X: np.ndarray, y: np.ndarray, config: GbdtConfig | None = None)
     prevalence = float(y.mean())
     clipped = min(max(prevalence, _PREVALENCE_CLIP), 1.0 - _PREVALENCE_CLIP)
     base = float(np.log(clipped / (1.0 - clipped)))
-    score = np.full(y.shape, base, dtype=np.float64)
+    # Each row's index among the distinct rows, numbered in order of first
+    # appearance; the dict's keys, in that order, are the distinct rows.
+    ids: dict[bytes, int] = {}
+    inverse = np.fromiter((ids.setdefault(row.tobytes(), len(ids)) for row in X),
+                          dtype=np.intp, count=X.shape[0])
+    distinct = np.frombuffer(b"".join(ids), dtype=np.float64).reshape(len(ids), X.shape[1])
+    weight = np.bincount(inverse, minlength=len(ids)).astype(np.float64)
+    positives = np.bincount(inverse, weights=y, minlength=len(ids))
+    score = np.full(len(ids), base, dtype=np.float64)
     trees: list[Tree] = []
-    loss_curve = [_log_loss(y, score)]
+    # the loss over every training row, not over the distinct ones
+    loss_curve = [_log_loss(y, score[inverse])]
     if prevalence in (0.0, 1.0):
         warnings.warn(
             "all training labels identical; returning a constant model",
             DegenerateLabels,
         )
     else:
-        bins = _bin_columns(X)
+        bins = _bin_columns(distinct)
         for _ in range(config.n_trees):
             p = _sigmoid(score)
-            grad = p - y
-            hess = np.maximum(p * (1.0 - p), _EPS_HESSIAN)
-            tree, row_value = _grow_tree(X, bins, grad, hess, config)
+            grad = weight * p - positives
+            hess = weight * np.maximum(p * (1.0 - p), _EPS_HESSIAN)
+            tree, row_value = _grow_tree(distinct, bins, grad, hess, weight, config)
             score += config.learning_rate * row_value
             trees.append(tree)
-            loss_curve.append(_log_loss(y, score))
+            loss_curve.append(_log_loss(y, score[inverse]))
     return GbdtModel(
         config=config,
         base_score=base,

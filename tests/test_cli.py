@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from sqluq.cli import main
+from sqluq.cli import EXIT_VALIDATION, main
 from sqluq.featurizer import MANIFEST
 from sqluq.pipeline import load_dataset
 
@@ -228,6 +228,19 @@ def test_train_writes_model(runner, workspace):
     model_doc = json.loads((out / "model.json").read_text())
     assert model_doc["format"] == "sqluq-gbdt-model"
     assert model_doc["config"]["n_trees"] == 4
+
+
+@pytest.mark.parametrize("option", [["--max-leaves", "1"], ["--min-samples-leaf", "-1"]])
+def test_train_rejects_an_invalid_config(runner, workspace, option):
+    tmp_path, dataset, schemas = workspace
+    out = tmp_path / "trained"
+    result = runner.invoke(
+        main,
+        ["train", "--dataset", str(dataset), "--schemas", str(schemas), "--out", str(out),
+         *option],
+    )
+    assert result.exit_code == EXIT_VALIDATION, result.output
+    assert "error:" in result.output and not out.exists()
 
 
 def _write_model(path, manifest_hash, feature_count, trees=(), **config_extra):

@@ -20,6 +20,7 @@ from sqluq.gbdt import (
     _bin_columns,
     _histogram,
     _Leaf,
+    _log_loss,
     _sigmoid,
     eval_by_kind,
     predict_proba,
@@ -50,7 +51,8 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"n_trees": 0}, {"learning_rate": 0.0}, {"learning_rate": 1.5}, {"max_leaves": 1}],
+        [{"n_trees": 0}, {"learning_rate": 0.0}, {"learning_rate": 1.5}, {"max_leaves": 1},
+         {"min_samples_leaf": -1}],
     )
     def test_invariants_enforced(self, kwargs):
         with pytest.raises(ValueError):
@@ -118,6 +120,50 @@ class TestTraining:
         base = roc_auc(scores, labels)
         assert roc_auc(3.0 * scores + 7.0, labels) == pytest.approx(base, abs=1e-15)
         assert roc_auc(np.tanh(scores), labels) == pytest.approx(base, abs=1e-15)
+
+
+class TestDistinctRows:
+    """Training runs on the distinct feature rows, weighted by their counts."""
+
+    def _data(self):
+        rng = np.random.RandomState(17)
+        X = rng.randint(0, 6, size=(400, 4)).astype(float)
+        y = (X[:, 0] + X[:, 2] + 2.0 * rng.rand(400) > 5.5).astype(float)
+        return X, y
+
+    def test_repeated_rows_train_the_same_model(self):
+        X, y = self._data()
+        order = np.random.RandomState(18).permutation(3 * X.shape[0])
+        X3, y3 = np.tile(X, (3, 1))[order], np.tile(y, 3)[order]
+        for trees, leaves, min_leaf in ((30, 31, 5), (20, 8, 1)):
+            model = train_matrix(X, y, GbdtConfig(n_trees=trees, learning_rate=0.2,
+                                                  max_leaves=leaves, min_samples_leaf=min_leaf))
+            tripled = train_matrix(X3, y3, GbdtConfig(n_trees=trees, learning_rate=0.2,
+                                                      max_leaves=leaves,
+                                                      min_samples_leaf=3 * min_leaf))
+            assert len(model.trees[0].feature) > 1
+            np.testing.assert_allclose(tripled.decision_function(X), model.decision_function(X),
+                                       rtol=0, atol=1e-9)
+
+    def test_loss_curve_covers_every_training_row(self):
+        X, y = self._data()
+        model = train_matrix(X, y, GbdtConfig(n_trees=15, learning_rate=0.2, min_samples_leaf=5))
+        assert model.train_loss_curve[-1] == _log_loss(y, model.decision_function(X))
+
+    @pytest.mark.parametrize("copies, splits_off", [(20, True), (9, False)])
+    def test_min_samples_leaf_counts_rows_not_distinct_rows(self, copies, splits_off):
+        # x0 = 0 is one distinct row, all positive; x0 in 1-4 are many
+        # distinct rows, all negative; x1 does not tell them apart
+        rng = np.random.RandomState(19)
+        lone = np.tile([0.0, 0.5], (copies, 1))
+        rest = np.stack([rng.randint(1, 5, 200), rng.rand(200)], axis=1)
+        X = np.concatenate([rest[:100], lone, rest[100:]])
+        y = (X[:, 0] == 0).astype(float)
+        tree = train_matrix(X, y, GbdtConfig(n_trees=1, min_samples_leaf=10)).trees[0]
+        split_off = (tree.feature[0], tree.threshold[0]) == (0, 0.5)
+        assert split_off == splits_off
+        if splits_off:  # and the lone row's copies are a leaf of their own
+            assert tree.left[tree.left[0]] == -1
 
 
 class TestPredict:
@@ -260,13 +306,14 @@ class TestEvalByKind:
         assert "n/a" in render_eval_table(list(rows.values()))
 
 
-def exact_greedy_candidates(X, grad, hess, rows, min_samples_leaf):
+def exact_greedy_candidates(X, grad, hess, weight, rows, min_samples_leaf):
     """Every legal split of the leaf ``rows`` (a bool mask) with its gain,
     by the exact greedy scan over rows in feature-sorted order that the
-    histogram search replaced: {(feature, threshold): gain}."""
+    histogram search replaced, each row counting as ``weight`` rows:
+    {(feature, threshold): gain}."""
     eps = 1e-16
     sorted_idx = np.argsort(X, axis=0, kind="stable")
-    n_rows = int(rows.sum())
+    n_rows = float(weight[rows].sum())
     if n_rows < 2 * min_samples_leaf:
         return {}
     grad_sum = float(grad[rows].sum())
@@ -279,8 +326,9 @@ def exact_greedy_candidates(X, grad, hess, rows, min_samples_leaf):
         vals = X[sel, j]
         g_cum = np.cumsum(grad[sel])
         h_cum = np.cumsum(hess[sel])
+        c_cum = np.cumsum(weight[sel])
         for b in np.nonzero(vals[:-1] != vals[1:])[0]:
-            count = b + 1
+            count = c_cum[b]
             if count < min_samples_leaf or n_rows - count < min_samples_leaf:
                 continue
             gl, hl = g_cum[b], h_cum[b]
@@ -290,22 +338,24 @@ def exact_greedy_candidates(X, grad, hess, rows, min_samples_leaf):
     return found
 
 
-def histogram_split(X, grad, hess, idx, min_samples_leaf, subtract=False, rng=None):
+def histogram_split(X, grad, hess, weight, idx, min_samples_leaf, subtract=False, rng=None):
     """(gain, feature, threshold) of the histogram search on leaf rows idx.
     With subtract, the leaf's histogram comes down a chain of nested row
     sets from all rows, each one's the previous one's minus the rest's, as
     a leaf's larger child gets it in training."""
     bins = _bin_columns(X)
+    sums = np.stack((grad, hess, weight), axis=1)
     if subtract:
         rows = np.arange(X.shape[0])
-        hist = _histogram(bins, rows, grad, hess)
+        hist = _histogram(bins, rows, sums)
         while rows.size > idx.size:
             keep = np.union1d(idx, rows[rng.rand(rows.size) < 0.7])
-            hist = hist - _histogram(bins, np.setdiff1d(rows, keep), grad, hess)
+            hist = hist - _histogram(bins, np.setdiff1d(rows, keep), sums)
             rows = keep
     else:
-        hist = _histogram(bins, idx, grad, hess)
-    leaf = _Leaf(rows=idx, grad_sum=float(grad[idx].sum()), hess_sum=float(hess[idx].sum()))
+        hist = _histogram(bins, idx, sums)
+    leaf = _Leaf(rows=idx, grad_sum=float(grad[idx].sum()), hess_sum=float(hess[idx].sum()),
+                 count=float(weight[idx].sum()))
     _best_split(leaf, hist, bins, min_samples_leaf)
     return leaf.gain, leaf.feature, leaf.threshold
 
@@ -317,16 +367,18 @@ class TestSplitSearch:
         for case in range(300):
             n = rng.randint(2, 60)
             X = rng.randint(0, rng.randint(1, 6), size=(n, rng.randint(1, 6))).astype(float)
-            grad = rng.randn(n)
-            hess = rng.uniform(0.05, 0.25, n)
+            # each row stands for weight training rows, as a distinct row does
+            weight = rng.randint(1, 5, n).astype(float)
+            grad = weight * rng.randn(n)
+            hess = weight * rng.uniform(0.05, 0.25, n)
             mask = rng.rand(n) < rng.uniform(0.3, 1.0)
             mask[rng.randint(n)] = True
             idx = np.flatnonzero(mask)
-            min_samples_leaf = rng.randint(0, 6)
-            found = exact_greedy_candidates(X, grad, hess, mask, min_samples_leaf)
+            min_samples_leaf = rng.randint(0, 12)
+            found = exact_greedy_candidates(X, grad, hess, weight, mask, min_samples_leaf)
             for subtract in (False, True):
                 gain, feature, threshold = histogram_split(
-                    X, grad, hess, idx, min_samples_leaf, subtract, rng
+                    X, grad, hess, weight, idx, min_samples_leaf, subtract, rng
                 )
                 if not found:
                     assert gain == -1.0, case
@@ -364,11 +416,12 @@ class TestSplitSearch:
             mask = rng.rand(n) < rng.uniform(0.3, 1.0)
             idx = np.flatnonzero(mask)
             min_samples_leaf = rng.randint(1, 10)
-            found = exact_greedy_candidates(X, grad, hess, mask, min_samples_leaf)
+            weight = np.ones(n)
+            found = exact_greedy_candidates(X, grad, hess, weight, mask, min_samples_leaf)
             best = max(found, key=found.get)
             for subtract in (False, True):
                 gain, feature, threshold = histogram_split(
-                    X, grad, hess, idx, min_samples_leaf, subtract, rng
+                    X, grad, hess, weight, idx, min_samples_leaf, subtract, rng
                 )
                 assert (feature, threshold) == best, case
                 assert gain == pytest.approx(found[best], rel=1e-9)
@@ -383,7 +436,7 @@ class TestSplitSearch:
             hess = rng.uniform(0.05, 0.25, 120)
             for subtract in (False, True):
                 gain, feature, threshold = histogram_split(
-                    X, grad, hess, idx, 1, subtract, rng
+                    X, grad, hess, np.ones(120), idx, 1, subtract, rng
                 )
                 assert (feature, threshold) == (0, 1.0)
                 assert gain > 0

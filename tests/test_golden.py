@@ -33,8 +33,8 @@ PLANTED_FEATURES_SHA256 = "dff240cc1466549ae580df778317fd050d3967d1b8f4409e35fad
 SCOPED_SHAPES_SHA256 = "a1231139fa40ecdb3025b107ffb801a645f4d492f6a843186cd464e9ee7a45b0"
 PARSE_SHA256 = "000a3286e5ba019c2fed660d237643b51d42a395b05c11e3ec24f2bddadac982"
 TOKEN_SHA256 = "ead5175f670aecb2d5e522e150b4cc4e1fdd1b5191217fb0c562a9e0827aa222"
-MODEL_SHA256 = "cdccbd86affce016276f97bc185202d1b88eaf148d01b1dabf70eeed4f0dfaa3"
-DECISION_SHA256 = "5105cc7675e002328fe7c4a9fcc01ea3662f9cf4b0137399a47e68787c725a65"
+MODEL_SHA256 = "9c03408d2ffc18046ed567a4734dab907ee29803fc13927b38b40a33eb54735b"
+DECISION_SHA256 = "c8ffa3dded20693dd2509d513969349d9a3087b2e65e30b4de441915c5d29220"
 
 # (generated, gold) pairs with aliases, joins, IN subqueries and correlated
 # references: shapes the planted corpus never produces.
