@@ -85,19 +85,11 @@ class GbdtConfig:
             raise ValueError("min_samples_leaf must be >= 0")
 
 
-@dataclass
-class Tree:
-    """Flat arrays: internal nodes carry (feature, threshold, children),
-    leaves carry values. left/right of -1 marks a leaf."""
+# A tree is held as the model file holds it: an object of these five
+# lists, indexed by node id (see README, "Model file").
+_TREE_KEYS = ("feature", "left", "right", "threshold", "value")
 
-    feature: list[int]
-    threshold: list[float]
-    left: list[int]
-    right: list[int]
-    value: list[float]
-
-
-# Cells of the (rows, nodes, words) mask array scored in one block.
+# Cells of the (rows, nodes, words) bit array scored in one block.
 _SCORE_BLOCK_CELLS = 1 << 16
 _WORD_BITS = 64
 # _LOW_BITS[k] has the low k bits of a word set
@@ -109,19 +101,17 @@ class _Ensemble:
     """Every tree of a model as QuickScorer arrays (Lucchese et al., SIGIR
     2015).  Each tree's leaves are numbered left to right; bit ``b`` of
     word ``w`` stands for leaf ``64 * w + b``.  An internal node's clear
-    bits are the leaves of its left subtree, and its mask is their
-    complement; ORing the clear bits of the nodes a row goes right at
-    leaves its exit leaf as the lowest bit still clear.  Each tree's run
-    of nodes starts with a pad node that clears nothing, so no run is
-    empty.  The nodes of all trees index one table of their distinct
-    (feature, threshold) conditions, so a row is compared once per
-    condition, not once per node."""
+    bits are the leaves of its left subtree; ORing the clear bits of the
+    nodes a row goes right at leaves its exit leaf as the lowest bit still
+    clear.  Each tree's run of nodes starts with a pad node that clears
+    nothing, so no run is empty.  The nodes of all trees index one table
+    of their distinct (feature, threshold) conditions, so a row is
+    compared once per condition, not once per node."""
 
     cond_feature: np.ndarray  # split column of each distinct condition
     cond_threshold: np.ndarray
     cond: np.ndarray  # each node's condition, pads included
-    mask: np.ndarray  # (nodes, words) uint64
-    clear: np.ndarray  # ~mask: the leaves a right turn at the node rules out
+    clear: np.ndarray  # (nodes, words) uint64: the leaves a right turn at the node rules out
     starts: np.ndarray  # first node of each tree
     leaf_start: np.ndarray  # first leaf of each tree in ``value``
     value: np.ndarray  # leaf value times the learning rate, left to right
@@ -154,25 +144,29 @@ def _node_array(values, kinds: str, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def _pack(trees: list[Tree], feature_count: int, learning_rate: float) -> _Ensemble:
+def _pack(trees: list[dict], feature_count: int, learning_rate: float) -> _Ensemble:
     """Lay the trees out for scoring.  Raises ValueError for a tree that is
     not a well-formed binary tree over ``feature_count`` features."""
     if not isinstance(feature_count, int) or feature_count < 0:
         raise ValueError(f"feature_count must be a non-negative integer, got {feature_count!r}")
+    if not isinstance(trees, list):
+        raise ValueError("trees must be a list")
     # per tree: a pad node, then the internal nodes; a node's left subtree
     # holds its leaves [lo, hi), none for the pad
     features, thresholds, lo, hi = [], [], [], []
     starts, leaf_start, values = [], [], [np.zeros(0)]
     n_nodes = n_leaves = 0
     for k, tree in enumerate(trees):
-        n = len(tree.feature)
+        if not isinstance(tree, dict) or tree.keys() != set(_TREE_KEYS):
+            raise ValueError(f"tree {k} must be an object of the lists {', '.join(_TREE_KEYS)}")
+        n = len(tree["feature"])
         if n == 0:
             raise ValueError(f"tree {k} has no nodes")
-        feature = _node_array(tree.feature, "i", n, f"tree {k} feature")
-        threshold = _node_array(tree.threshold, "if", n, f"tree {k} threshold")
-        left = _node_array(tree.left, "i", n, f"tree {k} left")
-        right = _node_array(tree.right, "i", n, f"tree {k} right")
-        value = _node_array(tree.value, "if", n, f"tree {k} value")
+        feature = _node_array(tree["feature"], "i", n, f"tree {k} feature")
+        threshold = _node_array(tree["threshold"], "if", n, f"tree {k} threshold")
+        left = _node_array(tree["left"], "i", n, f"tree {k} left")
+        right = _node_array(tree["right"], "i", n, f"tree {k} right")
+        value = _node_array(tree["value"], "if", n, f"tree {k} value")
         ids = np.arange(n)
         leaf = (left == -1) & (right == -1)
         if not np.all(leaf | (ids < left) & (left < n) & (ids < right) & (right < n)):
@@ -197,6 +191,8 @@ def _pack(trees: list[Tree], feature_count: int, learning_rate: float) -> _Ensem
             else:
                 inner.append(i)
                 stack += (right_of[i], left_of[i])
+        if len(inner) + len(leaves) < n:
+            raise ValueError(f"tree {k}: a node is not reachable from the root")
         first = np.array(first)
         starts.append(n_nodes)
         features += [0, *feature[inner].tolist()]
@@ -220,7 +216,6 @@ def _pack(trees: list[Tree], feature_count: int, learning_rate: float) -> _Ensem
         cond_feature=np.array([f for f, _ in conds], dtype=np.intp),
         cond_threshold=np.array([t for _, t in conds], dtype=np.float64),
         cond=np.array(cond, dtype=np.intp),
-        mask=~clear,
         clear=clear,
         starts=np.array(starts, dtype=np.intp),
         leaf_start=np.array(leaf_start, dtype=np.intp),
@@ -233,7 +228,7 @@ def _pack(trees: list[Tree], feature_count: int, learning_rate: float) -> _Ensem
 class GbdtModel:
     config: GbdtConfig
     base_score: float
-    trees: list[Tree]
+    trees: list[dict]  # as the model file holds them
     manifest_hash: str
     feature_count: int
     train_loss_curve: list[float] = field(default_factory=list)
@@ -264,16 +259,7 @@ class GbdtModel:
             "manifest_hash": self.manifest_hash,
             "feature_count": self.feature_count,
             "train_loss_curve": self.train_loss_curve,
-            "trees": [
-                {
-                    "feature": t.feature,
-                    "threshold": t.threshold,
-                    "left": t.left,
-                    "right": t.right,
-                    "value": t.value,
-                }
-                for t in self.trees
-            ],
+            "trees": self.trees,
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -289,16 +275,16 @@ class GbdtModel:
             return cls(
                 config=GbdtConfig(**doc["config"]),
                 base_score=doc["base_score"],
-                trees=[Tree(**t) for t in doc["trees"]],
+                trees=doc["trees"],
                 manifest_hash=doc["manifest_hash"],
                 feature_count=doc["feature_count"],
                 train_loss_curve=doc.get("train_loss_curve", []),
             )
         except (KeyError, TypeError) as exc:
-            # a missing field, or a config/tree key this version lacks
+            # a missing field, a config key this version lacks, or a wrong type
             raise ValueError(f"malformed model file: {exc!r}") from exc
         except ValueError as exc:
-            # an invalid config value or tree structure
+            # an invalid config value, or a tree's keys or structure
             raise ValueError(f"malformed model file: {exc}") from exc
 
     @classmethod
@@ -470,7 +456,7 @@ def _grow_tree(
     hess: np.ndarray,
     weight: np.ndarray,
     config: GbdtConfig,
-) -> tuple[Tree, np.ndarray]:
+) -> tuple[dict, np.ndarray]:
     """Grow one tree best-first on the distinct rows X, each standing for
     ``weight`` training rows; also return each distinct row's leaf value."""
     min_leaf = config.min_samples_leaf
@@ -518,20 +504,20 @@ def _grow_tree(
             nodes.append(child)
             left_child.append(-1)
         n_leaves += 1
-    tree = Tree(feature=[], threshold=[], left=left_child, right=[], value=[])
+    tree = dict(feature=[], left=left_child, right=[], threshold=[], value=[])
     row_value = np.empty(X.shape[0], dtype=np.float64)
     for node, left in zip(nodes, left_child):
         if left < 0:
-            tree.feature.append(-1)
-            tree.threshold.append(0.0)
-            tree.right.append(-1)
-            tree.value.append(_leaf_value(node.grad_sum, node.hess_sum))
-            row_value[node.rows] = tree.value[-1]
+            tree["feature"].append(-1)
+            tree["threshold"].append(0.0)
+            tree["right"].append(-1)
+            tree["value"].append(_leaf_value(node.grad_sum, node.hess_sum))
+            row_value[node.rows] = tree["value"][-1]
         else:
-            tree.feature.append(node.feature)
-            tree.threshold.append(node.threshold)
-            tree.right.append(left + 1)
-            tree.value.append(0.0)
+            tree["feature"].append(node.feature)
+            tree["threshold"].append(node.threshold)
+            tree["right"].append(left + 1)
+            tree["value"].append(0.0)
     return tree, row_value
 
 
@@ -556,7 +542,7 @@ def train_matrix(X: np.ndarray, y: np.ndarray, config: GbdtConfig | None = None)
     weight = np.bincount(inverse, minlength=len(ids)).astype(np.float64)
     positives = np.bincount(inverse, weights=y, minlength=len(ids))
     score = np.full(len(ids), base, dtype=np.float64)
-    trees: list[Tree] = []
+    trees: list[dict] = []
     # the loss over every training row, not over the distinct ones
     loss_curve = [_log_loss(y, score[inverse])]
     if prevalence in (0.0, 1.0):

@@ -64,6 +64,19 @@ class LoadResult:
     skipped: list[tuple[int, str]]  # (line number, reason)
 
 
+def _token_entry(item) -> tuple[int, int, float] | None:
+    """A token_logprobs entry as (start, end, logprob), or None unless it is
+    a list of two JSON integers and a JSON number.  A boolean is neither,
+    and an integer past the float range is no logprob."""
+    if not (isinstance(item, list) and len(item) == 3 and type(item[0]) is int
+            and type(item[1]) is int and type(item[2]) in (int, float)):
+        return None
+    try:
+        return item[0], item[1], float(item[2])
+    except OverflowError:
+        return None
+
+
 def load_dataset(path: str | Path) -> LoadResult:
     """Read a JSONL dataset, skipping and reporting malformed lines.
 
@@ -109,11 +122,11 @@ def load_dataset(path: str | Path) -> LoadResult:
                 spans = []
                 bad = None
                 for item in doc["token_logprobs"]:
-                    try:
-                        start, end, lp = int(item[0]), int(item[1]), float(item[2])
-                    except (TypeError, ValueError, LookupError, OverflowError):
+                    entry = _token_entry(item)
+                    if entry is None:
                         bad = "malformed token_logprobs entry"
                         break
+                    start, end, lp = entry
                     if not (0 <= start < end <= gen_len):
                         bad = f"token span ({start}, {end}) outside generated_sql"
                         break

@@ -57,3 +57,13 @@ def test_traced_labeling_reaches_every_layer(spans):
     assert names.count("labeler.label") == 1
     assert "ast_core.alias_map" in names
     assert "featurizer.featurize" in names
+
+
+def test_traced_training_counts_trees_and_rows(spans):
+    # perfbench reads a trained model's tree count as len(model.trees)
+    rows = [r for pair in build_planted_corpus(6, seed=0)
+            for r in pipeline.label_and_featurize(pair.record, SYNTH_SCHEMA).node_records]
+    with spans.Tracer().installed() as tracer:
+        gbdt.train(rows, gbdt.GbdtConfig(n_trees=3))
+    trains = [s for s in tracer.spans if s.name == "gbdt.train"]
+    assert [s.counts for s in trains] == [{"trees": 3, "rows": len(rows)}]

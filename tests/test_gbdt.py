@@ -14,7 +14,6 @@ from sqluq.gbdt import (
     GbdtModel,
     ManifestMismatch,
     SingleClass,
-    Tree,
     _SCORE_BLOCK_CELLS,
     _best_split,
     _bin_columns,
@@ -141,7 +140,7 @@ class TestDistinctRows:
             tripled = train_matrix(X3, y3, GbdtConfig(n_trees=trees, learning_rate=0.2,
                                                       max_leaves=leaves,
                                                       min_samples_leaf=3 * min_leaf))
-            assert len(model.trees[0].feature) > 1
+            assert len(model.trees[0]["feature"]) > 1
             np.testing.assert_allclose(tripled.decision_function(X), model.decision_function(X),
                                        rtol=0, atol=1e-9)
 
@@ -160,17 +159,15 @@ class TestDistinctRows:
         X = np.concatenate([rest[:100], lone, rest[100:]])
         y = (X[:, 0] == 0).astype(float)
         tree = train_matrix(X, y, GbdtConfig(n_trees=1, min_samples_leaf=10)).trees[0]
-        split_off = (tree.feature[0], tree.threshold[0]) == (0, 0.5)
+        split_off = (tree["feature"][0], tree["threshold"][0]) == (0, 0.5)
         assert split_off == splits_off
         if splits_off:  # and the lone row's copies are a leaf of their own
-            assert tree.left[tree.left[0]] == -1
+            assert tree["left"][tree["left"][0]] == -1
 
 
 class TestPredict:
     def test_hand_computed_tiny_model(self):
-        from sqluq.gbdt import Tree
-
-        tree = Tree(feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0],
+        tree = dict(feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0],
                     left=[1, -1, -1], right=[2, -1, -1], value=[0.0, -1.0, 2.0])
         config = GbdtConfig(n_trees=1, learning_rate=0.1)
         model = GbdtModel(config=config, base_score=0.3, trees=[tree],
@@ -447,7 +444,7 @@ class TestSplitSearch:
         X = np.stack([rng.randint(0, 2, 80), col, col], axis=1).astype(float)
         y = (col + rng.rand(80) > 2.0).astype(float)
         model = train_matrix(X, y, GbdtConfig(n_trees=10, min_samples_leaf=3))
-        used = {f for t in model.trees for f, l in zip(t.feature, t.left) if l != -1}
+        used = {f for t in model.trees for f, l in zip(t["feature"], t["left"]) if l != -1}
         assert 1 in used and 2 not in used
 
 
@@ -471,10 +468,10 @@ def traverse_oracle(model, X):
         out = np.empty(X.shape[0], dtype=np.float64)
         for r in range(X.shape[0]):
             i = 0
-            while tree.left[i] != -1:
-                go_left = X[r, tree.feature[i]] <= tree.threshold[i]
-                i = tree.left[i] if go_left else tree.right[i]
-            out[r] = tree.value[i]
+            while tree["left"][i] != -1:
+                go_left = X[r, tree["feature"][i]] <= tree["threshold"][i]
+                i = tree["left"][i] if go_left else tree["right"][i]
+            out[r] = tree["value"][i]
         score += model.config.learning_rate * out
     return score
 
@@ -506,7 +503,7 @@ class TestPackedEnsemble:
 
     def test_root_leaf_tree_and_zero_trees(self):
         _, _, X_new = self._data(n=40)
-        leaf = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[0.7])
+        leaf = dict(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[0.7])
         for trees in ([leaf, leaf], []):
             model = GbdtModel(config=GbdtConfig(), base_score=-0.3, trees=trees,
                               manifest_hash="h", feature_count=5)
@@ -528,9 +525,9 @@ class TestPackedEnsemble:
         model = train_matrix(X, y, GbdtConfig(n_trees=3, max_leaves=max_leaves,
                                               min_samples_leaf=1))
         packed = model._ensemble
-        assert max(len(t.feature) for t in model.trees) == 2 * max_leaves - 1
-        assert packed.mask.shape[1] == words
-        assert 1 <= packed.block_rows and packed.block_rows * packed.mask.size <= _SCORE_BLOCK_CELLS
+        assert max(len(t["feature"]) for t in model.trees) == 2 * max_leaves - 1
+        assert packed.clear.shape[1] == words
+        assert 1 <= packed.block_rows and packed.block_rows * packed.clear.size <= _SCORE_BLOCK_CELLS
         X_new = rng.randn(300, 6) * 2
         X_new[::7, rng.randint(0, 6)] = np.nan
         for data in (X, X_new, X_new[:1]):
@@ -539,7 +536,7 @@ class TestPackedEnsemble:
     def test_root_leaves_between_deep_trees(self):
         X, y, X_new = self._data()
         deep = train_matrix(X, y, GbdtConfig(n_trees=3, max_leaves=80, min_samples_leaf=1)).trees
-        leaf = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[-0.4])
+        leaf = dict(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[-0.4])
         model = GbdtModel(config=GbdtConfig(), base_score=0.2,
                           trees=[leaf, deep[0], leaf, leaf, deep[1], deep[2], leaf],
                           manifest_hash="h", feature_count=5)
@@ -581,24 +578,24 @@ def random_tree(rng, leaves, n_features, threshold):
         return i
 
     grow(leaves)
-    return Tree(feature=feature, threshold=thresholds, left=left, right=right, value=value)
+    return dict(feature=feature, threshold=thresholds, left=left, right=right, value=value)
 
 
 def hand_tree(spec):
     """A tree from nested ``(feature, threshold, left, right)`` tuples with
     leaf values at the bottom, numbered in preorder."""
-    tree = Tree(feature=[], threshold=[], left=[], right=[], value=[])
+    tree = dict(feature=[], threshold=[], left=[], right=[], value=[])
     stack = [(spec, None, None)]
     while stack:
         node, parent, side = stack.pop()
-        i = len(tree.feature)
+        i = len(tree["feature"])
         if parent is not None:
-            getattr(tree, side)[parent] = i
+            tree[side][parent] = i
         leaf = not isinstance(node, tuple)
-        tree.feature.append(-1 if leaf else node[0])
-        tree.threshold.append(0.0 if leaf else node[1])
-        tree.left.append(-1), tree.right.append(-1)
-        tree.value.append(float(node) if leaf else 0.0)
+        tree["feature"].append(-1 if leaf else node[0])
+        tree["threshold"].append(0.0 if leaf else node[1])
+        tree["left"].append(-1), tree["right"].append(-1)
+        tree["value"].append(float(node) if leaf else 0.0)
         if not leaf:
             stack += [(node[3], i, "right"), (node[2], i, "left")]
     return tree
@@ -645,7 +642,7 @@ class TestScoringDifferential:
         trees = [random_tree(rng, n, 5, lambda r: r.choice(grid)) for n in leaves]
         model = GbdtModel(config=GbdtConfig(learning_rate=0.2), base_score=-0.4, trees=trees,
                           manifest_hash="h", feature_count=5)
-        assert model._ensemble.mask.shape[1] == words
+        assert model._ensemble.clear.shape[1] == words
         assert_scores_match_oracle(model, scoring_rows(rng, 300, 5, grid))
 
     def test_one_condition_repeated_within_and_across_trees(self):
@@ -666,12 +663,21 @@ class TestScoringDifferential:
         assert_scores_match_oracle(model, X)
 
 
-def test_a_node_with_two_parents_is_rejected():
-    # children lie after their parent, yet node 3 is reachable twice
-    shared = Tree(feature=[0, 1, 1, -1, -1], threshold=[0.0] * 5,
-                  left=[1, 3, 3, -1, -1], right=[2, 4, 4, -1, -1], value=[0.0] * 5)
-    with pytest.raises(ValueError, match="two parents"):
-        GbdtModel(config=GbdtConfig(), base_score=0.0, trees=[shared],
+@pytest.mark.parametrize(
+    "tree, match",
+    [
+        # children lie after their parent, yet node 3 is reachable twice
+        (dict(feature=[0, 1, 1, -1, -1], threshold=[0.0] * 5, left=[1, 3, 3, -1, -1],
+              right=[2, 4, 4, -1, -1], value=[0.0] * 5), "two parents"),
+        # the root is a leaf, so nodes 1-3 hang from nothing
+        (dict(feature=[-1, 0, -1, -1], threshold=[0.0] * 4, left=[-1, 2, -1, -1],
+              right=[-1, 3, -1, -1], value=[0.0] * 4), "not reachable from the root"),
+    ],
+    ids=["two-parents", "orphans"],
+)
+def test_a_node_with_two_parents_is_rejected(tree, match):
+    with pytest.raises(ValueError, match=match):
+        GbdtModel(config=GbdtConfig(), base_score=0.0, trees=[tree],
                   manifest_hash="h", feature_count=2)
 
 
@@ -701,5 +707,28 @@ def test_from_json_rejects_malformed_tree(field, index, value):
         tree[field].pop()
     else:
         tree[field][index] = value
+    with pytest.raises(ValueError, match="malformed model file"):
+        GbdtModel.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "reshape",
+    [
+        lambda tree: {key: tree[key] for key in tree if key != "value"},
+        lambda tree: {**tree, "gain": [0.0] * len(tree["value"])},
+        lambda tree: list(tree.values()),
+    ],
+    ids=["missing-value", "extra-gain", "a-list"],
+)
+def test_from_json_rejects_a_tree_of_other_keys(reshape):
+    doc = _model_doc()
+    doc["trees"][1] = reshape(doc["trees"][1])
+    with pytest.raises(ValueError, match="malformed model file"):
+        GbdtModel.from_json(json.dumps(doc))
+
+
+def test_from_json_rejects_trees_that_are_not_a_list():
+    doc = _model_doc()
+    doc["trees"] = {}
     with pytest.raises(ValueError, match="malformed model file"):
         GbdtModel.from_json(json.dumps(doc))

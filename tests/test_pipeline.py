@@ -116,14 +116,18 @@ class TestLoadDataset:
         assert "positive token logprob" in result.skipped[0][1]
 
     def test_unreadable_span_bounds_are_malformed_entries(self, tmp_path):
-        lines = [
-            record_line("q1", token_logprobs=[[0, float("inf"), -0.5]]),
-            record_line("q2", token_logprobs=[{"start": 0}]),
+        entries = [
+            [0, float("inf"), -0.5],
+            {"start": 0},
+            [0.9, 6.7, -0.5],  # fractional bounds
+            [True, "6", "-0.5"],  # a boolean and strings
+            [0, 6, -0.5, "extra"],  # four items
         ]
+        lines = [record_line(f"q{i}", token_logprobs=[e]) for i, e in enumerate(entries)]
         result = load_dataset(write_lines(tmp_path / "d.jsonl", lines))
         assert not result.records
-        assert result.skipped == [
-            (1, "malformed token_logprobs entry"), (2, "malformed token_logprobs entry")]
+        assert result.skipped == [(i, "malformed token_logprobs entry")
+                                  for i in range(1, len(entries) + 1)]
 
     def test_duplicate_query_id_skipped_naming_the_first_line(self, tmp_path):
         lines = [record_line("q1"), record_line("q2", gen="SELECT b FROM t"), record_line("q1")]
