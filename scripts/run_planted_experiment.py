@@ -35,14 +35,14 @@ def write_schema_file(path: Path):
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def main():
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--pairs", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=0, help="corpus and split seed")
     ap.add_argument("--n-trees", type=int, default=60)
     ap.add_argument("--learning-rate", type=float, default=0.1)
     ap.add_argument("--out", type=Path, default=None, help="artifact directory")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     out = args.out or Path(tempfile.mkdtemp(prefix="sqluq-planted-"))
     out.mkdir(parents=True, exist_ok=True)
@@ -72,7 +72,8 @@ def main():
         f"({result.records_labeled} labeled, {result.records_skipped} skipped) "
         f"in {time.time() - t0:.1f}s -> {out}"
     )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

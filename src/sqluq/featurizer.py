@@ -342,7 +342,7 @@ def featurize_tree(
         kind = node.kind
         is_select = kind is NodeKind.SELECT
         if is_select:
-            frame = frame.enter(node, schema)
+            frame = frame.enter(node)
             bare_agg = _bare_aggregate(node)
         # computed once per operator; an operand is never a SELECT, so it
         # shares its operator's frame
@@ -359,7 +359,7 @@ def featurize_tree(
             if qualifier is not None:
                 cols += (_COLUMN_IN_SCOPE, _QUALIFIER_SCOPE_VALID, _AGGREGATE_CONTEXT)
                 vals += (bool(carriers), qualifier in frame.aliases.entries
-                         or qualifier in frame.table_names(), bare_agg and projected)
+                         or qualifier in frame.tables, bare_agg and projected)
             else:
                 cols += (_COLUMN_IN_SCOPE, _COLUMN_AMBIGUOUS, _AGGREGATE_CONTEXT)
                 vals += (bool(carriers), len(carriers) >= 2, bare_agg and projected)

@@ -144,10 +144,14 @@ def _node_array(values, kinds: str, n: int, name: str) -> np.ndarray:
     return arr
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _pack(trees: list[dict], feature_count: int, learning_rate: float) -> _Ensemble:
     """Lay the trees out for scoring.  Raises ValueError for a tree that is
     not a well-formed binary tree over ``feature_count`` features."""
-    if not isinstance(feature_count, int) or feature_count < 0:
+    if type(feature_count) is not int or feature_count < 0:
         raise ValueError(f"feature_count must be a non-negative integer, got {feature_count!r}")
     if not isinstance(trees, list):
         raise ValueError("trees must be a list")
@@ -236,8 +240,11 @@ class GbdtModel:
     _ensemble: _Ensemble = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not np.isfinite(self.base_score):
-            raise ValueError("base_score is not finite")
+        if not (_is_number(self.base_score) and np.isfinite(self.base_score)):
+            raise ValueError(f"base_score must be a finite number, got {self.base_score!r}")
+        if not (isinstance(self.train_loss_curve, list)
+                and all(map(_is_number, self.train_loss_curve))):
+            raise ValueError("train_loss_curve must be a list of numbers")
         self._ensemble = _pack(self.trees, self.feature_count, self.config.learning_rate)
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
@@ -271,6 +278,9 @@ class GbdtModel:
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("format") != "sqluq-gbdt-model":
             raise ValueError("not a model file")
+        version = doc.get("version")
+        if type(version) is not int or version != 1:
+            raise ValueError(f"malformed model file: version must be 1, got {version!r}")
         try:
             return cls(
                 config=GbdtConfig(**doc["config"]),
@@ -633,21 +643,16 @@ class EvalRow:  # report.json writes a row's fields in this order
     auc_logprob: float | None
 
 
-def eval_by_kind(
-    model: GbdtModel, records: list[NodeRecord], scores: np.ndarray | None = None
-) -> list[EvalRow]:
+def eval_by_kind(records: list[NodeRecord], scores: np.ndarray) -> list[EvalRow]:
     """Per-kind evaluation table with an 'All' row first.
 
-    scores, if given, are the model's predict_proba of the records' rows,
-    for a caller that has them already.  The log-probability baseline
-    scores error as the negated mean token log-probability and is computed
-    only over records that carry one; kinds with a single label class
-    report their AUC as undefined.
+    scores are the model's predict_proba of the records' rows.  The
+    log-probability baseline scores error as the negated mean token
+    log-probability and is computed only over records that carry one; kinds
+    with a single label class report their AUC as undefined.
     """
     if not records:
         return []
-    if scores is None:
-        scores = predict_proba(model, np.stack([r.features for r in records]))
     labels = np.array([r.label for r in records])
     kinds = [r.node_kind for r in records]
     logprobs = np.array(

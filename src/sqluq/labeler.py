@@ -91,14 +91,12 @@ SYMMETRIC_KINDS = frozenset(
     {NodeKind.EQ, NodeKind.NEQ, NodeKind.ADD, NodeKind.MUL, NodeKind.AND, NodeKind.OR}
 )
 
+# Anti-symmetric kinds keyed as their partner, with the operands swapped.
+_FOLDED_KINDS = {NodeKind.LT: NodeKind.GT, NodeKind.LTE: NodeKind.GTE}
+
 # Comparison pairs equivalent under operand swapping.
 ANTI_SYMMETRIC_PAIRS = frozenset(
-    {
-        (NodeKind.GT, NodeKind.LT),
-        (NodeKind.LT, NodeKind.GT),
-        (NodeKind.GTE, NodeKind.LTE),
-        (NodeKind.LTE, NodeKind.GTE),
-    }
+    pair for a, b in _FOLDED_KINDS.items() for pair in ((a, b), (b, a))
 )
 
 # Kinds whose identifier children restate information already captured by
@@ -114,9 +112,6 @@ _CONTENT_KINDS = frozenset(
         NodeKind.ORDERED, NodeKind.JOIN,
     }
 )
-
-# Anti-symmetric kinds keyed as their partner, with the operands swapped.
-_FOLDED_KINDS = {NodeKind.LT: NodeKind.GT, NodeKind.LTE: NodeKind.GTE}
 
 CORRECT = 0
 ERROR = 1

@@ -418,7 +418,7 @@ def run_experiment(
     if test_rows:
         X_test = np.stack([nr.features for nr in test_rows])
     p_error = predict_proba(model, X_test)
-    eval_rows = eval_by_kind(model, test_rows, p_error)
+    eval_rows = eval_by_kind(test_rows, p_error)
 
     result = ExperimentResult(
         eval_rows=eval_rows,

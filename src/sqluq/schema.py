@@ -6,6 +6,7 @@ and what coarse data type does a column carry.  A ScopeFrame lists the
 tables one query level sees; `ScopeFrame.enter` builds a nested level's
 frame from its SELECT and the enclosing level's frame, and
 `ScopeFrame.carriers` answers which of those tables have a given column.
+A table missing from the schema stays in its frame and carries no column.
 Unknown tables and columns never raise during featurization; they surface
 as zeroed validity features, which is exactly the signal the classifier
 needs.
@@ -48,10 +49,6 @@ def coarsen_type(raw: str) -> DataType:
     name = raw.strip().casefold()
     if "(" in name:
         name = name[: name.index("(")].strip()
-    try:
-        return DataType[name.upper()]
-    except KeyError:
-        pass
     return _TYPE_SYNONYMS.get(name, DataType.OTHER)
 
 
@@ -163,27 +160,24 @@ def _name(doc, path: Path, where: str) -> str:
 class ScopeFrame:
     """Base tables visible at one query level, innermost level first.
 
-    Tables that do not exist in the schema are kept but flagged unknown.
+    A table missing from the schema stays in the frame and carries no
+    column.
     """
 
-    tables: tuple[tuple[str, bool], ...]  # (name, known-in-schema)
+    tables: tuple[str, ...]
     aliases: AliasMap
 
-    def table_names(self) -> list[str]:
-        return [name for name, _ in self.tables]
-
     def carriers(self, column: str, schema: Schema) -> list[str]:
-        """The known in-scope tables that have a column named `column`."""
-        return [name for name, known in self.tables if known and schema.has_column(column, name)]
+        """The in-scope tables that have a column named `column`."""
+        return [name for name in self.tables if schema.has_column(column, name)]
 
-    def enter(self, select: SqlNode, schema: Schema) -> ScopeFrame:
+    def enter(self, select: SqlNode) -> ScopeFrame:
         """The frame of `select`, a query level nested in this one: its own
         FROM/JOIN tables, then this frame's tables it does not list (outer
         levels cover correlated references)."""
         own = dict.fromkeys(_query_level_tables(select))
         return ScopeFrame(
-            tables=tuple((name, schema.has_table(name)) for name in own)
-            + tuple(t for t in self.tables if t[0] not in own),
+            tables=tuple(own) + tuple(t for t in self.tables if t not in own),
             aliases=self.aliases,
         )
 

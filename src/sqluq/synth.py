@@ -12,7 +12,7 @@ rules and the trained classifier.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from sqluq import labeler
 from sqluq.ast_core import parse_sql, preorder
@@ -40,15 +40,6 @@ SYNTH_SCHEMA = Schema(
         _T("region", [("region_id", _DT.NUMERIC), ("label", _DT.TEXT),
                       ("population", _DT.NUMERIC)]),
     ),
-)
-
-MUTATION_KINDS = (
-    "table_typo",
-    "column_swap",
-    "column_typo",
-    "literal_break",
-    "literal_tweak",
-    "operator_flip",
 )
 
 _DEFAULT_WEIGHTS = {
@@ -100,7 +91,7 @@ class _QueryDraft:
 @dataclass
 class PlantedPair:
     record: DatasetRecord
-    mutation: str  # "none" or one of MUTATION_KINDS
+    mutation: str  # one of _DEFAULT_WEIGHTS's keys
     expected_error_ids: frozenset[int]  # node ids in the parsed generated tree
 
 
@@ -147,17 +138,6 @@ def _draft_query(schema: Schema, rng: random.Random) -> _QueryDraft:
     return draft
 
 
-def _clone(draft: _QueryDraft) -> _QueryDraft:
-    return _QueryDraft(
-        table=draft.table,
-        projections=list(draft.projections),
-        predicates=[_Predicate(p.column, p.op, p.literal) for p in draft.predicates],
-        group_by=draft.group_by,
-        order_by=draft.order_by,
-        limit=draft.limit,
-    )
-
-
 def _gold_tokens(draft: _QueryDraft) -> set[str]:
     return set(draft.render().casefold().replace("(", " ").replace(")", " ").replace(",", " ").split())
 
@@ -168,7 +148,9 @@ def _mutate(
     """Apply one mutation; returns (mutant, kind, locator) or None if the
     draft has no applicable site.  The locator finds the planted nodes in
     the parsed generated tree."""
-    gen = _clone(draft)
+    # a mutation replaces a predicate, never changes one, so the copy
+    # shares them
+    gen = replace(draft, projections=list(draft.projections), predicates=list(draft.predicates))
     used = _gold_tokens(draft)
 
     if kind == "table_typo":
@@ -178,35 +160,27 @@ def _mutate(
         gen.table = typo
         return gen, kind, ("content", typo)
 
-    plain_cols = [
-        (i, p) for i, p in enumerate(gen.projections) if "(" not in p
-    ]
-    if kind == "column_typo":
-        sites = plain_cols + [(("pred", i), p.column) for i, p in enumerate(gen.predicates)]
+    if kind in ("column_typo", "column_swap"):
+        sites = [(i, p) for i, p in enumerate(gen.projections) if "(" not in p]
+        sites += [(("pred", i), p.column) for i, p in enumerate(gen.predicates)]
         if not sites:
             return None
         site, col = sites[rng.randrange(len(sites))]
-        typo = col + "x"
-        if typo in used or schema.has_column(typo):
-            return None
-        _apply_column(gen, site, typo)
-        return gen, kind, ("content", typo)
-
-    if kind == "column_swap":
-        sites = plain_cols + [(("pred", i), p.column) for i, p in enumerate(gen.predicates)]
-        if not sites:
-            return None
-        site, col = sites[rng.randrange(len(sites))]
-        foreign = [
-            c.name
-            for t in schema.tables
-            if t.name != draft.table
-            for c in t.columns
-            if c.name.casefold() not in used and not schema.has_column(c.name, draft.table)
-        ]
-        if not foreign:
-            return None
-        replacement = rng.choice(sorted(set(foreign)))
+        if kind == "column_typo":
+            replacement = col + "x"
+            if replacement in used or schema.has_column(replacement):
+                return None
+        else:
+            foreign = [
+                c.name
+                for t in schema.tables
+                if t.name != draft.table
+                for c in t.columns
+                if c.name.casefold() not in used and not schema.has_column(c.name, draft.table)
+            ]
+            if not foreign:
+                return None
+            replacement = rng.choice(sorted(set(foreign)))
         _apply_column(gen, site, replacement)
         return gen, kind, ("content", replacement)
 
@@ -275,9 +249,7 @@ def build_planted_corpus(
     kinds = sorted(weights)
     kind_weights = [weights[k] for k in kinds]
     pairs: list[PlantedPair] = []
-    attempt = 0
     while len(pairs) < n_pairs:
-        attempt += 1
         draft = _draft_query(SYNTH_SCHEMA, rng)
         gold_sql = draft.render()
         choice = rng.choices(kinds, weights=kind_weights, k=1)[0]

@@ -8,6 +8,7 @@ traced benchmark.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -67,3 +68,29 @@ def test_traced_training_counts_trees_and_rows(spans):
         gbdt.train(rows, gbdt.GbdtConfig(n_trees=3))
     trains = [s for s in tracer.spans if s.name == "gbdt.train"]
     assert [s.counts for s in trains] == [{"trees": 3, "rows": len(rows)}]
+
+
+def test_traced_experiment_records_train_eval_and_predict_once(spans, tmp_path):
+    dataset = tmp_path / "d.jsonl"
+    pipeline.write_dataset(dataset, [p.record for p in build_planted_corpus(12, seed=0)])
+    schemas = tmp_path / "schemas"
+    schemas.mkdir()
+    tables = [
+        {"name": t.name, "columns": [{"name": c.name, "type": c.data_type.value}
+                                     for c in t.columns]}
+        for t in SYNTH_SCHEMA.tables
+    ]
+    (schemas / f"{SYNTH_SCHEMA.db_id}.json").write_text(
+        json.dumps({"db_id": SYNTH_SCHEMA.db_id, "tables": tables}), encoding="utf-8"
+    )
+    with spans.Tracer().installed() as tracer:
+        pipeline.run_experiment(dataset, schemas, pipeline.WithinDatabase(0.5, seed=0),
+                                config=gbdt.GbdtConfig(n_trees=3))
+    names = [s.name for s in tracer.spans]
+    for name in ("gbdt.train", "gbdt.eval", "gbdt.predict"):
+        assert names.count(name) == 1, name
+    runs = [s.counts for s in tracer.spans if s.name == "pipeline.run_experiment"]
+    assert runs == [{"skipped": 0}]
+    labels = [s.counts for s in tracer.spans if s.name == "labeler.label"]
+    assert len(labels) == 12
+    assert all(counts.keys() == {"memo_hits", "memo_misses", "rescued"} for counts in labels)

@@ -365,7 +365,7 @@ class TestTypeCompat:
         tree = parse_sql(sql)
         aliases = build_alias_map(tree)
         node = by_kind(kind)(tree)
-        frame = ScopeFrame(tables=(), aliases=aliases).enter(tree, org_schema)
+        frame = ScopeFrame(tables=(), aliases=aliases).enter(tree)
         return node, frame
 
     def test_numeric_column_vs_number(self, org_schema):
@@ -449,7 +449,7 @@ def ref_resolve_scope(tree, node, aliases, schema, parent):
         for name in _query_level_tables(level):
             if name not in seen:
                 seen.add(name)
-                frame.append((name, schema.has_table(name)))
+                frame.append(name)
     return ScopeFrame(tables=tuple(frame), aliases=aliases)
 
 
@@ -481,12 +481,12 @@ def ref_level_aggregate(node):
     )
 
 
-def ref_known_tables(frame):
-    return [name for name, known in frame.tables if known]
+def ref_known_tables(frame, schema):
+    return [name for name in frame.tables if schema.has_table(name)]
 
 
 def ref_column_ambiguous(name, frame, schema):
-    return sum(schema.has_column(name, t) for t in ref_known_tables(frame)) >= 2
+    return sum(schema.has_column(name, t) for t in ref_known_tables(frame, schema)) >= 2
 
 
 def ref_featurize_node(node, tree, aliases, schema, parent, sibling):
@@ -502,13 +502,13 @@ def ref_featurize_node(node, tree, aliases, schema, parent, sibling):
     vec[_IDX["schema_valid"]] = float(valid)
     if node.kind is NodeKind.COLUMN:
         vec[_IDX["column_in_scope"]] = float(
-            any(schema.has_column(node.content, t) for t in ref_known_tables(frame))
+            any(schema.has_column(node.content, t) for t in ref_known_tables(frame, schema))
         )
         qualifier = node.qualifier()
         if qualifier is not None:
             vec[_IDX["qualifier_scope_valid"]] = float(
                 qualifier in frame.aliases.entries
-                or qualifier in frame.table_names()
+                or qualifier in frame.tables
             )
         else:
             vec[_IDX["column_ambiguous"]] = float(ref_column_ambiguous(node.content, frame, schema))

@@ -249,14 +249,15 @@ def make_records(kinds, labels, scores_feature, logprobs=None):
 
 
 class TestEvalByKind:
-    def _model(self, records):
-        return train(records, GbdtConfig(n_trees=5, min_samples_leaf=1))
+    def _scores(self, records):
+        model = train(records, GbdtConfig(n_trees=5, min_samples_leaf=1))
+        return predict_proba(model, np.stack([r.features for r in records]))
 
     def test_single_kind_matches_all_row(self):
         records = make_records(
             ["Identifier"] * 8, [0, 1, 0, 1, 0, 1, 0, 1], [0.0, 1.0] * 4
         )
-        rows = eval_by_kind(self._model(records), records)
+        rows = eval_by_kind(records, self._scores(records))
         assert [r.node_kind for r in rows] == ["All", "Identifier"]
         assert rows[0].proportion == 1.0
         assert rows[0].auc_model == rows[1].auc_model
@@ -267,10 +268,8 @@ class TestEvalByKind:
         labels = [int(rng.rand() < 0.5) for _ in range(60)]
         feats = [rng.rand() + 0.6 * lab for lab in labels]
         records = make_records(kinds, labels, feats)
-        model = self._model(records)
-        rows = {r.node_kind: r for r in eval_by_kind(model, records)}
-        X = np.stack([r.features for r in records])
-        scores = predict_proba(model, X)
+        scores = self._scores(records)
+        rows = {r.node_kind: r for r in eval_by_kind(records, scores)}
         for kind in ("Column", "Table"):
             mask = [k == kind for k in kinds]
             expected = brute_force_auc(
@@ -281,7 +280,7 @@ class TestEvalByKind:
 
     def test_missing_logprobs_leave_baseline_empty(self):
         records = make_records(["Column"] * 6, [0, 1] * 3, [0.0, 1.0] * 3)
-        rows = eval_by_kind(self._model(records), records)
+        rows = eval_by_kind(records, self._scores(records))
         assert all(r.auc_logprob is None for r in rows)
 
     def test_logprob_baseline_direction(self):
@@ -289,7 +288,7 @@ class TestEvalByKind:
         labels = [0, 1] * 10
         logprobs = [-0.1 if y == 0 else -3.0 for y in labels]
         records = make_records(["Column"] * 20, labels, [0.0, 1.0] * 10, logprobs)
-        rows = eval_by_kind(self._model(records), records)
+        rows = eval_by_kind(records, self._scores(records))
         assert rows[0].auc_logprob == 1.0
 
     def test_single_class_kind_renders_na(self):
@@ -298,7 +297,7 @@ class TestEvalByKind:
             [0, 1, 0, 1, 0, 0, 0],
             [0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0],
         )
-        rows = {r.node_kind: r for r in eval_by_kind(self._model(records), records)}
+        rows = {r.node_kind: r for r in eval_by_kind(records, self._scores(records))}
         assert rows["Star"].auc_model is None
         assert "n/a" in render_eval_table(list(rows.values()))
 
@@ -730,5 +729,24 @@ def test_from_json_rejects_a_tree_of_other_keys(reshape):
 def test_from_json_rejects_trees_that_are_not_a_list():
     doc = _model_doc()
     doc["trees"] = {}
+    with pytest.raises(ValueError, match="malformed model file"):
+        GbdtModel.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(version=99),
+        lambda doc: doc.pop("version"),
+        lambda doc: doc.update(train_loss_curve="abc"),
+        lambda doc: doc.update(base_score=True),
+        lambda doc: doc.update(feature_count=True),
+    ],
+    ids=["version-99", "no-version", "loss-curve-a-string", "base-score-true",
+         "feature-count-true"],
+)
+def test_from_json_rejects_a_malformed_header_field(edit):
+    doc = _model_doc()
+    edit(doc)
     with pytest.raises(ValueError, match="malformed model file"):
         GbdtModel.from_json(json.dumps(doc))

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,3 +426,18 @@ def test_10000_nested_levels_parse_and_predict(sql):
     nodes, proba = predict_sql(model, sql, SYNTH_SCHEMA)
     assert [n.id for n in nodes] == list(range(len(nodes))) == [n.id for n in tree.walk()]
     assert proba.shape == (len(nodes),)
+
+
+def test_planted_experiment_script_writes_every_artifact(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_planted_experiment.py"
+    spec = importlib.util.spec_from_file_location("run_planted_experiment", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "out"
+    assert script.main(["--pairs", "60", "--n-trees", "5", "--out", str(out)]) == 0
+    assert (out / "dataset.jsonl").is_file()
+    for name in ("model.json", "report.json", "report.txt", "predictions.jsonl",
+                 "skipped.jsonl", "feature_manifest.json"):
+        assert (out / "run" / name).is_file(), name
+    GbdtModel.load(out / "run" / "model.json")
+    assert "held-out AUC=" in capsys.readouterr().out

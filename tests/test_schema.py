@@ -36,11 +36,11 @@ def org_schema():
     )
 
 
-def level_frame(levels, aliases, schema):
+def level_frame(levels, aliases):
     """Scope frame of the last SELECT in `levels`, entered outermost first."""
     frame = ScopeFrame(tables=(), aliases=aliases)
     for select in levels:
-        frame = frame.enter(select, schema)
+        frame = frame.enter(select)
     return frame
 
 
@@ -132,6 +132,24 @@ def test_coarsen_type_buckets():
     assert coarsen_type("blob") is DataType.OTHER
 
 
+@pytest.mark.parametrize(
+    "raw, bucket",
+    [
+        ("NUMERIC", DataType.NUMERIC),
+        ("Text", DataType.TEXT),
+        ("date", DataType.DATE),
+        ("BOOL", DataType.BOOL),
+        ("other", DataType.OTHER),
+        ("varchar(40)", DataType.TEXT),
+        # a dotless i upper-cases to I, but no type name is spelled with it
+        ("numer\u0131c", DataType.OTHER),
+        ("\u0131nteger", DataType.OTHER),
+    ],
+)
+def test_coarsen_type_looks_the_name_up_once(raw, bucket):
+    assert coarsen_type(raw) is bucket
+
+
 def test_lookup_case_insensitive(org_schema):
     assert org_schema.has_table("Department")
     assert org_schema.has_column("SALARY", "EMPLOYEE")
@@ -150,16 +168,15 @@ def test_column_lookups_ignore_case_and_miss_unknown_names(org_schema):
 def test_resolve_scope_single_table(org_schema):
     tree = parse_sql("SELECT name FROM department AS d")
     aliases = build_alias_map(tree)
-    frame = level_frame([tree], aliases, org_schema)
-    assert frame.table_names() == ["department"]
-    assert frame.tables == (("department", True),)
+    frame = level_frame([tree], aliases)
+    assert frame.tables == ("department",)
 
 
 def test_resolve_scope_subquery_inner_level(org_schema):
     tree = parse_sql("SELECT v FROM (SELECT id AS v FROM employee) AS s")
     aliases = build_alias_map(tree)
-    frame = level_frame(selects(tree), aliases, org_schema)
-    assert frame.table_names() == ["employee"]
+    frame = level_frame(selects(tree), aliases)
+    assert frame.tables == ("employee",)
 
 
 def test_resolve_scope_correlated_includes_outer(org_schema):
@@ -167,22 +184,22 @@ def test_resolve_scope_correlated_includes_outer(org_schema):
         "SELECT name FROM department WHERE id IN (SELECT department_id FROM employee)"
     )
     aliases = build_alias_map(tree)
-    frame = level_frame(selects(tree), aliases, org_schema)
-    assert frame.table_names() == ["employee", "department"]
+    frame = level_frame(selects(tree), aliases)
+    assert frame.tables == ("employee", "department")
 
 
 def test_resolve_scope_unknown_table_flagged(org_schema):
     tree = parse_sql("SELECT x FROM mystery")
     aliases = build_alias_map(tree)
-    frame = level_frame([tree], aliases, org_schema)
-    assert frame.tables == (("mystery", False),)
-    assert [name for name, known in frame.tables if known] == []
+    frame = level_frame([tree], aliases)
+    assert frame.tables == ("mystery",)
+    assert frame.carriers("x", org_schema) == []
 
 
 def test_column_ambiguous_two_carriers(org_schema):
     tree = parse_sql("SELECT id FROM department JOIN employee ON department.id = employee.department_id")
     aliases = build_alias_map(tree)
-    frame = level_frame([tree], aliases, org_schema)
+    frame = level_frame([tree], aliases)
     assert len(frame.carriers("id", org_schema)) >= 2
     assert not len(frame.carriers("salary", org_schema)) >= 2
 
@@ -190,7 +207,7 @@ def test_column_ambiguous_two_carriers(org_schema):
 def test_column_ambiguous_single_table_scope(org_schema):
     tree = parse_sql("SELECT id FROM employee")
     aliases = build_alias_map(tree)
-    frame = level_frame([tree], aliases, org_schema)
+    frame = level_frame([tree], aliases)
     assert not len(frame.carriers("id", org_schema)) >= 2
 
 
@@ -198,8 +215,8 @@ def test_ambiguity_monotone_under_scope_growth(org_schema):
     narrow = parse_sql("SELECT id FROM employee")
     wide = parse_sql("SELECT id FROM employee JOIN department ON employee.department_id = department.id")
     for name in ("id", "salary", "name"):
-        frame_narrow = level_frame([narrow], build_alias_map(narrow), org_schema)
-        frame_wide = level_frame([wide], build_alias_map(wide), org_schema)
+        frame_narrow = level_frame([narrow], build_alias_map(narrow))
+        frame_wide = level_frame([wide], build_alias_map(wide))
         assert (len(frame_narrow.carriers(name, org_schema)) >= 2) <= (
             len(frame_wide.carriers(name, org_schema)) >= 2
         )
