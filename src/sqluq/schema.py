@@ -42,6 +42,16 @@ _TYPE_SYNONYMS = {
     "time": DataType.DATE,
     "bool": DataType.BOOL, "boolean": DataType.BOOL,
 }
+# A name not in the table gets the bucket of its SQLite column affinity
+# (sqlite.org/datatype3.html, 3.1), the first rule it matches winning: a
+# name containing "int" is an integer, "char", "clob" or "text" a string,
+# and "real", "floa" or "doub" a float.  So "unsigned big int" and "double
+# precision" are numeric and "character varying" is text.
+_AFFINITY_RULES = (
+    (("int",), DataType.NUMERIC),
+    (("char", "clob", "text"), DataType.TEXT),
+    (("real", "floa", "doub"), DataType.NUMERIC),
+)
 
 
 def coarsen_type(raw: str) -> DataType:
@@ -49,7 +59,12 @@ def coarsen_type(raw: str) -> DataType:
     name = raw.strip().casefold()
     if "(" in name:
         name = name[: name.index("(")].strip()
-    return _TYPE_SYNONYMS.get(name, DataType.OTHER)
+    if name in _TYPE_SYNONYMS:
+        return _TYPE_SYNONYMS[name]
+    for parts, bucket in _AFFINITY_RULES:
+        if any(part in name for part in parts):
+            return bucket
+    return DataType.OTHER
 
 
 class SchemaFormatError(Exception):

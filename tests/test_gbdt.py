@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import re
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from sqluq import gbdt
-from sqluq.featurizer import MANIFEST, NodeRecord
+from sqluq.ast_core import build_alias_map, parse_sql
+from sqluq.featurizer import MANIFEST, NodeRecord, featurize_tree
 from sqluq.gbdt import (
     DegenerateLabels,
     GbdtConfig,
@@ -28,6 +30,8 @@ from sqluq.gbdt import (
     train,
     train_matrix,
 )
+from sqluq.pipeline import label_and_featurize, predict_sql
+from sqluq.synth import SYNTH_SCHEMA, build_planted_corpus
 
 
 def brute_force_auc(scores, labels):
@@ -612,10 +616,35 @@ def scoring_rows(rng, n, n_features, pool):
     return X
 
 
-def assert_scores_match_oracle(model, X):
-    for rows in (X, X[:1], X[1:2]):
-        got = model.decision_function(rows)
-        assert got.view(np.uint64).tolist() == traverse_oracle(model, rows).view(np.uint64).tolist()
+def assert_scores_match_oracle(model, X, monkeypatch):
+    """Bit for bit with a cold memo, then a warm one (the rows again,
+    shuffled), then one bounded at 3 patterns; scoring changes neither the
+    model file, nor equality, nor repr."""
+    doc, twin = model.to_json(), dataclasses.replace(model)
+    packed = model._ensemble
+    patterns = len(np.unique(~(X[:, packed.cond_feature] <= packed.cond_threshold), axis=0))
+    rng = np.random.RandomState(0)
+
+    def check(scored, rows):
+        expected = traverse_oracle(model, rows)
+        for order in (np.arange(len(rows)), rng.permutation(len(rows))):
+            got = scored.decision_function(rows[order])
+            assert got.view(np.uint64).tolist() == expected[order].view(np.uint64).tolist()
+
+    for rows in (X, X[:1], X[1:2], X[:0]):
+        check(dataclasses.replace(model), rows)
+    # each pattern goes through the QuickScorer once, on the cold pass
+    scored = []
+    exit_scores = gbdt._Ensemble._exit_scores
+    monkeypatch.setattr(gbdt._Ensemble, "_exit_scores",
+                        lambda self, right: scored.append(len(right)) or exit_scores(self, right))
+    check(model, X)
+    assert len(packed.memo) == sum(scored) == patterns
+    monkeypatch.setattr(gbdt, "_SCORE_MEMO_SIZE", 3)
+    bounded = dataclasses.replace(model)
+    check(bounded, X)
+    assert len(bounded._ensemble.memo) == min(3, patterns)
+    assert model.to_json() == doc and model == twin and repr(model) == repr(twin)
 
 
 class TestScoringDifferential:
@@ -623,18 +652,18 @@ class TestScoringDifferential:
     whose nodes share few or many (feature, threshold) conditions."""
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_models_over_integer_features(self, seed):
+    def test_random_models_over_integer_features(self, seed, monkeypatch):
         rng = np.random.RandomState(seed)
         trees = [random_tree(rng, rng.randint(1, 40), 4, lambda r: r.randint(-2, 4) + 0.5)
                  for _ in range(12)]
         model = GbdtModel(config=GbdtConfig(learning_rate=0.3), base_score=0.1, trees=trees,
                           manifest_hash="h", feature_count=4)
-        assert model._ensemble.cond_feature.size <= 4 * 6 + 1  # 6 thresholds a column, the pads
+        assert model._ensemble.cond_feature.size <= 4 * 6  # 6 thresholds a column
         X = scoring_rows(rng, 200, 4, np.arange(-3.0, 6.0, 0.5))
-        assert_scores_match_oracle(model, X)
+        assert_scores_match_oracle(model, X, monkeypatch)
 
     @pytest.mark.parametrize("budget, words", [(60, 1), (100, 2), (150, 3), (250, 4)])
-    def test_random_models_over_continuous_features(self, budget, words):
+    def test_random_models_over_continuous_features(self, budget, words, monkeypatch):
         rng = np.random.RandomState(budget)
         grid = np.round(rng.randn(40), 2)
         leaves = [budget, 1, *rng.randint(1, budget + 1, size=4)]
@@ -642,9 +671,9 @@ class TestScoringDifferential:
         model = GbdtModel(config=GbdtConfig(learning_rate=0.2), base_score=-0.4, trees=trees,
                           manifest_hash="h", feature_count=5)
         assert model._ensemble.clear.shape[1] == words
-        assert_scores_match_oracle(model, scoring_rows(rng, 300, 5, grid))
+        assert_scores_match_oracle(model, scoring_rows(rng, 300, 5, grid), monkeypatch)
 
-    def test_one_condition_repeated_within_and_across_trees(self):
+    def test_one_condition_repeated_within_and_across_trees(self, monkeypatch):
         trees = [
             hand_tree((0, 0.0, (0, 0.0, 1.0, 2.0), (1, -0.0, (0, 0.0, 3.0, 4.0), 5.0))),
             hand_tree((0, -0.0, (1, 0.0, 6.0, (0, -0.0, 7.0, 8.0)), (0, 0.0, 9.0, 10.0))),
@@ -657,9 +686,33 @@ class TestScoringDifferential:
         packed = model._ensemble
         conds = zip(packed.cond_feature.tolist(), packed.cond_threshold.tolist())
         assert sorted(conds) == [(0, 0.0), (1, 0.0), (2, 2.5)]
+        # a tree's nodes on one condition are one node; the lone leaf's pad
+        # takes condition 0
+        assert packed.cond.tolist() == [0, 1, 0, 1, 0, 1, 2]
+        assert packed.starts.tolist() == [0, 2, 4, 5]
         values = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, 2.5, 3.0]
         X = np.array([[a, b, c] for a in values for b in values for c in (2.5, np.nan, 9.0)])
-        assert_scores_match_oracle(model, X)
+        assert_scores_match_oracle(model, X, monkeypatch)
+
+
+def test_served_queries_repeat_few_condition_patterns():
+    # the serve benchmark's model (40 planted pairs of seed 0, the default
+    # config) on the 200 planted queries of seed 1, which it never saw:
+    # 3,009 rows hold 88 patterns
+    rows = [nr for pair in build_planted_corpus(40, seed=0)
+            for nr in label_and_featurize(pair.record, SYNTH_SCHEMA).node_records]
+    model = GbdtModel.from_json(train(rows, GbdtConfig()).to_json())
+    matrices, p_error = [], []
+    for pair in build_planted_corpus(200, seed=1):
+        sql = pair.record.generated_sql
+        p_error.append(predict_sql(model, sql, SYNTH_SCHEMA)[1])
+        tree = parse_sql(sql)
+        matrices.append(featurize_tree(tree, build_alias_map(tree), SYNTH_SCHEMA)[1])
+    assert len(model._ensemble.memo) <= 150
+    # the oracle scores each distinct row once
+    distinct, inverse = np.unique(np.concatenate(matrices), axis=0, return_inverse=True)
+    expected = _sigmoid(traverse_oracle(model, distinct))[inverse.ravel()]
+    assert np.concatenate(p_error).tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize(

@@ -144,6 +144,21 @@ def test_coarsen_type_buckets():
         # a dotless i upper-cases to I, but no type name is spelled with it
         ("numer\u0131c", DataType.OTHER),
         ("\u0131nteger", DataType.OTHER),
+        # names not in the table take their SQLite affinity, the first rule
+        # matched winning
+        ("double precision", DataType.NUMERIC),
+        ("UNSIGNED BIG INT", DataType.NUMERIC),
+        ("int8", DataType.NUMERIC),
+        ("float8", DataType.NUMERIC),
+        ("character varying(20)", DataType.TEXT),
+        ("nchar(10)", DataType.TEXT),
+        ("Native Character(70)", DataType.TEXT),
+        ("longtext", DataType.TEXT),
+        ("floating point", DataType.NUMERIC),
+        ("charint", DataType.NUMERIC),
+        ("blob", DataType.OTHER),
+        ("binary blob", DataType.OTHER),
+        ("geometry", DataType.OTHER),
     ],
 )
 def test_coarsen_type_looks_the_name_up_once(raw, bucket):
