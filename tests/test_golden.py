@@ -35,6 +35,7 @@ PARSE_SHA256 = "000a3286e5ba019c2fed660d237643b51d42a395b05c11e3ec24f2bddadac982
 TOKEN_SHA256 = "ead5175f670aecb2d5e522e150b4cc4e1fdd1b5191217fb0c562a9e0827aa222"
 MODEL_SHA256 = "9c03408d2ffc18046ed567a4734dab907ee29803fc13927b38b40a33eb54735b"
 DECISION_SHA256 = "c8ffa3dded20693dd2509d513969349d9a3087b2e65e30b4de441915c5d29220"
+WIDE_SHAPES_FEATURES_SHA256 = "578bc936b3d625507b254b0fec3e98c30d8df2aff0342222c38f3b7e43f32eae"
 
 # (generated, gold) pairs with aliases, joins, IN subqueries and correlated
 # references: shapes the planted corpus never produces.
@@ -77,6 +78,34 @@ ORG_SCHEMA = Schema(
         )),
         TableDef("department", (ColumnDef("name", DataType.TEXT),)),
     ),
+)
+
+
+# Wide and deep shapes over one 160-column table: 150 projections with 150
+# AND-ed predicates, a 150-term `a + ... + a` chain and a predicate nested in
+# 200 parentheses.  Every seventh name is misspelled, so the nearest-name
+# search runs, and every third predicate compares with a string.
+WIDE_COLUMNS = tuple(f"m{i:03d}" for i in range(160))
+WIDE_SCHEMA = Schema(
+    db_id="wide",
+    tables=(TableDef("metrics", tuple(
+        ColumnDef(c, DataType.NUMERIC if i % 2 == 0 else DataType.TEXT)
+        for i, c in enumerate(WIDE_COLUMNS)
+    )),),
+)
+
+
+def _wide_name(i: int) -> str:
+    name = WIDE_COLUMNS[i % len(WIDE_COLUMNS)]
+    return name + "x" if i % 7 == 3 else name
+
+
+WIDE_QUERIES = (
+    "SELECT " + ", ".join(_wide_name(i) for i in range(150)) + " FROM metrics WHERE "
+    + " AND ".join(f"{_wide_name(11 * i + 5)} = " + (f"'v{i}'" if i % 3 == 0 else str(i))
+                   for i in range(150)),
+    "SELECT " + " + ".join(_wide_name(3 if i == 75 else 4) for i in range(150)) + " FROM metrics",
+    "SELECT metrics.m001 FROM metrics WHERE " + "(" * 200 + "m002x = 5" + ")" * 200,
 )
 
 
@@ -232,6 +261,15 @@ def test_scoped_shapes_labels_and_features():
         _, matrix = featurize_tree(tree, build_alias_map(tree), ORG_SCHEMA)
         digest.update(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
     assert digest.hexdigest() == SCOPED_SHAPES_SHA256
+
+
+def test_wide_shapes_features():
+    digest = hashlib.sha256()
+    for sql in WIDE_QUERIES:
+        tree = parse_sql(sql)
+        _, matrix = featurize_tree(tree, build_alias_map(tree), WIDE_SCHEMA)
+        digest.update(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
+    assert digest.hexdigest() == WIDE_SHAPES_FEATURES_SHA256
 
 
 def test_parse_trees_and_errors():
