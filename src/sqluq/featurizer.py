@@ -18,14 +18,19 @@ class) so the classifier always receives an identically shaped input.
 featurize_tree makes one preorder walk per tree.  The level-dependent
 features read facts built once per query level, when the walk enters its
 SELECT: the level's scope frame and whether its SELECT list holds an
-aggregate while it has no GROUP BY.  The walk collects only the cells a
-node may change from the defaults, as (column, value) pairs, and one
-indexed assignment writes them all into a matrix of default rows.
+aggregate while it has no GROUP BY.  The name-dependent features read facts
+built once per name and schema (see _name_facts): each schema remembers,
+by case-folded name, whether the name is a column, a table, has a digit or
+an underscore, and its nearest schema identifier.  The matrix is built
+flat, in one array of floats: each node appends a row of defaults and
+writes only the cells it changes, at flat position row * 89 + column, and
+the array becomes the matrix without a copy.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -46,7 +51,7 @@ from sqluq.ast_core import (
 from sqluq.schema import DataType, Schema, ScopeFrame
 
 LEVENSHTEIN_SENTINEL = 64
-# answers a schema remembers, so that a stream of new names cannot grow it
+# names a schema remembers the facts of, so that a stream of new names cannot grow it
 _NEAREST_MEMO_SIZE = 4096
 
 KIND_ORDER: tuple[NodeKind, ...] = tuple(NodeKind)
@@ -138,14 +143,16 @@ _DEPTH, _CHILD_COUNT, _SIBLING_INDEX, _SCHEMA_VALID, _COLUMN_IN_SCOPE = (
 _QUALIFIER_SCOPE_VALID, _COLUMN_AMBIGUOUS, _AGGREGATE_CONTEXT, _LEVENSHTEIN_NEAREST = (
     _IDX[n] for n in ("qualifier_scope_valid", "column_ambiguous", "aggregate_context",
                       "levenshtein_nearest"))
-# in the order of _name_pattern_bits
-_NAME_BIT_COLUMNS = tuple(
+_HAS_DIGIT, _HAS_UNDERSCORE, _ALL_CAPS, _MIXED_CASE = (
     _IDX[n] for n in ("name_has_digit", "name_has_underscore", "name_all_caps", "name_mixed_case"))
 _OPERAND_TYPE_COMPAT, _PARENT_TYPE_COMPAT, _LIKE_HAS_WILDCARD, _LIKE_PATTERN_LENGTH = (
     _IDX[n] for n in ("operand_type_compat", "parent_type_compat", "like_has_wildcard",
                       "like_pattern_length"))
 _IN_LIST_SIZE = _IDX["in_list_size"]
-_DEFAULT_ROW = np.array([MANIFEST.defaults], dtype=np.float64)
+_DEFAULT_ROW = array("d", MANIFEST.defaults)
+_WIDTH = MANIFEST.length
+# the kinds whose content is a name, with validity and lexical features
+_NAME_KINDS = frozenset({NodeKind.TABLE, NodeKind.COLUMN, NodeKind.IDENTIFIER})
 
 
 @dataclass
@@ -194,22 +201,35 @@ def _edit_distance(masks: dict[str, int], m: int, b: str) -> int:
     return dist
 
 
+def _name_facts(name: str, schema: Schema) -> tuple:
+    """(a column?, a table?, has a digit?, has an underscore?, nearest schema
+    identifier and its distance) of one name.  The nearest is the name
+    itself for a table or column name, None in a schema without
+    identifiers, and searched for once otherwise.  Each schema remembers the
+    facts of its first _NEAREST_MEMO_SIZE names, by case-folded name."""
+    folded = name.casefold()
+    facts = schema.name_memo.get(folded)
+    if facts is None:
+        column, table = schema.has_column(folded), schema.has_table(folded)
+        nearest = (folded, 0) if column or table else _nearest(folded, schema.identifier_names())
+        facts = column, table, any(map(str.isdigit, folded)), "_" in folded, nearest
+        if len(schema.name_memo) < _NEAREST_MEMO_SIZE:
+            schema.name_memo[folded] = facts
+    return facts
+
+
 def nearest_schema_identifier(name: str, schema: Schema) -> tuple[str, int]:
     """Closest table or column name in the whole schema; ties break
-    lexicographically on the identifier.  Each schema remembers its first
-    _NEAREST_MEMO_SIZE answers."""
-    folded = name.casefold()
-    found = schema.nearest.get(folded)
-    if found is None:
-        found = _nearest(folded, schema.identifier_names())
-        if len(schema.nearest) < _NEAREST_MEMO_SIZE:
-            schema.nearest[folded] = found
-    return found
-
-
-def _nearest(folded: str, candidates: tuple[str, ...]) -> tuple[str, int]:
-    if not candidates:
+    lexicographically on the identifier."""
+    nearest = _name_facts(name, schema)[4]
+    if nearest is None:
         raise EmptySchema("schema has no tables or columns")
+    return nearest
+
+
+def _nearest(folded: str, candidates: tuple[str, ...]) -> tuple[str, int] | None:
+    if not candidates:
+        return None
     masks, m = _char_masks(folded), len(folded)
     best_name, best_dist = None, None
     for cand in candidates:  # sorted, so first minimum wins ties
@@ -274,15 +294,6 @@ def node_logprob_score(
     return sum(overlapping) / len(overlapping)
 
 
-def _name_pattern_bits(node: SqlNode, name: str) -> tuple[int, int, int, int]:
-    # case patterns come from parse-time flags: content is case-folded
-    has_digit = int(any(map(str.isdigit, name)))
-    has_underscore = int("_" in name)
-    all_caps = int(FLAG_ALL_CAPS in node.flags)
-    mixed = int(FLAG_MIXED_CASE in node.flags)
-    return has_digit, has_underscore, all_caps, mixed
-
-
 _CLAUSE_KINDS = frozenset(
     {
         NodeKind.FROM, NodeKind.WHERE, NodeKind.GROUP_BY, NodeKind.HAVING,
@@ -306,33 +317,16 @@ def _bare_aggregate(select: SqlNode) -> bool:
     return False
 
 
-def _schema_validity(node: SqlNode, frame: ScopeFrame, schema: Schema) -> tuple[int, str | None]:
-    """(validity bit, name used for edit distance) for identifier-ish nodes."""
-    if node.kind is NodeKind.TABLE:
-        return int(schema.has_table(node.content)), node.content
-    if node.kind is NodeKind.COLUMN:
-        return int(schema.has_column(node.content)), node.content
-    if node.kind is NodeKind.IDENTIFIER:
-        if FLAG_TABLE_NAME in node.flags:
-            return int(schema.has_table(node.content)), node.content
-        if FLAG_QUALIFIER in node.flags:
-            ok = node.content in frame.aliases.entries or schema.has_table(node.content)
-            return int(ok), node.content
-        return int(schema.has_column(node.content) or schema.has_table(node.content)), node.content
-    return 0, None
-
-
 def featurize_tree(
     tree: SqlNode, aliases: AliasMap, schema: Schema
 ) -> tuple[list[SqlNode], np.ndarray]:
     """Every node of one tree in preorder, and one feature row per node in
     the same order."""
     nodes: list[SqlNode] = []
-    # the cells of each row that may differ from the defaults: the row's
-    # cell count, then every cell's column and value
-    widths: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    # the rows, flat: each node appends a default row, then writes the cells
+    # it changes at flat position row + column
+    cells = array("d")
+    name_memo = schema.name_memo
     # (node, parent's kind, sibling index, scope frame, level's bare-aggregate
     #  bit, projected: inside its level's SELECT list and outside any aggregate
     #  call, the parent's operand_type_compat)
@@ -348,52 +342,61 @@ def featurize_tree(
         # shares its operator's frame
         compat = operand_type_compat(node, frame, schema) if kind in BINARY_OP_KINDS else None
         nodes.append(node)
-        valid, lexical_name = _schema_validity(node, frame, schema)
-        start = len(cols)
-        cols += (_KIND_COLUMN[kind], _DEPTH, _PARENT_KIND_COLUMN[parent_kind], _CHILD_COUNT,
-                 _SIBLING_INDEX, _SCHEMA_VALID)
-        vals += (1.0, node.depth, 1.0, len(node.children), sibling, valid)
-        if kind is NodeKind.COLUMN:
-            carriers = frame.carriers(node.content, schema)
-            qualifier = node.qualifier()
-            if qualifier is not None:
-                cols += (_COLUMN_IN_SCOPE, _QUALIFIER_SCOPE_VALID, _AGGREGATE_CONTEXT)
-                vals += (bool(carriers), qualifier in frame.aliases.entries
-                         or qualifier in frame.tables, bare_agg and projected)
+        row = len(cells)
+        cells += _DEFAULT_ROW
+        cells[row + _KIND_COLUMN[kind]] = 1.0
+        cells[row + _DEPTH] = node.depth
+        cells[row + _PARENT_KIND_COLUMN[parent_kind]] = 1.0
+        cells[row + _CHILD_COUNT] = len(node.children)
+        cells[row + _SIBLING_INDEX] = sibling
+        if kind in _NAME_KINDS:
+            name, flags = node.content, node.flags  # content is case-folded
+            column, table, digit, underscore, nearest = (
+                name_memo.get(name) or _name_facts(name, schema))
+            if kind is NodeKind.COLUMN:
+                valid = column
+            elif kind is NodeKind.TABLE or FLAG_TABLE_NAME in flags:
+                valid = table
+            elif FLAG_QUALIFIER in flags:
+                valid = name in frame.aliases.entries or table
             else:
-                cols += (_COLUMN_IN_SCOPE, _COLUMN_AMBIGUOUS, _AGGREGATE_CONTEXT)
-                vals += (bool(carriers), len(carriers) >= 2, bare_agg and projected)
-        if lexical_name is not None:
-            dist = 0 if valid else LEVENSHTEIN_SENTINEL
-            if not valid:
-                try:
-                    dist = min(nearest_schema_identifier(lexical_name, schema)[1], dist)
-                except EmptySchema:
-                    pass  # keep the sentinel
-            cols += (_LEVENSHTEIN_NEAREST, *_NAME_BIT_COLUMNS)
-            vals += (dist, *_name_pattern_bits(node, lexical_name))
+                valid = column or table
+            if valid:
+                cells[row + _SCHEMA_VALID] = 1.0
+                cells[row + _LEVENSHTEIN_NEAREST] = 0.0
+            elif nearest:  # None in a schema without identifiers: the sentinel stays
+                cells[row + _LEVENSHTEIN_NEAREST] = min(nearest[1], LEVENSHTEIN_SENTINEL)
+            cells[row + _HAS_DIGIT] = digit
+            cells[row + _HAS_UNDERSCORE] = underscore
+            # case patterns come from parse-time flags
+            cells[row + _ALL_CAPS] = FLAG_ALL_CAPS in flags
+            cells[row + _MIXED_CASE] = FLAG_MIXED_CASE in flags
+            if kind is NodeKind.COLUMN:
+                carriers = frame.carriers(name, schema)
+                cells[row + _COLUMN_IN_SCOPE] = bool(carriers)
+                cells[row + _AGGREGATE_CONTEXT] = bare_agg and projected
+                qualifier = node.qualifier()
+                if qualifier is not None:
+                    cells[row + _QUALIFIER_SCOPE_VALID] = (
+                        qualifier in frame.aliases.entries or qualifier in frame.tables)
+                else:
+                    cells[row + _COLUMN_AMBIGUOUS] = len(carriers) >= 2
         if compat:  # None and Compat.UNKNOWN keep the default, 0
-            cols.append(_OPERAND_TYPE_COMPAT)
-            vals.append(compat)
+            cells[row + _OPERAND_TYPE_COMPAT] = compat
         if parent_compat:
-            cols.append(_PARENT_TYPE_COMPAT)
-            vals.append(parent_compat)
+            cells[row + _PARENT_TYPE_COMPAT] = parent_compat
         if kind is NodeKind.LIKE and len(node.children) >= 2:
             pattern = node.children[1]
             if pattern.kind is NodeKind.LITERAL and FLAG_STRING in pattern.flags:
-                cols += (_LIKE_HAS_WILDCARD, _LIKE_PATTERN_LENGTH)
-                vals += ("%" in pattern.content or "_" in pattern.content, len(pattern.content))
+                cells[row + _LIKE_HAS_WILDCARD] = "%" in pattern.content or "_" in pattern.content
+                cells[row + _LIKE_PATTERN_LENGTH] = len(pattern.content)
         elif kind is NodeKind.IN:
             items = node.children[1:]
             if not (len(items) == 1 and items[0].kind is NodeKind.SUBQUERY):
-                cols.append(_IN_LIST_SIZE)
-                vals.append(len(items))
-        widths.append(len(cols) - start)
+                cells[row + _IN_LIST_SIZE] = len(items)
         for i in range(len(node.children) - 1, -1, -1):
             child = node.children[i]
             in_list = child.kind not in _CLAUSE_KINDS if is_select else projected
             stack.append((child, kind, i, frame, bare_agg,
                           in_list and child.kind is not NodeKind.AGG, compat))
-    matrix = _DEFAULT_ROW.repeat(len(nodes), axis=0)
-    matrix[np.repeat(np.arange(len(nodes)), widths), cols] = vals
-    return nodes, matrix
+    return nodes, np.frombuffer(cells).reshape(len(nodes), _WIDTH)

@@ -362,12 +362,10 @@ class GbdtModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e^-|z| never overflows: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z)
+    # below; minimum, unlike -abs, keeps a NaN's sign bit
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _log_loss(y: np.ndarray, score: np.ndarray) -> float:
@@ -677,6 +675,8 @@ def roc_auc(scores, labels) -> float:
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be 1-D and aligned")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:

@@ -40,17 +40,21 @@ _TYPE_SYNONYMS = {
     "string": DataType.TEXT, "clob": DataType.TEXT, "nvarchar": DataType.TEXT,
     "date": DataType.DATE, "datetime": DataType.DATE, "timestamp": DataType.DATE,
     "time": DataType.DATE,
-    "bool": DataType.BOOL, "boolean": DataType.BOOL,
+    "bool": DataType.BOOL, "boolean": DataType.BOOL, "bit": DataType.BOOL,
 }
 # A name not in the table gets the bucket of its SQLite column affinity
 # (sqlite.org/datatype3.html, 3.1), the first rule it matches winning: a
 # name containing "int" is an integer, "char", "clob" or "text" a string,
 # and "real", "floa" or "doub" a float.  So "unsigned big int" and "double
-# precision" are numeric and "character varying" is text.
+# precision" are numeric and "character varying" is text.  After SQLite's
+# three rules, a name containing "date", "time" or "year" is a date, so
+# "datetime2" and "timestamp with time zone" are dates and "interval" stays
+# numeric, as SQLite has it.
 _AFFINITY_RULES = (
     (("int",), DataType.NUMERIC),
     (("char", "clob", "text"), DataType.TEXT),
     (("real", "floa", "doub"), DataType.NUMERIC),
+    (("date", "time", "year"), DataType.DATE),
 )
 
 
@@ -93,8 +97,8 @@ class Schema:
     # case-folded column name -> {case-folded table name -> its type}
     _columns: dict[str, dict[str, DataType]] = field(init=False, repr=False)
     _identifier_names: tuple[str, ...] = field(init=False, repr=False)
-    # featurizer.nearest_schema_identifier's answers by case-folded name
-    nearest: dict[str, tuple[str, int]] = field(
+    # featurizer._name_facts' answers by case-folded name
+    name_memo: dict[str, tuple] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 

@@ -6,7 +6,11 @@ import pytest
 
 from sqluq.ast_core import (
     BINARY_OP_KINDS,
+    FLAG_ALL_CAPS,
+    FLAG_MIXED_CASE,
+    FLAG_QUALIFIER,
     FLAG_STRING,
+    FLAG_TABLE_NAME,
     NodeKind,
     build_alias_map,
     parse_sql,
@@ -20,8 +24,6 @@ from sqluq.featurizer import (
     MANIFEST,
     _char_masks,
     _edit_distance,
-    _name_pattern_bits,
-    _schema_validity,
     featurize_tree,
     nearest_schema_identifier,
     node_logprob_score,
@@ -171,11 +173,12 @@ class TestNearestIdentifier:
 
     def test_answers_are_remembered_per_schema(self, org_schema):
         first = nearest_schema_identifier("Employes", org_schema)
-        assert org_schema.nearest == {"employes": first}
+        # not a column, not a table, no digit, no underscore, nearest answer
+        assert org_schema.name_memo == {"employes": (False, False, False, False, first)}
         assert nearest_schema_identifier("EMPLOYES", org_schema) == first
         other = Schema(db_id="o", tables=(TableDef("employed", ()),))
         assert nearest_schema_identifier("employes", other) == ("employed", 1)
-        assert len(org_schema.nearest) == 1
+        assert len(org_schema.name_memo) == 1
 
     def test_pruned_search_matches_full_scan_with_ties(self):
         import random
@@ -202,6 +205,68 @@ class TestNearestIdentifier:
             ties += len(full) > 1 and full[0][0] == full[1][0]
             assert nearest_schema_identifier(name, schema) == (full[0][1], full[0][0])
         assert ties >= 30
+
+
+def _fresh(schema):
+    return Schema(db_id=schema.db_id, tables=schema.tables)
+
+
+def _matrices(queries, schema):
+    out = []
+    for sql in queries:
+        tree = parse_sql(sql)
+        out.append(featurize_tree(tree, build_alias_map(tree), schema)[1].tobytes())
+    return out
+
+
+def _memo_queries():
+    return (
+        *ORACLE_QUERIES,
+        "SELECT Sal_ary2, NAME, e.Hired FROM employee AS e, department WHERE x1 = 'a'",
+        "SELECT a.salary FROM employees AS a WHERE department.name IN (1, 2)",
+    )
+
+
+class TestNameMemo:
+
+    def test_stops_growing_at_its_bound(self, org_schema, monkeypatch):
+        monkeypatch.setattr("sqluq.featurizer._NEAREST_MEMO_SIZE", 3)
+        cold = [_matrices([sql], _fresh(org_schema))[0] for sql in _memo_queries()]
+        assert _matrices(_memo_queries(), org_schema) == cold
+        assert len(org_schema.name_memo) == 3
+        first = dict(org_schema.name_memo)
+        assert _matrices(_memo_queries(), org_schema) == cold
+        assert org_schema.name_memo == first
+
+    def test_schemas_never_share_answers(self, org_schema):
+        wide = Schema(db_id="w", tables=(TableDef("employees", (
+            ColumnDef("sal_ary2", DataType.TEXT), ColumnDef("x1", DataType.NUMERIC))),))
+        warm_org = _matrices(_memo_queries(), org_schema)
+        warm_wide = _matrices(_memo_queries(), wide)
+        assert warm_org == _matrices(_memo_queries(), _fresh(org_schema))
+        assert warm_wide == _matrices(_memo_queries(), _fresh(wide))
+        assert warm_org != warm_wide
+        assert org_schema.name_memo["employees"][:2] == (False, False)
+        assert wide.name_memo["employees"][:2] == (False, True)
+        assert org_schema.name_memo["sal_ary2"][:4] == (False, False, True, True)
+        assert wide.name_memo["sal_ary2"][:2] == (True, False)
+        assert org_schema.name_memo["x1"][4][1] > 0
+        assert wide.name_memo["x1"][4] == ("x1", 0)
+
+    def test_cold_warm_and_full_memos_give_the_same_bytes(self, monkeypatch):
+        queries = [*_memo_queries(),
+                   *(pair.record.generated_sql for pair in build_planted_corpus(60, seed=3))]
+        cold = [_matrices([sql], _fresh(SYNTH_SCHEMA))[0] for sql in queries]
+        schema = _fresh(SYNTH_SCHEMA)
+        assert _matrices(queries, schema) == cold
+        assert schema.name_memo
+        assert _matrices(queries, schema) == cold  # warm
+        full = _fresh(SYNTH_SCHEMA)
+        monkeypatch.setattr("sqluq.featurizer._NEAREST_MEMO_SIZE", 4)
+        _matrices(["SELECT q1, q2, q3, q4 FROM z"], full)
+        assert sorted(full.name_memo) == ["q1", "q2", "q3", "q4"]
+        assert _matrices(queries, full) == cold
+        assert sorted(full.name_memo) == ["q1", "q2", "q3", "q4"]
 
 
 class TestShape:
@@ -489,6 +554,31 @@ def ref_column_ambiguous(name, frame, schema):
     return sum(schema.has_column(name, t) for t in ref_known_tables(frame, schema)) >= 2
 
 
+def ref_schema_validity(node, frame, schema):
+    """(validity bit, name used for edit distance) for identifier-ish nodes."""
+    if node.kind is NodeKind.TABLE:
+        return int(schema.has_table(node.content)), node.content
+    if node.kind is NodeKind.COLUMN:
+        return int(schema.has_column(node.content)), node.content
+    if node.kind is NodeKind.IDENTIFIER:
+        if FLAG_TABLE_NAME in node.flags:
+            return int(schema.has_table(node.content)), node.content
+        if FLAG_QUALIFIER in node.flags:
+            ok = node.content in frame.aliases.entries or schema.has_table(node.content)
+            return int(ok), node.content
+        return int(schema.has_column(node.content) or schema.has_table(node.content)), node.content
+    return 0, None
+
+
+def ref_name_pattern_bits(node, name):
+    # case patterns come from parse-time flags: content is case-folded
+    has_digit = int(any(map(str.isdigit, name)))
+    has_underscore = int("_" in name)
+    all_caps = int(FLAG_ALL_CAPS in node.flags)
+    mixed = int(FLAG_MIXED_CASE in node.flags)
+    return has_digit, has_underscore, all_caps, mixed
+
+
 def ref_featurize_node(node, tree, aliases, schema, parent, sibling):
     vec = np.array(MANIFEST.defaults, dtype=np.float64)
     vec[_IDX[f"kind={node.kind.value}"]] = 1.0
@@ -498,7 +588,7 @@ def ref_featurize_node(node, tree, aliases, schema, parent, sibling):
     vec[_IDX["child_count"]] = float(len(node.children))
     vec[_IDX["sibling_index"]] = float(sibling[node.id])
     frame = ref_resolve_scope(tree, node, aliases, schema, parent)
-    valid, lexical_name = _schema_validity(node, frame, schema)
+    valid, lexical_name = ref_schema_validity(node, frame, schema)
     vec[_IDX["schema_valid"]] = float(valid)
     if node.kind is NodeKind.COLUMN:
         vec[_IDX["column_in_scope"]] = float(
@@ -523,7 +613,7 @@ def ref_featurize_node(node, tree, aliases, schema, parent, sibling):
                 pass
         for name, bit in zip(
             ("name_has_digit", "name_has_underscore", "name_all_caps", "name_mixed_case"),
-            _name_pattern_bits(node, lexical_name),
+            ref_name_pattern_bits(node, lexical_name),
         ):
             vec[_IDX[name]] = float(bit)
     vec[_IDX["aggregate_context"]] = float(ref_aggregate_context(node, parent))

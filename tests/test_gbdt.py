@@ -198,6 +198,30 @@ class TestPredict:
         assert restored.to_json() == model.to_json()
 
 
+def two_branch_sigmoid(z):
+    """The logistic function as two masked branches, e^z overflowing nowhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_two_branch_formula_bit_for_bit():
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001],
+                    dtype=np.uint64).view(np.float64)
+    z = np.concatenate([
+        np.linspace(-800.0, 800.0, 200_001),
+        [0.0, -0.0, 745.2, -745.2, 709.8, -709.8, 1e-300, -1e-300, 5e-324, -5e-324],
+        [np.inf, -np.inf], nans,
+    ])
+    assert _sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+    assert _sigmoid(np.array([np.inf, -np.inf, 0.0])).tolist() == [1.0, 0.0, 0.5]
+    empty = _sigmoid(np.array([], dtype=np.float64))
+    assert empty.shape == (0,) and empty.dtype == np.float64
+
+
 class TestRocAuc:
     def test_scores_equal_labels(self):
         assert roc_auc([0, 1, 0, 1], [0, 1, 0, 1]) == 1.0
@@ -208,6 +232,13 @@ class TestRocAuc:
     def test_single_class_raises(self):
         with pytest.raises(SingleClass):
             roc_auc([0.1, 0.2], [1, 1])
+
+    def test_labels_outside_0_and_1_raise(self):
+        for labels in ([0, 1, 2, 1], [0, 1, -1, 1], [0.0, 1.0, 0.5, 1.0], [0, 1, float("nan"), 1]):
+            with pytest.raises(ValueError, match="labels must be 0 or 1"):
+                roc_auc([0.1, 0.2, 0.3, 0.4], labels)
+        assert roc_auc([0.1, 0.2, 0.3, 0.4], [False, True, False, True]) == 0.75
+        assert roc_auc([0.1, 0.2, 0.3, 0.4], [0.0, 1.0, 0.0, 1.0]) == 0.75
 
     def test_nan_score_raises(self):
         with pytest.raises(ValueError, match="finite"):

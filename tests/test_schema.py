@@ -159,6 +159,21 @@ def test_coarsen_type_buckets():
         ("blob", DataType.OTHER),
         ("binary blob", DataType.OTHER),
         ("geometry", DataType.OTHER),
+        # after SQLite's three rules, a date, time or year name is a date,
+        # and an exact "bit" a boolean; all of these read as OTHER before
+        ("timestamp with time zone", DataType.DATE),
+        ("smalldatetime", DataType.DATE),
+        ("datetime2(7)", DataType.DATE),
+        ("datetimeoffset", DataType.DATE),
+        ("TIMETZ", DataType.DATE),
+        ("year", DataType.DATE),
+        ("bit", DataType.BOOL),
+        ("BIT(1)", DataType.BOOL),
+        ("varbit", DataType.OTHER),
+        # SQLite's rules still come first
+        ("interval", DataType.NUMERIC),
+        ("date_text", DataType.TEXT),
+        ("real_time", DataType.NUMERIC),
     ],
 )
 def test_coarsen_type_looks_the_name_up_once(raw, bucket):
