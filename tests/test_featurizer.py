@@ -228,7 +228,6 @@ def _memo_queries():
 
 
 class TestNameMemo:
-
     def test_stops_growing_at_its_bound(self, org_schema, monkeypatch):
         monkeypatch.setattr("sqluq.featurizer._NEAREST_MEMO_SIZE", 3)
         cold = [_matrices([sql], _fresh(org_schema))[0] for sql in _memo_queries()]
