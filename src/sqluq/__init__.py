@@ -1,7 +1,6 @@
 """Node-level error labeling and uncertainty estimation for generated SQL."""
 
 from sqluq.ast_core import (
-    AliasMap,
     NodeKind,
     ParseError,
     SqlNode,
@@ -37,7 +36,6 @@ from sqluq.pipeline import (
 from sqluq.schema import Schema, load_schema
 
 __all__ = [
-    "AliasMap",
     "CrossDatabase",
     "DatasetRecord",
     "EquivalenceContext",

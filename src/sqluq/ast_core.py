@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -162,17 +162,6 @@ class SqlNode:
 def preorder(tree: SqlNode) -> list[SqlNode]:
     """Deterministic preorder enumeration, aligned with node ids."""
     return list(tree.walk())
-
-
-@dataclass
-class AliasMap:
-    """Case-folded alias name -> base table name for one query tree."""
-
-    entries: dict[str, str] = field(default_factory=dict)
-
-    def resolve(self, name: str) -> str:
-        """The base table an alias names; any other name names itself."""
-        return self.entries.get(name, name)
 
 
 # ---------------------------------------------------------------------------
@@ -660,17 +649,19 @@ def parse_sql(text: str) -> SqlNode:
     return root
 
 
-def build_alias_map(tree: SqlNode) -> AliasMap:
-    """Collect alias -> base table entries declared in FROM/JOIN clauses.
+def build_alias_map(tree: SqlNode) -> dict[str, str]:
+    """The aliases declared in FROM/JOIN clauses: a plain dict from
+    case-folded alias to base table name.  A name resolves through it as
+    `aliases.get(name, name)`, so any other name names itself.
 
     The map is one per tree, not one per query level.  Entries are written
     in preorder, so when an alias is declared twice, in one level or in
     nested ones, the later declaration wins.
     """
-    amap = AliasMap()
+    aliases: dict[str, str] = {}
     for node in tree.walk():
         if node.kind is NodeKind.TABLE:
             alias = next((c for c in node.children if c.kind is NodeKind.TABLE_ALIAS), None)
             if alias is not None and alias.content:
-                amap.entries[alias.content] = node.content
-    return amap
+                aliases[alias.content] = node.content
+    return aliases

@@ -37,7 +37,6 @@ from enum import IntEnum
 import numpy as np
 
 from sqluq.ast_core import (
-    AliasMap,
     BINARY_OP_KINDS,
     FLAG_ALL_CAPS,
     FLAG_MIXED_CASE,
@@ -238,26 +237,7 @@ def _nearest(folded: str, candidates: tuple[str, ...]) -> tuple[str, int] | None
         d = _edit_distance(masks, m, cand)
         if best_dist is None or d < best_dist:
             best_name, best_dist = cand, d
-            if d == 0:
-                break
     return best_name, best_dist
-
-
-def _operand_type(node: SqlNode, frame: ScopeFrame, schema: Schema) -> DataType | None:
-    """Coarse type of one operand: column via schema, literal via lexeme class."""
-    if node.kind is NodeKind.LITERAL:
-        if FLAG_NULL in node.flags:
-            return None
-        return DataType.TEXT if FLAG_STRING in node.flags else DataType.NUMERIC
-    if node.kind is NodeKind.COLUMN:
-        qualifier = node.qualifier()
-        if qualifier is not None:
-            return schema.column_type(frame.aliases.resolve(qualifier), node.content)
-        types = {schema.column_type(t, node.content) for t in frame.carriers(node.content, schema)}
-        if len(types) == 1:
-            return types.pop()
-        return None
-    return None
 
 
 _COMPAT_CLASSES = {
@@ -268,19 +248,31 @@ _COMPAT_CLASSES = {
 }
 
 
+def _operand_class(node: SqlNode, frame: ScopeFrame, schema: Schema) -> str | None:
+    """Compat class of one operand, "num" or "text": a literal's by its
+    lexeme class, a column's by its schema type; None when unknown."""
+    if node.kind is NodeKind.LITERAL:
+        if FLAG_NULL in node.flags:
+            return None
+        return "text" if FLAG_STRING in node.flags else "num"
+    if node.kind is not NodeKind.COLUMN:
+        return None
+    qualifier = node.qualifier()
+    if qualifier is not None:
+        table = frame.aliases.get(qualifier, qualifier)
+        return _COMPAT_CLASSES.get(schema.column_type(table, node.content))
+    # one type among the carriers first: a DATE carrier beside a TEXT one is unknown
+    types = {schema.column_type(t, node.content) for t in frame.carriers(node.content, schema)}
+    return _COMPAT_CLASSES.get(types.pop()) if len(types) == 1 else None
+
+
 def operand_type_compat(op_node: SqlNode, frame: ScopeFrame, schema: Schema) -> Compat:
-    """Type agreement of a binary operator's operands."""
-    if op_node.kind not in BINARY_OP_KINDS or len(op_node.children) < 2:
-        return Compat.UNKNOWN
-    left = _operand_type(op_node.children[0], frame, schema)
-    right = _operand_type(op_node.children[1], frame, schema)
+    """Type agreement of a binary operator's two operands."""
+    left = _operand_class(op_node.children[0], frame, schema)
+    right = _operand_class(op_node.children[1], frame, schema)
     if left is None or right is None:
         return Compat.UNKNOWN
-    cl = _COMPAT_CLASSES.get(left)
-    cr = _COMPAT_CLASSES.get(right)
-    if cl is None or cr is None:
-        return Compat.UNKNOWN
-    return Compat.COMPATIBLE if cl == cr else Compat.INCOMPATIBLE
+    return Compat.COMPATIBLE if left == right else Compat.INCOMPATIBLE
 
 
 def node_logprob_score(
@@ -318,7 +310,7 @@ def _bare_aggregate(select: SqlNode) -> bool:
 
 
 def featurize_tree(
-    tree: SqlNode, aliases: AliasMap, schema: Schema
+    tree: SqlNode, aliases: dict[str, str], schema: Schema
 ) -> tuple[list[SqlNode], np.ndarray]:
     """Every node of one tree in preorder, and one feature row per node in
     the same order."""
@@ -358,7 +350,7 @@ def featurize_tree(
             elif kind is NodeKind.TABLE or FLAG_TABLE_NAME in flags:
                 valid = table
             elif FLAG_QUALIFIER in flags:
-                valid = name in frame.aliases.entries or table
+                valid = name in frame.aliases or table
             else:
                 valid = column or table
             if valid:
@@ -378,7 +370,7 @@ def featurize_tree(
                 qualifier = node.qualifier()
                 if qualifier is not None:
                     cells[row + _QUALIFIER_SCOPE_VALID] = (
-                        qualifier in frame.aliases.entries or qualifier in frame.tables)
+                        qualifier in frame.aliases or qualifier in frame.tables)
                 else:
                     cells[row + _COLUMN_AMBIGUOUS] = len(carriers) >= 2
         if compat:  # None and Compat.UNKNOWN keep the default, 0

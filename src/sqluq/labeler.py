@@ -62,8 +62,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from sqluq.ast_core import (
-    AliasMap,
-    BINARY_OP_KINDS,
     FLAG_QUALIFIER,
     FLAG_TABLE_NAME,
     NodeKind,
@@ -141,8 +139,8 @@ class EquivalenceContext:
     pair.  Node ids restart at 0 in each tree, so each tree has its own key
     map; a subtree's keys are filled the first time it is compared."""
 
-    gen_aliases: AliasMap
-    gold_aliases: AliasMap
+    gen_aliases: dict[str, str]
+    gold_aliases: dict[str, str]
     gen_keys: dict[int, int] = field(default_factory=dict)
     gold_keys: dict[int, int] = field(default_factory=dict)
     memo: dict[tuple[int, int], bool] = field(default_factory=dict)
@@ -220,14 +218,15 @@ def shallow_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> bool:
         qa, qb = a.qualifier(), b.qualifier()
         if qa is None or qb is None or qa == qb:
             return True
-        return ctx.gen_aliases.resolve(qa) == ctx.gold_aliases.resolve(qb)
+        return ctx.gen_aliases.get(qa, qa) == ctx.gold_aliases.get(qb, qb)
     if kind is NodeKind.IDENTIFIER:
         # Qualifier and table-name identifiers compare alias-normalized so
         # consistent alias renames never create content errors.
         a_ref = FLAG_QUALIFIER in a.flags or FLAG_TABLE_NAME in a.flags
         b_ref = FLAG_QUALIFIER in b.flags or FLAG_TABLE_NAME in b.flags
         if a_ref and b_ref:
-            return ctx.gen_aliases.resolve(a.content) == ctx.gold_aliases.resolve(b.content)
+            return (ctx.gen_aliases.get(a.content, a.content)
+                    == ctx.gold_aliases.get(b.content, b.content))
         return a.content == b.content
     if kind is NodeKind.LITERAL:
         return a.content == b.content and a.flags == b.flags
@@ -263,27 +262,16 @@ def recursively_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> b
             # every generated operand needs a distinct gold partner; extra
             # gold operands are omissions and omissions are not penalized
             result = len(ca) <= len(cb) and _greedy_bipartite_match(ca, cb, ctx)
-        elif len(ca) != len(cb):
-            result = False
-        elif not ca:
-            result = True
-        elif a.kind in BINARY_OP_KINDS and len(ca) == 2:
-            # operands correspond in order when the kinds are equal, and
-            # crosswise when the kind is symmetric or the pair anti-symmetric
-            result = False
-            if a.kind is b.kind:
-                result = recursively_equivalent(ca[0], cb[0], ctx) and recursively_equivalent(
-                    ca[1], cb[1], ctx
-                )
-            if not result and (
-                a.kind in SYMMETRIC_KINDS or (a.kind, b.kind) in ANTI_SYMMETRIC_PAIRS
-            ):
+        elif len(ca) == len(cb):
+            # children correspond in order when the kinds are equal; the two
+            # operands of a symmetric kind may also match crosswise, and those
+            # of an anti-symmetric pair (the only unequal kinds that pass
+            # shallow_equivalent) must
+            result = a.kind is b.kind and all(
+                recursively_equivalent(x, y, ctx) for x, y in zip(ca, cb))
+            if not result and (a.kind in SYMMETRIC_KINDS or a.kind is not b.kind):
                 result = recursively_equivalent(ca[0], cb[1], ctx) and recursively_equivalent(
-                    ca[1], cb[0], ctx
-                )
-        else:
-            # clause lists, projection lists, argument lists: order-sensitive
-            result = all(recursively_equivalent(x, y, ctx) for x, y in zip(ca, cb))
+                    ca[1], cb[0], ctx)
     ctx.memo[key] = result
     return result
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from sqluq.ast_core import AliasMap, NodeKind, SqlNode
+from sqluq.ast_core import NodeKind, SqlNode
 
 
 class DataType(Enum):
@@ -184,7 +184,7 @@ class ScopeFrame:
     """
 
     tables: tuple[str, ...]
-    aliases: AliasMap
+    aliases: dict[str, str]  # case-folded alias -> base table, as build_alias_map gives
 
     def carriers(self, column: str, schema: Schema) -> list[str]:
         """The in-scope tables that have a column named `column`."""

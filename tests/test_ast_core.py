@@ -209,17 +209,17 @@ def test_order_by_direction_in_content():
 def test_alias_map_simple_and_join():
     tree = parse_sql("SELECT a.x, b.y FROM t1 AS a JOIN t2 AS b ON a.x = b.y")
     amap = build_alias_map(tree)
-    assert amap.entries == {"a": "t1", "b": "t2"}
+    assert amap == {"a": "t1", "b": "t2"}
 
 
 def test_alias_map_no_aliases():
-    assert build_alias_map(parse_sql("SELECT x FROM artist")).entries == {}
+    assert build_alias_map(parse_sql("SELECT x FROM artist")) == {}
 
 
 def test_alias_map_duplicate_alias_diagnostic():
     tree = parse_sql("SELECT x FROM t1 AS a, t2 AS a")
     amap = build_alias_map(tree)
-    assert amap.entries == {"a": "t2"}
+    assert amap == {"a": "t2"}
 
 
 def test_alias_map_soundness():
@@ -227,7 +227,7 @@ def test_alias_map_soundness():
     tree = parse_sql(sql)
     amap = build_alias_map(tree)
     tables = {n.content for n in preorder(tree) if n.kind is NodeKind.TABLE}
-    for alias, table in amap.entries.items():
+    for alias, table in amap.items():
         assert table in tables
         owners = [
             n

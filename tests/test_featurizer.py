@@ -563,7 +563,7 @@ def ref_schema_validity(node, frame, schema):
         if FLAG_TABLE_NAME in node.flags:
             return int(schema.has_table(node.content)), node.content
         if FLAG_QUALIFIER in node.flags:
-            ok = node.content in frame.aliases.entries or schema.has_table(node.content)
+            ok = node.content in frame.aliases or schema.has_table(node.content)
             return int(ok), node.content
         return int(schema.has_column(node.content) or schema.has_table(node.content)), node.content
     return 0, None
@@ -596,7 +596,7 @@ def ref_featurize_node(node, tree, aliases, schema, parent, sibling):
         qualifier = node.qualifier()
         if qualifier is not None:
             vec[_IDX["qualifier_scope_valid"]] = float(
-                qualifier in frame.aliases.entries
+                qualifier in frame.aliases
                 or qualifier in frame.tables
             )
         else:
