@@ -1,5 +1,8 @@
 """Normalized SQL AST: tokenizer, parser, alias maps, and tree utilities.
 
+An alias map (build_alias_map) is a plain dict from case-folded alias to
+base table name; a name resolves through it as `aliases.get(name, name)`.
+
 The parser covers the SQLite-flavoured subset needed for analysing
 SELECT queries: projections, FROM with joins and subqueries, WHERE,
 GROUP BY, HAVING, ORDER BY, LIMIT, aggregates, binary comparisons,
@@ -650,9 +653,8 @@ def parse_sql(text: str) -> SqlNode:
 
 
 def build_alias_map(tree: SqlNode) -> dict[str, str]:
-    """The aliases declared in FROM/JOIN clauses: a plain dict from
-    case-folded alias to base table name.  A name resolves through it as
-    `aliases.get(name, name)`, so any other name names itself.
+    """The aliases declared in FROM/JOIN clauses, case-folded alias ->
+    base table name; any other name names itself.
 
     The map is one per tree, not one per query level.  Entries are written
     in preorder, so when an alias is declared twice, in one level or in

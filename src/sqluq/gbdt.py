@@ -334,7 +334,10 @@ class GbdtModel:
 
     @classmethod
     def from_json(cls, text: str) -> "GbdtModel":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("malformed model file: nested too deep") from None
         if not isinstance(doc, dict) or doc.get("format") != "sqluq-gbdt-model":
             raise ValueError("not a model file")
         version = doc.get("version")

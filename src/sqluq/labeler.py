@@ -15,7 +15,8 @@ has each alias wrapper take the label of the node it wraps.
 Equivalence is semantic rather than structural: symmetric operators may
 match with swapped operands, anti-symmetric comparison pairs may match
 with the operator flipped, and column qualifiers are normalized through
-per-query alias-to-table maps.
+per-query alias maps: plain dicts from case-folded alias to base table,
+through which a name resolves as `aliases.get(name, name)`.
 
 The alignment is defined by a forward visit order: a visit to a pair marks
 the whole generated subtree correct if the pair is equivalent, and else

@@ -80,21 +80,30 @@ def _token_entry(item) -> tuple[int, int, float] | None:
 def load_dataset(path: str | Path) -> LoadResult:
     """Read a JSONL dataset, skipping and reporting malformed lines.
 
-    A line whose query_id an earlier record already has is skipped too, so
-    no id can land on both sides of a split.
+    A line that is not UTF-8 or is nested deeper than `json` can decode is
+    malformed.  A line whose query_id an earlier record already has is
+    skipped too, so no id can land on both sides of a split.
     """
     records: list[DatasetRecord] = []
     skipped: list[tuple[int, str]] = []
     first_line: dict[str, int] = {}  # query_id -> line of its record
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, which no UTF-8 line decodes to
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                line.encode("utf-8")
                 doc = json.loads(line)
+            except UnicodeEncodeError:
+                skipped.append((lineno, "invalid UTF-8"))
+                continue
             except json.JSONDecodeError as exc:
                 skipped.append((lineno, f"invalid JSON: {exc.msg}"))
+                continue
+            except RecursionError:
+                skipped.append((lineno, "invalid JSON: nested too deep"))
                 continue
             if not isinstance(doc, dict):
                 skipped.append((lineno, "record is not an object"))
@@ -118,7 +127,11 @@ def load_dataset(path: str | Path) -> LoadResult:
                 if not isinstance(doc["token_logprobs"], list):
                     skipped.append((lineno, "token_logprobs is not a list"))
                     continue
-                gen_len = len(doc["generated_sql"].encode("utf-8"))
+                try:
+                    gen_len = len(doc["generated_sql"].encode("utf-8"))
+                except UnicodeEncodeError:  # a lone surrogate, from an escape such as \ud800
+                    skipped.append((lineno, "generated_sql is not valid Unicode"))
+                    continue
                 spans = []
                 bad = None
                 for item in doc["token_logprobs"]:

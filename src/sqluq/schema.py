@@ -6,6 +6,8 @@ and what coarse data type does a column carry.  A ScopeFrame lists the
 tables one query level sees; `ScopeFrame.enter` builds a nested level's
 frame from its SELECT and the enclosing level's frame, and
 `ScopeFrame.carriers` answers which of those tables have a given column.
+A frame also carries the query's alias map, the plain dict from
+case-folded alias to base table that build_alias_map gives.
 A table missing from the schema stays in its frame and carries no column.
 Unknown tables and columns never raise during featurization; they surface
 as zeroed validity features, which is exactly the signal the classifier
@@ -145,7 +147,7 @@ def load_schema(path: str | Path) -> Schema:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict) or "tables" not in raw:
         raise SchemaFormatError(f"{path}: expected an object with a 'tables' field")
@@ -184,7 +186,7 @@ class ScopeFrame:
     """
 
     tables: tuple[str, ...]
-    aliases: dict[str, str]  # case-folded alias -> base table, as build_alias_map gives
+    aliases: dict[str, str]  # case-folded alias -> base table
 
     def carriers(self, column: str, schema: Schema) -> list[str]:
         """The in-scope tables that have a column named `column`."""

@@ -194,6 +194,19 @@ def test_parse_error_has_position():
     assert err.value.position == 7
 
 
+@pytest.mark.parametrize("sql, message, position", [
+    ("SELECT a FROM (x)", "expected SELECT", 15),
+    ("SELECT a FROM t LEFT OUTER u", "expected JOIN", 27),
+    ("SELECT a FROM t GROUP a", "expected BY", 22),
+    ("SELECT count(* 1) FROM t", "expected ')'", 15),
+])
+def test_parse_error_names_the_missing_token(sql, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_sql(sql)
+    assert str(err.value) == f"{message} (at byte {position})"
+    assert err.value.position == position
+
+
 def test_limit_and_offset():
     tree = parse_sql("SELECT * FROM t LIMIT 10 OFFSET 5")
     limit = [n for n in preorder(tree) if n.kind is NodeKind.LIMIT][0]

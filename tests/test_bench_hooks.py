@@ -4,7 +4,9 @@ perfbench/spans.py replaces module attributes such as
 ``pipeline.parse_sql`` and ``labeler.label_with_context`` with timing
 wrappers.  A refactor that renames one of them, or that calls it through
 a from-import the wrapper cannot reach, fails here instead of in the
-traced benchmark.
+traced benchmark.  So does a change to the calls the workloads make, such
+as serve's ``featurize_tree(tree, ast_core.build_alias_map(tree), schema)``:
+every workload runs here on its first two items.
 """
 
 import importlib.util
@@ -17,12 +19,11 @@ import pytest
 from sqluq import gbdt, pipeline
 from sqluq.synth import SYNTH_SCHEMA, build_planted_corpus
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     try:
@@ -30,6 +31,21 @@ def spans():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def spans():
+    yield from _load("perfbench_spans", PERFBENCH / "spans.py")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # workloads.py imports its sibling modules by their bare names
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield from _load("perfbench_workloads", PERFBENCH / "workloads.py")
+    finally:
+        sys.path.remove(str(PERFBENCH))
 
 
 def test_every_target_is_a_module_attribute(spans):
@@ -94,3 +110,17 @@ def test_traced_experiment_records_train_eval_and_predict_once(spans, tmp_path):
     labels = [s.counts for s in tracer.spans if s.name == "labeler.label"]
     assert len(labels) == 12
     assert all(counts.keys() == {"memo_hits", "memo_misses", "rescued"} for counts in labels)
+
+
+@pytest.mark.parametrize("name", ["planted-train", "serve", "wide-deep"])
+def test_every_workload_runs_and_passes_its_checks(workloads, tmp_path, name):
+    wl = workloads.WORKLOADS[name]
+    (tmp_path / "prep").mkdir()
+    (tmp_path / "work").mkdir()
+    fx = wl.setup(tmp_path / "work", wl.prepare(tmp_path / "prep", 0))
+    items = wl.items(fx)[:2]
+    assert items
+    for item in items:
+        _, failures = wl.accept(fx, item, wl.run(fx, item))
+        assert not failures, (wl.item_id(item), failures)
+    wl.finish(fx)

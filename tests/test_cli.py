@@ -145,6 +145,42 @@ def test_featurize_skips_malformed_values(runner, workspace):
         json.loads(line, parse_constant=no_constants)
 
 
+def test_featurize_skips_lines_and_schemas_that_cannot_be_decoded(runner, workspace):
+    tmp_path, dataset, schemas = workspace
+    (schemas / "latin1.json").write_bytes(b'{"db_id": "latin1", "tables": [{"name": "caf\xe9"}]}')
+    (schemas / "deep.json").write_bytes(b"[" * 100_000)
+    lines = dataset.read_bytes().splitlines()
+    lines[1] = lines[1].replace(b"SELECT a", b"SELECT \xff")
+    lines[2] = b"[" * 100_000
+    lines[3] = lines[3].replace(b'"db1"', b'"latin1"')
+    lines[4] = lines[4].replace(b'"db1"', b'"deep"')
+    dataset.write_bytes(b"\n".join(lines) + b"\n")
+    out = tmp_path / "feat"
+    result = runner.invoke(
+        main,
+        ["featurize", "--dataset", str(dataset), "--schemas", str(schemas), "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    assert "skipped 4 records" in result.output
+    assert "skipped line 2: invalid UTF-8" in result.output
+    assert "skipped line 3: invalid JSON: nested too deep" in result.output
+    assert "skipped q3: SchemaFormatError: " in result.output
+    assert "skipped q4: SchemaFormatError: " in result.output
+    rows = (out / "features.jsonl").read_text().splitlines()[1:]
+    assert {json.loads(row)["query_id"] for row in rows} == {"q0", "q5", "q6", "q7"}
+
+
+def test_featurize_out_at_an_existing_file_exit_code_2(runner, workspace):
+    tmp_path, dataset, schemas = workspace
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    result = runner.invoke(
+        main,
+        ["featurize", "--dataset", str(dataset), "--schemas", str(schemas), "--out", str(out)],
+    )
+    assert result.exit_code == 2
+
+
 def test_featurize_skips_a_record_without_a_schema_file(runner, workspace):
     tmp_path, _, schemas = workspace
     good = {"query_id": "q1", "db_id": "db1", "generated_sql": "SELECT a FROM t",
@@ -205,6 +241,17 @@ def test_eval_unknown_split_exit_code_1(runner, workspace):
     assert result.exit_code == 1
 
 
+def test_eval_cross_split_of_an_unknown_db_exit_code_1(runner, workspace):
+    tmp_path, dataset, schemas = workspace
+    result = runner.invoke(
+        main,
+        ["eval", "--dataset", str(dataset), "--schemas", str(schemas),
+         "--split", "cross:nope", "--out", str(tmp_path / "x")],
+    )
+    assert result.exit_code == 1
+    assert "unknown db_ids: ['nope']" in result.stderr
+
+
 def test_eval_missing_dataset_exit_code_2(runner, workspace):
     tmp_path, _, schemas = workspace
     result = runner.invoke(
@@ -261,6 +308,19 @@ def _predict(runner, workspace, model_path):
         ["predict", "--model", str(model_path), "--schema", str(schemas / "db1.json"),
          "--sql", "SELECT a FROM t"],
     )
+
+
+def test_predict_missing_model_exit_code_2(runner, workspace):
+    result = _predict(runner, workspace, workspace[0] / "missing.json")
+    assert result.exit_code == 2
+
+
+def test_predict_model_nested_too_deep_exit_code_1(runner, workspace):
+    model = workspace[0] / "model.json"
+    model.write_text("[" * 100_000, encoding="utf-8")
+    result = _predict(runner, workspace, model)
+    assert result.exit_code == 1
+    assert result.stderr == "error: malformed model file: nested too deep\n"
 
 
 def test_predict_model_from_another_manifest_exit_code_1(runner, workspace):

@@ -456,6 +456,21 @@ class TestTypeCompat:
         )
         assert operand_type_compat(node, frame, org_schema) is Compat.COMPATIBLE
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT * FROM employee WHERE salary = NULL",
+        "SELECT * FROM doc WHERE body = 'x'",  # a blob column is OTHER
+        "SELECT * FROM doc AS d WHERE d.body = 1",
+        # a DATE carrier beside a TEXT one gives no single type, though
+        # both types fall in the text class
+        "SELECT * FROM employee, doc WHERE hired = 'x'",
+    ])
+    def test_operand_without_a_class_is_unknown(self, sql, org_schema):
+        schema = Schema("org", org_schema.tables + (
+            TableDef("doc", (ColumnDef("body", DataType.OTHER), ColumnDef("hired", DataType.TEXT))),
+        ))
+        node, frame = self.pick_op(sql, NodeKind.EQ, schema)
+        assert operand_type_compat(node, frame, schema) is Compat.UNKNOWN
+
 
 class TestLogprobScore:
     def test_mean_over_exact_tokens(self):

@@ -62,6 +62,30 @@ class TestConfig:
             GbdtConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "X, y, match",
+    [
+        (np.zeros(4), np.zeros(4), "2-D"),
+        (np.zeros((3, 2)), np.zeros(4), "one row per label"),
+        (np.zeros((1, 2)), np.zeros(1), "at least 2 training rows"),
+    ],
+    ids=["1-d", "misaligned", "one-row"],
+)
+def test_train_matrix_rejects_a_bad_shape(X, y, match):
+    with pytest.raises(ValueError, match=match):
+        train_matrix(X, y)
+
+
+def test_train_rejects_one_record_and_rows_of_another_width():
+    with pytest.raises(ValueError, match="at least 2 records"):
+        train(make_records(["Column"], [1], [0.0]))
+    records = make_records(["Column"] * 2, [0, 1], [0.0, 1.0])
+    for r in records:
+        r.features = r.features[:-1]
+    with pytest.raises(ManifestMismatch, match=f"manifest defines {MANIFEST.length}"):
+        train(records)
+
+
 class TestTraining:
     def test_separable_data_perfect_training_auc(self):
         rng = np.random.RandomState(0)
@@ -188,6 +212,12 @@ class TestPredict:
         with pytest.raises(ManifestMismatch):
             predict_proba(model, np.zeros(3))
 
+    def test_rows_of_another_width_rejected(self):
+        model = GbdtModel(config=GbdtConfig(), base_score=0.0, trees=[],
+                          manifest_hash=MANIFEST.version_hash, feature_count=3)
+        with pytest.raises(ManifestMismatch, match="expected 3 features, got 4"):
+            predict_proba(model, np.zeros((2, 4)))
+
     def test_serialization_round_trip(self):
         rng = np.random.RandomState(6)
         X = rng.randn(100, 3)
@@ -244,6 +274,11 @@ class TestRocAuc:
         with pytest.raises(ValueError, match="finite"):
             roc_auc([0.1, float("nan"), 0.3], [0, 1, 1])
 
+    def test_misaligned_inputs_raise(self):
+        for scores, labels in (([0.1, 0.2, 0.3], [0, 1]), ([[0.1, 0.2]], [[0, 1]])):
+            with pytest.raises(ValueError, match="1-D and aligned"):
+                roc_auc(scores, labels)
+
     def test_six_point_mixed_set_matches_oracle(self):
         scores = [0.9, 0.1, 0.5, 0.5, 0.3, 0.8]
         labels = [1, 0, 1, 0, 0, 1]
@@ -287,6 +322,9 @@ class TestEvalByKind:
     def _scores(self, records):
         model = train(records, GbdtConfig(n_trees=5, min_samples_leaf=1))
         return predict_proba(model, np.stack([r.features for r in records]))
+
+    def test_no_records_give_no_rows(self):
+        assert eval_by_kind([], np.zeros(0)) == []
 
     def test_single_kind_matches_all_row(self):
         records = make_records(
@@ -800,14 +838,30 @@ def test_from_json_rejects_malformed_tree(field, index, value):
         lambda tree: {key: tree[key] for key in tree if key != "value"},
         lambda tree: {**tree, "gain": [0.0] * len(tree["value"])},
         lambda tree: list(tree.values()),
+        lambda tree: {key: [] for key in tree},
     ],
-    ids=["missing-value", "extra-gain", "a-list"],
+    ids=["missing-value", "extra-gain", "a-list", "empty-lists"],
 )
 def test_from_json_rejects_a_tree_of_other_keys(reshape):
     doc = _model_doc()
     doc["trees"][1] = reshape(doc["trees"][1])
     with pytest.raises(ValueError, match="malformed model file"):
         GbdtModel.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (json.dumps({"format": "sqluq-features", "version": 1}), "not a model file"),
+        (json.dumps([1, 2]), "not a model file"),
+        ("[" * 100_000, "malformed model file: nested too deep"),
+    ],
+    ids=["other-format", "a-list", "nested-too-deep"],
+)
+def test_from_json_rejects_a_document_that_is_no_model(text, message):
+    with pytest.raises(ValueError) as info:
+        GbdtModel.from_json(text)
+    assert str(info.value) == message
 
 
 def test_from_json_rejects_trees_that_are_not_a_list():

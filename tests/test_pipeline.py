@@ -124,12 +124,33 @@ class TestLoadDataset:
             [0.9, 6.7, -0.5],  # fractional bounds
             [True, "6", "-0.5"],  # a boolean and strings
             [0, 6, -0.5, "extra"],  # four items
+            [0, 6, -10**400],  # an integer too large to be a float
         ]
         lines = [record_line(f"q{i}", token_logprobs=[e]) for i, e in enumerate(entries)]
         result = load_dataset(write_lines(tmp_path / "d.jsonl", lines))
         assert not result.records
         assert result.skipped == [(i, "malformed token_logprobs entry")
                                   for i in range(1, len(entries) + 1)]
+
+    def test_lines_that_cannot_be_decoded_are_skips_in_place(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b"\n".join([
+            record_line("q1").encode(),
+            record_line("q2").encode().replace(b"SELECT a", b"SELECT \xff"),
+            b"[" * 100_000,
+            b"",
+            b"[1, 2]",
+            record_line("q3", gen="SELECT \ud800", token_logprobs=[[0, 6, -0.5]]).encode(),
+            record_line("q4").encode(),
+        ]) + b"\n")
+        result = load_dataset(path)
+        assert [r.query_id for r in result.records] == ["q1", "q4"]
+        assert result.skipped == [
+            (2, "invalid UTF-8"),
+            (3, "invalid JSON: nested too deep"),
+            (5, "record is not an object"),
+            (6, "generated_sql is not valid Unicode"),
+        ]
 
     def test_duplicate_query_id_skipped_naming_the_first_line(self, tmp_path):
         lines = [record_line("q1"), record_line("q2", gen="SELECT b FROM t"), record_line("q1")]
@@ -205,6 +226,11 @@ class TestParseSplitSpec:
     def test_unknown(self):
         with pytest.raises(ValueError):
             parse_split_spec("random:0.5")
+
+    def test_cross_without_db_ids(self):
+        for text in ("cross:", "cross:,"):
+            with pytest.raises(ValueError, match="at least one db_id"):
+                parse_split_spec(text)
 
 
 class TestRunExperiment:

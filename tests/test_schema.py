@@ -108,6 +108,17 @@ def test_load_schema_bad_json(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "raw", [b'{"tables": [], "db_id": "\xff"}', b"[" * 100_000],
+    ids=["not-utf-8", "nested-too-deep"],
+)
+def test_load_schema_undecodable_json(tmp_path, raw):
+    path = tmp_path / "broken.json"
+    path.write_bytes(raw)
+    with pytest.raises(SchemaFormatError, match="invalid JSON"):
+        load_schema(path)
+
+
+@pytest.mark.parametrize(
     "doc, field",
     [
         ({"tables": 5}, "tables is not a list"),
@@ -115,6 +126,7 @@ def test_load_schema_bad_json(tmp_path):
         ({"tables": [{"name": "t", "columns": [{"name": None}]}]},
          "tables[0].columns[0] needs a string 'name'"),
         ({"tables": [{"name": "t", "columns": 7}]}, "tables[0].columns is not a list"),
+        ({"db_id": "x"}, "expected an object with a 'tables' field"),
     ],
 )
 def test_load_schema_wrong_shape_names_the_field(tmp_path, doc, field):
