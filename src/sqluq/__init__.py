@@ -18,13 +18,7 @@ from sqluq.gbdt import (
     roc_auc,
     train,
 )
-from sqluq.labeler import (
-    EquivalenceContext,
-    LabelMap,
-    label_with_context,
-    recursively_equivalent,
-    shallow_equivalent,
-)
+from sqluq.labeler import LabelMap, label_with_context
 from sqluq.pipeline import (
     CrossDatabase,
     DatasetRecord,
@@ -38,7 +32,6 @@ from sqluq.schema import Schema, load_schema
 __all__ = [
     "CrossDatabase",
     "DatasetRecord",
-    "EquivalenceContext",
     "GbdtConfig",
     "GbdtModel",
     "LabelMap",
@@ -60,10 +53,8 @@ __all__ = [
     "parse_sql",
     "predict_proba",
     "preorder",
-    "recursively_equivalent",
     "roc_auc",
     "run_experiment",
-    "shallow_equivalent",
     "train",
 ]
 

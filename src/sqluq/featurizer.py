@@ -21,18 +21,21 @@ SELECT: the level's scope frame and whether its SELECT list holds an
 aggregate while it has no GROUP BY.  The name-dependent features read facts
 built once per name and schema (see _name_facts): each schema remembers,
 by case-folded name, whether the name is a column, a table, has a digit or
-an underscore, and its nearest schema identifier.  The matrix is built
-flat, in one array of floats: each node appends a row of defaults and
-writes only the cells it changes, at flat position row * 89 + column, and
-the array becomes the matrix without a copy.
+an underscore, and its nearest schema identifier (the one nearest-name
+lookup; None in a schema without identifiers).  The matrix is built flat,
+in one array of floats: each node appends a row of defaults and writes
+only the cells it changes, at flat position row * 89 + column, and the
+array becomes the matrix without a copy.
 """
 
 from __future__ import annotations
 
 import hashlib
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import itemgetter
 
 import numpy as np
 
@@ -60,10 +63,6 @@ class Compat(IntEnum):
     UNKNOWN = 0  # neutral default
     COMPATIBLE = 1
     INCOMPATIBLE = 2
-
-
-class EmptySchema(Exception):
-    """Nearest-identifier lookup needs at least one schema identifier."""
 
 
 @dataclass(frozen=True)
@@ -210,20 +209,11 @@ def _name_facts(name: str, schema: Schema) -> tuple:
     facts = schema.name_memo.get(folded)
     if facts is None:
         column, table = schema.has_column(folded), schema.has_table(folded)
-        nearest = (folded, 0) if column or table else _nearest(folded, schema.identifier_names())
+        nearest = (folded, 0) if column or table else _nearest(folded, schema.identifier_names)
         facts = column, table, any(map(str.isdigit, folded)), "_" in folded, nearest
         if len(schema.name_memo) < _NEAREST_MEMO_SIZE:
             schema.name_memo[folded] = facts
     return facts
-
-
-def nearest_schema_identifier(name: str, schema: Schema) -> tuple[str, int]:
-    """Closest table or column name in the whole schema; ties break
-    lexicographically on the identifier."""
-    nearest = _name_facts(name, schema)[4]
-    if nearest is None:
-        raise EmptySchema("schema has no tables or columns")
-    return nearest
 
 
 def _nearest(folded: str, candidates: tuple[str, ...]) -> tuple[str, int] | None:
@@ -275,15 +265,32 @@ def operand_type_compat(op_node: SqlNode, frame: ScopeFrame, schema: Schema) -> 
     return Compat.COMPATIBLE if left == right else Compat.INCOMPATIBLE
 
 
-def node_logprob_score(
-    node: SqlNode, token_logprobs: list[tuple[int, int, float]]
-) -> float | None:
-    """Mean log-probability over tokens whose spans overlap the node's span."""
-    start, end = node.span
-    overlapping = [lp for (ts, te, lp) in token_logprobs if ts < end and te > start]
-    if not overlapping:
-        return None
-    return sum(overlapping) / len(overlapping)
+def node_logprob_scores(
+    nodes: list[SqlNode], token_logprobs: list[tuple[int, int, float]]
+) -> list[float | None]:
+    """Each node's mean log-probability over the tokens whose spans overlap
+    its span, or None where no token does.
+
+    Token [ts, te) overlaps [start, end) when ts < end and te > start.  As
+    ts < te, the tokens with te <= start are among those with ts < end, and
+    the overlapping ones are the rest: two binary searches over prefix sums.
+    Each logprob is summed as the integer lp * 2**1074, so sums are exact."""
+    def prefix_sums(tokens):
+        sums = [0]
+        for _, _, lp in tokens:
+            num, den = lp.as_integer_ratio()
+            sums.append(sums[-1] + num * ((1 << 1074) // den))
+        return sums
+
+    by_start, by_end = sorted(token_logprobs), sorted(token_logprobs, key=itemgetter(1))
+    starts, start_sums = [t[0] for t in by_start], prefix_sums(by_start)
+    ends, end_sums = [t[1] for t in by_end], prefix_sums(by_end)
+    scores = []
+    for node in nodes:
+        start, end = node.span
+        i, j = bisect_left(starts, end), bisect_right(ends, start)
+        scores.append((start_sums[i] - end_sums[j]) / ((i - j) << 1074) if i > j else None)
+    return scores
 
 
 _CLAUSE_KINDS = frozenset(

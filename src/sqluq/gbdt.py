@@ -338,6 +338,8 @@ class GbdtModel:
             doc = json.loads(text)
         except RecursionError:
             raise ValueError("malformed model file: nested too deep") from None
+        except ValueError as exc:  # not JSON, or an integer past int's digit limit
+            raise ValueError(f"malformed model file: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("format") != "sqluq-gbdt-model":
             raise ValueError("not a model file")
         version = doc.get("version")
@@ -653,22 +655,21 @@ def train(records: list[NodeRecord], config: GbdtConfig | None = None) -> GbdtMo
     return train_matrix(X, y, config=config)
 
 
-def predict_proba(model: GbdtModel, features: np.ndarray) -> np.ndarray | float:
-    """Per-row probability of error: sigmoid(base + sum of scaled leaves)."""
+def predict_proba(model: GbdtModel, features: np.ndarray) -> np.ndarray:
+    """Per-row probability of error of a 2-D matrix of rows: sigmoid(base +
+    sum of scaled leaves)."""
     if model.manifest_hash != MANIFEST.version_hash:
         raise ManifestMismatch(
             f"model built under manifest {model.manifest_hash}, got {MANIFEST.version_hash}"
         )
     arr = np.asarray(features, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
+    if arr.ndim != 2:
+        raise ValueError(f"features must be a 2-D matrix of rows, got {arr.ndim}-D")
     if arr.shape[1] != model.feature_count:
         raise ManifestMismatch(
             f"expected {model.feature_count} features, got {arr.shape[1]}"
         )
-    proba = _sigmoid(model.decision_function(arr))
-    return float(proba[0]) if single else proba
+    return _sigmoid(model.decision_function(arr))
 
 
 def roc_auc(scores, labels) -> float:

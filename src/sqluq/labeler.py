@@ -53,7 +53,7 @@ alone, because alias-resolved qualifiers are equal across contents; the
 child keys of a symmetric binary kind are sorted; And and Or keep no child
 keys, because a gold And may have more operands.  Unequal keys reject a
 pair at once.  The keys also bucket the gold nodes the rescue pass tries
-and the operands an And or Or match may pair.
+and the operands an And or Or match may pair; both trees are keyed first.
 """
 
 from __future__ import annotations
@@ -138,7 +138,8 @@ class LabelMap:
 class EquivalenceContext:
     """Alias maps, subtree keys and a memo cache for one (generated, gold)
     pair.  Node ids restart at 0 in each tree, so each tree has its own key
-    map; a subtree's keys are filled the first time it is compared."""
+    map.  The equivalence checks take only nodes that label_with_context has
+    keyed, and never an Alias wrapper: callers pass the node it wraps."""
 
     gen_aliases: dict[str, str]
     gold_aliases: dict[str, str]
@@ -204,9 +205,8 @@ def _fill_keys(nodes: list[SqlNode], keys: dict[int, int]):
 
 def shallow_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> bool:
     """Node-level equivalence test, ignoring children: equal kinds or an
-    anti-symmetric pair, equal contents, alias-resolved qualifiers."""
-    a = _unwrap(a)
-    b = _unwrap(b)
+    anti-symmetric pair, equal contents, alias-resolved qualifiers.  Takes
+    keyed nodes, neither an Alias wrapper (see EquivalenceContext)."""
     if (a.kind, b.kind) in ANTI_SYMMETRIC_PAIRS:
         return True
     if a.kind is not b.kind:
@@ -238,16 +238,9 @@ def shallow_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> bool:
 
 
 def recursively_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> bool:
-    """True when the two subtrees are semantically interchangeable."""
-    a = _unwrap(a)
-    b = _unwrap(b)
-    try:
-        same_key = ctx.gen_keys[a.id] == ctx.gold_keys[b.id]
-    except KeyError:  # the first comparison of a subtree outside label_with_context
-        _fill_keys(preorder(a), ctx.gen_keys)
-        _fill_keys(preorder(b), ctx.gold_keys)
-        same_key = ctx.gen_keys[a.id] == ctx.gold_keys[b.id]
-    if not same_key:
+    """True when the two subtrees are semantically interchangeable.  Takes
+    keyed nodes, neither an Alias wrapper (see EquivalenceContext)."""
+    if ctx.gen_keys[a.id] != ctx.gold_keys[b.id]:
         return False
     key = (a.id, b.id)
     cached = ctx.memo.get(key)

@@ -24,7 +24,7 @@ import numpy as np
 
 from sqluq import labeler
 from sqluq.ast_core import SqlNode, build_alias_map, parse_sql
-from sqluq.featurizer import MANIFEST, NodeRecord, featurize_tree, node_logprob_score
+from sqluq.featurizer import MANIFEST, NodeRecord, featurize_tree, node_logprob_scores
 from sqluq.gbdt import (
     EvalRow,
     GbdtConfig,
@@ -80,9 +80,11 @@ def _token_entry(item) -> tuple[int, int, float] | None:
 def load_dataset(path: str | Path) -> LoadResult:
     """Read a JSONL dataset, skipping and reporting malformed lines.
 
-    A line that is not UTF-8 or is nested deeper than `json` can decode is
-    malformed.  A line whose query_id an earlier record already has is
-    skipped too, so no id can land on both sides of a split.
+    A line that is not UTF-8, is nested deeper than `json` can decode or
+    holds an integer past int's digit limit is malformed, and so is a
+    query_id or db_id that is neither a string nor an integer.  A line whose
+    query_id an earlier record already has is skipped too, so no id can
+    land on both sides of a split.
     """
     records: list[DatasetRecord] = []
     skipped: list[tuple[int, str]] = []
@@ -101,6 +103,9 @@ def load_dataset(path: str | Path) -> LoadResult:
                 continue
             except json.JSONDecodeError as exc:
                 skipped.append((lineno, f"invalid JSON: {exc.msg}"))
+                continue
+            except ValueError as exc:  # an integer past int's digit limit
+                skipped.append((lineno, f"invalid JSON: {exc}"))
                 continue
             except RecursionError:
                 skipped.append((lineno, "invalid JSON: nested too deep"))
@@ -121,6 +126,11 @@ def load_dataset(path: str | Path) -> LoadResult:
             not_strings = [k for k in ("generated_sql", "gold_sql") if not isinstance(doc[k], str)]
             if not_strings:
                 skipped.append((lineno, f"not a string: {', '.join(not_strings)}"))
+                continue
+            # a boolean is not an integer
+            bad_id = next((k for k in ("query_id", "db_id") if type(doc[k]) not in (str, int)), "")
+            if bad_id:
+                skipped.append((lineno, f"{bad_id} is not a string or an integer"))
                 continue
             token_logprobs = None
             if doc.get("token_logprobs") is not None:
@@ -306,12 +316,11 @@ def label_and_featurize(record: DatasetRecord, schema: Schema) -> LabeledQuery:
     gold = parse_sql(record.gold_sql)
     label_map, ctx = labeler.label_with_context(gen, gold)
     nodes, matrix = featurize_tree(gen, ctx.gen_aliases, schema)
+    scores = (node_logprob_scores(nodes, record.token_logprobs) if record.token_logprobs
+              else [None] * len(nodes))
     node_records = []
     provenance = []
     for i, node in enumerate(nodes):
-        lp = None
-        if record.token_logprobs:
-            lp = node_logprob_score(node, record.token_logprobs)
         node_records.append(
             NodeRecord(
                 query_id=record.query_id,
@@ -320,7 +329,7 @@ def label_and_featurize(record: DatasetRecord, schema: Schema) -> LabeledQuery:
                 node_kind=node.kind.value,
                 features=matrix[i],
                 label=label_map.labels[node.id],
-                logprob_score=lp,
+                logprob_score=scores[i],
             )
         )
         provenance.append(label_map.provenance[node.id].value)

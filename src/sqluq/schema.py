@@ -98,7 +98,8 @@ class Schema:
     _table_index: dict[str, TableDef] = field(init=False, repr=False)
     # case-folded column name -> {case-folded table name -> its type}
     _columns: dict[str, dict[str, DataType]] = field(init=False, repr=False)
-    _identifier_names: tuple[str, ...] = field(init=False, repr=False)
+    # every table and column name, case-folded, sorted, deduplicated
+    identifier_names: tuple[str, ...] = field(init=False, repr=False)
     # featurizer._name_facts' answers by case-folded name
     name_memo: dict[str, tuple] = field(
         init=False, repr=False, compare=False, default_factory=dict
@@ -119,7 +120,7 @@ class Schema:
                         f"duplicate column {col.name!r} in table {table.name!r}"
                     )
                 types[key] = col.data_type
-        self._identifier_names = tuple(
+        self.identifier_names = tuple(
             sorted(self._table_index.keys() | self._columns.keys())
         )
 
@@ -137,17 +138,13 @@ class Schema:
     def column_type(self, table: str, column: str) -> DataType | None:
         return self._columns.get(column.casefold(), {}).get(table.casefold())
 
-    def identifier_names(self) -> tuple[str, ...]:
-        """Every table and column name, case-folded, sorted, deduplicated."""
-        return self._identifier_names
-
 
 def load_schema(path: str | Path) -> Schema:
     """Read a schema file: {"db_id": ..., "tables": [{"name", "columns"}]}."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable, not JSON, an over-long int
         raise SchemaFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict) or "tables" not in raw:
         raise SchemaFormatError(f"{path}: expected an object with a 'tables' field")

@@ -1,5 +1,6 @@
 import random
 from itertools import chain, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,14 +20,13 @@ from sqluq.ast_core import (
 from sqluq.featurizer import (
     _IDX,
     Compat,
-    EmptySchema,
     LEVENSHTEIN_SENTINEL,
     MANIFEST,
     _char_masks,
     _edit_distance,
+    _name_facts,
     featurize_tree,
-    nearest_schema_identifier,
-    node_logprob_score,
+    node_logprob_scores,
     operand_type_compat,
 )
 from sqluq.schema import (
@@ -99,7 +99,7 @@ def dp_oracle(a, b):
 
 
 def edit_distance(a, b):
-    """Edit distance from a to b, as nearest_schema_identifier computes it."""
+    """Edit distance from a to b, as the nearest-identifier search computes it."""
     return _edit_distance(_char_masks(a), len(a), b)
 
 
@@ -145,17 +145,17 @@ class TestLevenshtein:
 
 class TestNearestIdentifier:
     def test_typo_one_away(self, org_schema):
-        name, dist = nearest_schema_identifier("employes", org_schema)
+        name, dist = _name_facts("employes", org_schema)[4]
         assert (name, dist) == ("employee", 1)
 
     def test_exact_match(self, org_schema):
-        assert nearest_schema_identifier("salary", org_schema) == ("salary", 0)
+        assert _name_facts("salary", org_schema)[4] == ("salary", 0)
 
     def test_brute_force_scan(self, org_schema):
-        candidates = org_schema.identifier_names()
+        candidates = org_schema.identifier_names
         target = "hada"
         expected = min(candidates, key=lambda c: (edit_distance(target, c), c))
-        name, dist = nearest_schema_identifier(target, org_schema)
+        name, dist = _name_facts(target, org_schema)[4]
         assert name == expected
         assert dist == edit_distance(target, expected)
 
@@ -164,20 +164,19 @@ class TestNearestIdentifier:
             db_id="x",
             tables=(TableDef("ab", ()), TableDef("ad", ()), TableDef("ac", ())),
         )
-        name, dist = nearest_schema_identifier("aa", schema)
+        name, dist = _name_facts("aa", schema)[4]
         assert (name, dist) == ("ab", 1)
 
-    def test_empty_schema_raises(self):
-        with pytest.raises(EmptySchema):
-            nearest_schema_identifier("x", Schema(db_id="e", tables=()))
+    def test_empty_schema_has_no_nearest(self):
+        assert _name_facts("x", Schema(db_id="e", tables=()))[4] is None
 
     def test_answers_are_remembered_per_schema(self, org_schema):
-        first = nearest_schema_identifier("Employes", org_schema)
+        first = _name_facts("Employes", org_schema)[4]
         # not a column, not a table, no digit, no underscore, nearest answer
         assert org_schema.name_memo == {"employes": (False, False, False, False, first)}
-        assert nearest_schema_identifier("EMPLOYES", org_schema) == first
+        assert _name_facts("EMPLOYES", org_schema)[4] == first
         other = Schema(db_id="o", tables=(TableDef("employed", ()),))
-        assert nearest_schema_identifier("employes", other) == ("employed", 1)
+        assert _name_facts("employes", other)[4] == ("employed", 1)
         assert len(org_schema.name_memo) == 1
 
     def test_pruned_search_matches_full_scan_with_ties(self):
@@ -201,9 +200,9 @@ class TestNearestIdentifier:
             except SchemaFormatError:
                 continue  # a duplicate name
             name = word(0, 9)
-            full = sorted((edit_distance(name, c), c) for c in schema.identifier_names())
+            full = sorted((edit_distance(name, c), c) for c in schema.identifier_names)
             ties += len(full) > 1 and full[0][0] == full[1][0]
-            assert nearest_schema_identifier(name, schema) == (full[0][1], full[0][0])
+            assert _name_facts(name, schema)[4] == (full[0][1], full[0][0])
         assert ties >= 30
 
 
@@ -477,19 +476,46 @@ class TestLogprobScore:
         tree = parse_sql("SELECT name FROM people")
         col = by_kind(NodeKind.COLUMN, "name")(tree)
         spans = [(0, 6, -0.1), (7, 11, -0.2), (12, 16, -0.9), (17, 23, -0.4)]
-        assert node_logprob_score(col, spans) == pytest.approx(-0.2)
+        assert node_logprob_scores([col], spans) == [pytest.approx(-0.2)]
 
     def test_no_overlap_is_none(self):
         tree = parse_sql("SELECT name FROM people")
         col = by_kind(NodeKind.COLUMN, "name")(tree)
-        assert node_logprob_score(col, [(0, 6, -0.5)]) is None
+        assert node_logprob_scores([col], [(0, 6, -0.5)]) == [None]
 
     def test_partial_overlap_included(self):
         tree = parse_sql("SELECT name FROM people")
         col = by_kind(NodeKind.COLUMN, "name")(tree)  # span (7, 11)
         spans = [(5, 8, -0.2), (8, 10, -0.4), (10, 14, -0.6), (14, 20, -5.0)]
         expected = (-0.2 + -0.4 + -0.6) / 3
-        assert node_logprob_score(col, spans) == pytest.approx(expected)
+        assert node_logprob_scores([col], spans) == [pytest.approx(expected)]
+
+    def test_matches_the_mean_over_overlapping_tokens(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            spans = []
+            for _ in range(rng.randint(0, 30)):  # unsorted, overlapping, repeated
+                start = rng.randint(0, 40)
+                spans.append((start, start + rng.randint(1, 8), -rng.random() * 5))
+            spans += rng.sample(spans, min(3, len(spans)))
+            nodes = []
+            for _ in range(20):
+                start = rng.randint(0, 45)
+                nodes.append(SimpleNamespace(span=(start, start + rng.randint(0, 10))))
+            for node, score in zip(nodes, node_logprob_scores(nodes, spans)):
+                start, end = node.span
+                over = [lp for ts, te, lp in spans if ts < end and te > start]
+                if over:
+                    assert score == pytest.approx(sum(over) / len(over), abs=1e-9), (spans, node)
+                else:
+                    assert score is None, (spans, node)
+
+    def test_sums_are_exact(self):
+        # a float running sum would lose the -0.5 to the -1e20 before it, and
+        # overflow on two logprobs of -1e308
+        spans = [(0, 1, -1e20), (2, 3, -0.5), (4, 5, -1e308), (4, 5, -1e308)]
+        nodes = [SimpleNamespace(span=s) for s in ((2, 3), (4, 5), (0, 3))]
+        assert node_logprob_scores(nodes, spans) == [-0.5, -1e308, (-1e20 - 0.5) / 2]
 
 
 # Reference: the per-node featurizer that featurize_tree replaced.  Every
@@ -620,11 +646,9 @@ def ref_featurize_node(node, tree, aliases, schema, parent, sibling):
         if valid:
             vec[_IDX["levenshtein_nearest"]] = 0.0
         else:
-            try:
-                _, dist = nearest_schema_identifier(lexical_name, schema)
-                vec[_IDX["levenshtein_nearest"]] = float(min(dist, LEVENSHTEIN_SENTINEL))
-            except EmptySchema:
-                pass
+            nearest = _name_facts(lexical_name, schema)[4]
+            if nearest is not None:  # None in a schema without identifiers
+                vec[_IDX["levenshtein_nearest"]] = float(min(nearest[1], LEVENSHTEIN_SENTINEL))
         for name, bit in zip(
             ("name_has_digit", "name_has_underscore", "name_all_caps", "name_mixed_case"),
             ref_name_pattern_bits(node, lexical_name),

@@ -98,12 +98,12 @@ class TestTraining:
         with pytest.warns(DegenerateLabels):
             model = train_matrix(np.ones((20, 3)), np.zeros(20))
         assert not model.trees
-        assert predict_proba(model, np.ones(3)) < 0.01
+        assert predict_proba(model, np.ones((1, 3)))[0] < 0.01
 
     def test_all_labels_one_constant_model(self):
         with pytest.warns(DegenerateLabels):
             model = train_matrix(np.ones((20, 3)), np.ones(20))
-        assert predict_proba(model, np.ones(3)) > 0.99
+        assert predict_proba(model, np.ones((1, 3)))[0] > 0.99
 
     def test_xor_layout(self):
         rng = np.random.RandomState(1)
@@ -202,9 +202,9 @@ class TestPredict:
                           manifest_hash=MANIFEST.version_hash, feature_count=1)
         # x=0.2 goes left: sigmoid(0.3 + 0.1 * -1.0)
         expected = 1.0 / (1.0 + np.exp(-(0.3 - 0.1)))
-        assert predict_proba(model, np.array([0.2])) == pytest.approx(expected)
+        assert predict_proba(model, np.array([[0.2]]))[0] == pytest.approx(expected)
         expected_right = 1.0 / (1.0 + np.exp(-(0.3 + 0.2)))
-        assert predict_proba(model, np.array([0.9])) == pytest.approx(expected_right)
+        assert predict_proba(model, np.array([[0.9]]))[0] == pytest.approx(expected_right)
 
     def test_manifest_mismatch_rejected(self):
         model = GbdtModel(config=GbdtConfig(), base_score=0.0, trees=[],
@@ -584,9 +584,10 @@ class TestPackedEnsemble:
     def test_single_row_input(self):
         X, y, X_new = self._data()
         model = train_matrix(X, y, GbdtConfig(n_trees=20, min_samples_leaf=2))
-        for row in X_new[:20]:
-            expected = float(_sigmoid(traverse_oracle(model, row[None, :]))[0])
-            assert predict_proba(model, row) == expected
+        # rows come as a 2-D matrix only: one row is a matrix of one row
+        for features in (X_new[0], X_new[0, 0], X_new[None, :2]):
+            with pytest.raises(ValueError, match="features must be a 2-D matrix of rows"):
+                predict_proba(model, features)
 
     @pytest.mark.parametrize("max_leaves, words", [(2, 1), (64, 1), (65, 2), (130, 3), (255, 4)])
     def test_mask_widths_match_oracle(self, max_leaves, words):
@@ -630,7 +631,7 @@ class TestPackedEnsemble:
         assert np.array_equal(model.decision_function(rows), traverse_oracle(model, rows))
         for row in rows[::9]:
             expected = float(_sigmoid(traverse_oracle(model, row[None, :]))[0])
-            assert predict_proba(model, row) == expected
+            assert predict_proba(model, row[None, :])[0] == expected
 
 
 def random_tree(rng, leaves, n_features, threshold):
@@ -862,6 +863,12 @@ def test_from_json_rejects_a_document_that_is_no_model(text, message):
     with pytest.raises(ValueError) as info:
         GbdtModel.from_json(text)
     assert str(info.value) == message
+
+
+def test_from_json_rejects_an_integer_past_the_digit_limit():
+    text = '{"format": "sqluq-gbdt-model", "version": ' + "1" * 5000 + "}"
+    with pytest.raises(ValueError, match=r"^malformed model file: Exceeds the limit \(4300 digits\)"):
+        GbdtModel.from_json(text)
 
 
 def test_from_json_rejects_trees_that_are_not_a_list():

@@ -1,6 +1,5 @@
-from sqluq.ast_core import NodeKind, build_alias_map, parse_sql, preorder
+from sqluq.ast_core import NodeKind, parse_sql, preorder
 from sqluq.labeler import (
-    EquivalenceContext,
     Provenance,
     error_descriptors,
     label_with_context,
@@ -12,7 +11,7 @@ from sqluq.labeler import (
 def ctx_for(gen_sql, gold_sql):
     gen = parse_sql(gen_sql)
     gold = parse_sql(gold_sql)
-    return gen, gold, EquivalenceContext(build_alias_map(gen), build_alias_map(gold))
+    return gen, gold, label_with_context(gen, gold)[1]
 
 
 def find(tree, kind, content=None):

@@ -1,11 +1,12 @@
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sqluq.ast_core import parse_sql
+from sqluq.ast_core import parse_sql, tokenize
 from sqluq.featurizer import MANIFEST
 from sqluq.gbdt import DegenerateLabels, GbdtConfig, GbdtModel, predict_proba
 from sqluq.pipeline import (
@@ -151,6 +152,35 @@ class TestLoadDataset:
             (5, "record is not an object"),
             (6, "generated_sql is not valid Unicode"),
         ]
+
+    def test_ids_that_are_neither_strings_nor_integers_are_skips(self, tmp_path):
+        lines = [
+            record_line("q1"),
+            record_line([[[1]]]),
+            record_line("q2", db={"a": 1}),
+            record_line(True),
+            record_line(1.5),
+            record_line("q3", db=False),
+            record_line(0, db=7),  # integers are ids, 0 among them
+            record_line("q4"),
+        ]
+        result = load_dataset(write_lines(tmp_path / "d.jsonl", lines))
+        assert [(r.query_id, r.db_id) for r in result.records] == [
+            ("q1", "db1"), ("0", "7"), ("q4", "db1")]
+        assert result.skipped == [
+            (2, "query_id is not a string or an integer"),
+            (3, "db_id is not a string or an integer"),
+            (4, "query_id is not a string or an integer"),
+            (5, "query_id is not a string or an integer"),
+            (6, "db_id is not a string or an integer"),
+        ]
+
+    def test_an_integer_past_the_digit_limit_is_invalid_json(self, tmp_path):
+        lines = [record_line("q1"), record_line("q2").replace('"q2"', "9" * 5000), record_line("q3")]
+        result = load_dataset(write_lines(tmp_path / "d.jsonl", lines))
+        assert [r.query_id for r in result.records] == ["q1", "q3"]
+        [(lineno, reason)] = result.skipped
+        assert lineno == 2 and reason.startswith("invalid JSON: Exceeds the limit (4300 digits)")
 
     def test_duplicate_query_id_skipped_naming_the_first_line(self, tmp_path):
         lines = [record_line("q1"), record_line("q2", gen="SELECT b FROM t"), record_line("q1")]
@@ -417,6 +447,24 @@ def test_predict_sql_on_a_3000_term_chain():
     assert [n.id for n in nodes] == list(range(len(nodes)))
     assert proba.shape == (len(nodes),)
     assert max(n.depth for n in nodes) >= 3000
+
+
+def test_logprob_scores_of_a_4000_term_chain_take_linear_time():
+    # every node overlaps some token, and the AND node overlaps them all
+    sql = "SELECT c1 FROM t1 WHERE " + " AND ".join(f"c1 = {i}" for i in range(4000))
+    spans = [(t.start, t.end, -0.01 * (i % 7 + 1)) for i, t in enumerate(tokenize(sql)[:-1])]
+    seconds = {}
+    for logprobs in (None, spans):
+        record = DatasetRecord("q", "synth", sql, sql, token_logprobs=logprobs)
+        runs = []
+        for _ in range(2):
+            start = time.perf_counter()
+            labeled = label_and_featurize(record, SYNTH_SCHEMA)
+            runs.append(time.perf_counter() - start)
+        seconds[logprobs is None] = min(runs)
+    assert all(nr.logprob_score is not None for nr in labeled.node_records)
+    # a scan of every token per node made this 17 times as slow
+    assert seconds[False] < 2 * seconds[True], seconds
 
 
 def test_10000_nested_parentheses_parse_label_and_predict():

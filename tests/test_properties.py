@@ -1,12 +1,17 @@
 """Property-based checks of the labeling invariants."""
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
-from sqluq.ast_core import NodeKind, build_alias_map, parse_sql, preorder, tokenize
+from sqluq import labeler
+from sqluq.ast_core import NodeKind, parse_sql, preorder, tokenize
+from sqluq.corpus import CASES
 from sqluq.labeler import (
     CORRECT,
     ERROR,
@@ -18,6 +23,7 @@ from sqluq.labeler import (
 )
 from sqluq.synth import build_planted_corpus
 
+from test_golden import SCOPED_PAIRS
 from querygen import (
     TABLES,
     add_gold_only_material,
@@ -236,7 +242,7 @@ def forward_first_pass(gen, gold) -> dict[int, int]:
     the whole generated subtree correct; any other visit blames the generated
     node and visits every generated x gold pair of their children, in order.
     The last write to a node wins."""
-    ctx = EquivalenceContext(build_alias_map(gen), build_alias_map(gold))
+    ctx = label_with_context(gen, gold)[1]
     written = {}
 
     def align(x, g):
@@ -366,3 +372,79 @@ def test_first_pass_matches_forward_definition_on_fixed_shapes(shape):
         gen_sql, gold_sql = shape(rng)
         assert_first_pass_is_forward(gen_sql, gold_sql)
         assert_first_pass_is_forward(gold_sql, gen_sql)
+
+
+def calls_under_the_equivalence_contract(gen_sql: str, gold_sql: str) -> list[tuple]:
+    """Label a pair with labeler.recursively_equivalent and
+    labeler.shallow_equivalent wrapped, and assert that every call gets a
+    generated node and a gold node, neither an Alias wrapper, each keyed in
+    its own tree.  The recursive calls go through the module globals, so the
+    wrappers see them too.  Returns the (check, generated, gold) calls."""
+    gen, gold = parse_sql(gen_sql), parse_sql(gold_sql)
+    in_gen, in_gold = {id(n) for n in preorder(gen)}, {id(n) for n in preorder(gold)}
+    calls = []
+
+    def wrapped(check):
+        def under_contract(a, b, ctx):
+            why = (check.__name__, gen_sql, gold_sql, a, b)
+            assert a.kind is not NodeKind.ALIAS and b.kind is not NodeKind.ALIAS, why
+            assert id(a) in in_gen and a.id in ctx.gen_keys, why
+            assert id(b) in in_gold and b.id in ctx.gold_keys, why
+            calls.append((check.__name__, a, b))
+            return check(a, b, ctx)
+        return under_contract
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("recursively_equivalent", "shallow_equivalent"):
+            patch.setattr(labeler, name, wrapped(getattr(labeler, name)))
+        label_with_context(gen, gold)
+    return calls
+
+
+@PROPERTY_SETTINGS
+@given(seeds)
+def test_equivalence_contract_on_random_pairs(seed):
+    rng = random.Random(seed)
+    calls_under_the_equivalence_contract(*random_pair(rng))
+    draft = random_draft(rng, with_alias_prob=0.7)
+    for other in (flip_antisymmetric(draft), rename_alias(draft, "zz9"),
+                  add_gold_only_material(draft, rng)):
+        calls_under_the_equivalence_contract(draft.render(), other.render())
+        calls_under_the_equivalence_contract(other.render(), draft.render())
+
+
+# select items under Alias wrappers, on either side or both
+ALIASED_ITEM_PAIRS = (
+    ("SELECT a AS x, b FROM t WHERE a = 1", "SELECT b, a AS y FROM t WHERE 1 = a"),
+    ("SELECT max(a) AS m FROM t GROUP BY b", "SELECT max(a) FROM t GROUP BY b"),
+    ("SELECT a FROM t", "SELECT a AS a FROM t"),
+    ("SELECT s.v FROM (SELECT a + 1 AS v FROM t) AS s", "SELECT v FROM (SELECT 1 + a AS v FROM t)"),
+)
+
+
+def _wide_deep_pairs() -> list[tuple[str, str]]:
+    """The benchmark's wide, chain and nested pairs of seed 0."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+        return [(r.generated_sql, r.gold_sql) for r, _ in module.wide_deep_pairs(0)]
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("source", ["corpus", "scoped", "aliased-items", "wide-deep"])
+def test_equivalence_contract_on_fixed_pairs(source):
+    pairs = {
+        "corpus": lambda: [(case.generated, case.gold) for case in CASES],
+        "scoped": lambda: SCOPED_PAIRS,
+        "aliased-items": lambda: ALIASED_ITEM_PAIRS,
+        "wide-deep": _wide_deep_pairs,
+    }[source]()
+    checks = set()
+    for gen_sql, gold_sql in pairs:
+        for pair in ((gen_sql, gold_sql), (gold_sql, gen_sql)):
+            checks.update(name for name, *_ in calls_under_the_equivalence_contract(*pair))
+    assert checks == {"recursively_equivalent", "shallow_equivalent"}

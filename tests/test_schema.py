@@ -108,8 +108,9 @@ def test_load_schema_bad_json(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "raw", [b'{"tables": [], "db_id": "\xff"}', b"[" * 100_000],
-    ids=["not-utf-8", "nested-too-deep"],
+    "raw", [b'{"tables": [], "db_id": "\xff"}', b"[" * 100_000,
+            b'{"tables": [], "db_id": ' + b"9" * 5000 + b"}"],
+    ids=["not-utf-8", "nested-too-deep", "int-past-the-digit-limit"],
 )
 def test_load_schema_undecodable_json(tmp_path, raw):
     path = tmp_path / "broken.json"
