@@ -12,6 +12,9 @@ float64 bytes of its raw scores for scoring.
 """
 
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ TOKEN_SHA256 = "ead5175f670aecb2d5e522e150b4cc4e1fdd1b5191217fb0c562a9e0827aa222
 MODEL_SHA256 = "9c03408d2ffc18046ed567a4734dab907ee29803fc13927b38b40a33eb54735b"
 DECISION_SHA256 = "c8ffa3dded20693dd2509d513969349d9a3087b2e65e30b4de441915c5d29220"
 WIDE_SHAPES_FEATURES_SHA256 = "578bc936b3d625507b254b0fec3e98c30d8df2aff0342222c38f3b7e43f32eae"
+WIDE_DEEP_LABELS_SHA256 = "6165829aecf2fcd9dc4e9d330089a00d74342391d514c38d8ac86cff545b2cd2"
 
 # (generated, gold) pairs with aliases, joins, IN subqueries and correlated
 # references: shapes the planted corpus never produces.
@@ -107,6 +111,19 @@ WIDE_QUERIES = (
     "SELECT " + " + ".join(_wide_name(3 if i == 75 else 4) for i in range(150)) + " FROM metrics",
     "SELECT metrics.m001 FROM metrics WHERE " + "(" * 200 + "m002x = 5" + ")" * 200,
 )
+
+
+def wide_deep_pairs() -> list[tuple[str, str]]:
+    """The benchmark's wide, chain and nested pairs of seed 0."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+        return [(r.generated_sql, r.gold_sql) for r, _ in module.wide_deep_pairs(0)]
+    finally:
+        del sys.modules[spec.name]
 
 
 # Expression shapes that pin down precedence, associativity, NOT placement,
@@ -270,6 +287,16 @@ def test_wide_shapes_features():
         _, matrix = featurize_tree(tree, build_alias_map(tree), WIDE_SCHEMA)
         digest.update(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
     assert digest.hexdigest() == WIDE_SHAPES_FEATURES_SHA256
+
+
+def test_wide_deep_labels_and_provenance():
+    digest = hashlib.sha256()
+    for num, (gen_sql, gold_sql) in enumerate(wide_deep_pairs()):
+        label_map, _ = label_with_context(parse_sql(gen_sql), parse_sql(gold_sql))
+        for nid in sorted(label_map.labels):
+            line = f"{num} {nid} {label_map.labels[nid]} {label_map.provenance[nid].value}\n"
+            digest.update(line.encode())
+    assert digest.hexdigest() == WIDE_DEEP_LABELS_SHA256
 
 
 def test_parse_trees_and_errors():

@@ -1,9 +1,6 @@
 """Property-based checks of the labeling invariants."""
 
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -23,7 +20,7 @@ from sqluq.labeler import (
 )
 from sqluq.synth import build_planted_corpus
 
-from test_golden import SCOPED_PAIRS
+from test_golden import SCOPED_PAIRS, wide_deep_pairs
 from querygen import (
     TABLES,
     add_gold_only_material,
@@ -422,26 +419,13 @@ ALIASED_ITEM_PAIRS = (
 )
 
 
-def _wide_deep_pairs() -> list[tuple[str, str]]:
-    """The benchmark's wide, chain and nested pairs of seed 0."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    try:
-        spec.loader.exec_module(module)
-        return [(r.generated_sql, r.gold_sql) for r, _ in module.wide_deep_pairs(0)]
-    finally:
-        del sys.modules[spec.name]
-
-
 @pytest.mark.parametrize("source", ["corpus", "scoped", "aliased-items", "wide-deep"])
 def test_equivalence_contract_on_fixed_pairs(source):
     pairs = {
         "corpus": lambda: [(case.generated, case.gold) for case in CASES],
         "scoped": lambda: SCOPED_PAIRS,
         "aliased-items": lambda: ALIASED_ITEM_PAIRS,
-        "wide-deep": _wide_deep_pairs,
+        "wide-deep": wide_deep_pairs,
     }[source]()
     checks = set()
     for gen_sql, gold_sql in pairs:
