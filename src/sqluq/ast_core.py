@@ -140,12 +140,8 @@ class SqlNode:
     flags: tuple[str, ...] = ()
 
     def walk(self):
-        """Yield this node and every descendant in preorder."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack += node.children[::-1]
+        """This node and every descendant in preorder."""
+        return iter(preorder(self))
 
     def descriptor(self) -> tuple[str, str | None]:
         return (self.kind.value, self.content)
@@ -164,7 +160,12 @@ class SqlNode:
 
 def preorder(tree: SqlNode) -> list[SqlNode]:
     """Deterministic preorder enumeration, aligned with node ids."""
-    return list(tree.walk())
+    nodes, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack += node.children[::-1]
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +565,8 @@ class _Parser:
             if after_in and power >= 4:
                 raise ParseError("operator after IN list", S[i])
             # guard unless a comparison is pending: the innermost entry of power <= 4 is one
-            if not power and not after_in and next(p for p, *_ in reversed(ops) if p <= 4) != 4:
+            if (K[i] in _UNSUPPORTED_KEYWORDS and not power and not after_in
+                    and next(p for p, *_ in reversed(ops) if p <= 4) != 4):
                 self.guard(i)
             while ops[-1][0] >= (power or 1):  # left associative
                 if ops[-1][0] == power == 4:
@@ -645,7 +647,7 @@ def parse_sql(text: str) -> SqlNode:
         parser.guard(i)
         raise ParseError("unexpected trailing input", parser.starts[i])
     root.depth = 0
-    for node_id, node in enumerate(root.walk()):  # contiguous preorder ids, and depths
+    for node_id, node in enumerate(preorder(root)):  # contiguous preorder ids, and depths
         node.id = node_id
         for child in node.children:
             child.depth = node.depth + 1
@@ -661,7 +663,7 @@ def build_alias_map(tree: SqlNode) -> dict[str, str]:
     nested ones, the later declaration wins.
     """
     aliases: dict[str, str] = {}
-    for node in tree.walk():
+    for node in preorder(tree):
         if node.kind is NodeKind.TABLE:
             alias = next((c for c in node.children if c.kind is NodeKind.TABLE_ALIAS), None)
             if alias is not None and alias.content:

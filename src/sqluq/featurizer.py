@@ -326,6 +326,9 @@ def featurize_tree(
     # it changes at flat position row + column
     cells = array("d")
     name_memo = schema.name_memo
+    # the loop reads kinds from locals: a `NodeKind.X` lookup is a Python-level hook on 3.11
+    SELECT, COLUMN, TABLE, LIKE, IN, AGG = (
+        NodeKind.SELECT, NodeKind.COLUMN, NodeKind.TABLE, NodeKind.LIKE, NodeKind.IN, NodeKind.AGG)
     # (node, parent's kind, sibling index, scope frame, level's bare-aggregate
     #  bit, projected: inside its level's SELECT list and outside any aggregate
     #  call, the parent's operand_type_compat)
@@ -333,7 +336,7 @@ def featurize_tree(
     while stack:
         node, parent_kind, sibling, frame, bare_agg, projected, parent_compat = stack.pop()
         kind = node.kind
-        is_select = kind is NodeKind.SELECT
+        is_select = kind is SELECT
         if is_select:
             frame = frame.enter(node)
             bare_agg = _bare_aggregate(node)
@@ -352,9 +355,9 @@ def featurize_tree(
             name, flags = node.content, node.flags  # content is case-folded
             column, table, digit, underscore, nearest = (
                 name_memo.get(name) or _name_facts(name, schema))
-            if kind is NodeKind.COLUMN:
+            if kind is COLUMN:
                 valid = column
-            elif kind is NodeKind.TABLE or FLAG_TABLE_NAME in flags:
+            elif kind is TABLE or FLAG_TABLE_NAME in flags:
                 valid = table
             elif FLAG_QUALIFIER in flags:
                 valid = name in frame.aliases or table
@@ -370,7 +373,7 @@ def featurize_tree(
             # case patterns come from parse-time flags
             cells[row + _ALL_CAPS] = FLAG_ALL_CAPS in flags
             cells[row + _MIXED_CASE] = FLAG_MIXED_CASE in flags
-            if kind is NodeKind.COLUMN:
+            if kind is COLUMN:
                 carriers = frame.carriers(name, schema)
                 cells[row + _COLUMN_IN_SCOPE] = bool(carriers)
                 cells[row + _AGGREGATE_CONTEXT] = bare_agg and projected
@@ -384,12 +387,12 @@ def featurize_tree(
             cells[row + _OPERAND_TYPE_COMPAT] = compat
         if parent_compat:
             cells[row + _PARENT_TYPE_COMPAT] = parent_compat
-        if kind is NodeKind.LIKE and len(node.children) >= 2:
+        if kind is LIKE and len(node.children) >= 2:
             pattern = node.children[1]
             if pattern.kind is NodeKind.LITERAL and FLAG_STRING in pattern.flags:
                 cells[row + _LIKE_HAS_WILDCARD] = "%" in pattern.content or "_" in pattern.content
                 cells[row + _LIKE_PATTERN_LENGTH] = len(pattern.content)
-        elif kind is NodeKind.IN:
+        elif kind is IN:
             items = node.children[1:]
             if not (len(items) == 1 and items[0].kind is NodeKind.SUBQUERY):
                 cells[row + _IN_LIST_SIZE] = len(items)
@@ -397,5 +400,5 @@ def featurize_tree(
             child = node.children[i]
             in_list = child.kind not in _CLAUSE_KINDS if is_select else projected
             stack.append((child, kind, i, frame, bare_agg,
-                          in_list and child.kind is not NodeKind.AGG, compat))
+                          in_list and child.kind is not AGG, compat))
     return nodes, np.frombuffer(cells).reshape(len(nodes), _WIDTH)

@@ -112,6 +112,12 @@ _CONTENT_KINDS = frozenset(
     }
 )
 
+# Kinds tested on every node.  On Python 3.11 a `NodeKind.X` lookup runs
+# EnumType.__getattr__'s Python-level hook, so the per-node loops read these.
+_ALIAS, _AND, _OR, _COLUMN, _IDENTIFIER, _LITERAL, _SUBQUERY, _TABLE_ALIAS = (
+    NodeKind.ALIAS, NodeKind.AND, NodeKind.OR, NodeKind.COLUMN, NodeKind.IDENTIFIER,
+    NodeKind.LITERAL, NodeKind.SUBQUERY, NodeKind.TABLE_ALIAS)
+
 CORRECT = 0
 ERROR = 1
 
@@ -150,20 +156,14 @@ class EquivalenceContext:
     misses: int = 0
 
 
-def _unwrap(node: SqlNode) -> SqlNode:
-    """Alias wrappers are transparent for equivalence and pairing."""
-    while node.kind is NodeKind.ALIAS:
-        node = node.children[0]
-    return node
-
-
 def _match_children(node: SqlNode) -> list[SqlNode]:
-    """Children participating in the one-to-one equivalence correspondence."""
+    """Children participating in the one-to-one equivalence correspondence
+    (alias wrappers unwrapped)."""
     if node.kind in _LEAF_LIKE_KINDS:
         return []
-    if node.kind is NodeKind.SUBQUERY:
-        return [c for c in node.children if c.kind is not NodeKind.TABLE_ALIAS]
-    return [_unwrap(c) for c in node.children]
+    if node.kind is _SUBQUERY:
+        return [c for c in node.children if c.kind is not _TABLE_ALIAS]
+    return [c.children[0] if c.kind is _ALIAS else c for c in node.children]
 
 
 def _pair_children(node: SqlNode) -> list[SqlNode]:
@@ -175,52 +175,54 @@ def _pair_children(node: SqlNode) -> list[SqlNode]:
     keeps final labels independent of gold child order.
     """
     if node.kind in _LEAF_LIKE_KINDS:
-        return [c for c in node.children if c.kind is NodeKind.TABLE_ALIAS]
-    return [_unwrap(c) for c in node.children]
-
-
-def _node_key(node: SqlNode, keys: dict[int, int]) -> int:
-    """The subtree key of `node`, given its children's keys in `keys`."""
-    kind = node.kind
-    if kind is NodeKind.ALIAS:
-        return keys[node.children[0].id]
-    if kind is NodeKind.AND or kind is NodeKind.OR or kind is NodeKind.IDENTIFIER:
-        return hash(kind)
-    if kind is NodeKind.LITERAL:
-        return hash((kind, node.content, node.flags))
-    child_keys = [keys[c.id] for c in _match_children(node)]
-    if kind in SYMMETRIC_KINDS:
-        child_keys.sort()
-    elif kind in _FOLDED_KINDS:
-        kind = _FOLDED_KINDS[kind]
-        child_keys.reverse()
-    return hash((kind, node.content if kind in _CONTENT_KINDS else None, *child_keys))
+        return [c for c in node.children if c.kind is _TABLE_ALIAS]
+    return [c.children[0] if c.kind is _ALIAS else c for c in node.children]
 
 
 def _fill_keys(nodes: list[SqlNode], keys: dict[int, int]):
-    """Key every node of a preorder list, children before parents."""
+    """Key every node of a preorder list, children before parents, by the
+    key rule in the module docstring.  An Alias's key is its wrapped node's,
+    so a child's key in `keys` is already that of the unwrapped child."""
     for node in reversed(nodes):
-        keys[node.id] = _node_key(node, keys)
+        kind = node.kind
+        if kind is _ALIAS:
+            keys[node.id] = keys[node.children[0].id]
+        elif kind is _AND or kind is _OR or kind is _IDENTIFIER:
+            keys[node.id] = hash(kind)
+        elif kind is _LITERAL:
+            keys[node.id] = hash((kind, node.content, node.flags))
+        else:
+            if kind in _LEAF_LIKE_KINDS:
+                child_keys = []
+            elif kind is _SUBQUERY:
+                child_keys = [keys[c.id] for c in node.children if c.kind is not _TABLE_ALIAS]
+            else:
+                child_keys = [keys[c.id] for c in node.children]
+            if kind in SYMMETRIC_KINDS:
+                child_keys.sort()
+            elif kind in _FOLDED_KINDS:
+                kind = _FOLDED_KINDS[kind]
+                child_keys.reverse()
+            content = node.content if kind in _CONTENT_KINDS else None
+            keys[node.id] = hash((kind, content, *child_keys))
 
 
 def shallow_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> bool:
     """Node-level equivalence test, ignoring children: equal kinds or an
     anti-symmetric pair, equal contents, alias-resolved qualifiers.  Takes
     keyed nodes, neither an Alias wrapper (see EquivalenceContext)."""
-    if (a.kind, b.kind) in ANTI_SYMMETRIC_PAIRS:
-        return True
-    if a.kind is not b.kind:
-        return False
     kind = a.kind
+    if kind is not b.kind:
+        return (kind, b.kind) in ANTI_SYMMETRIC_PAIRS
 
-    if kind is NodeKind.COLUMN:
+    if kind is _COLUMN:
         if a.content != b.content:
             return False
         qa, qb = a.qualifier(), b.qualifier()
         if qa is None or qb is None or qa == qb:
             return True
         return ctx.gen_aliases.get(qa, qa) == ctx.gold_aliases.get(qb, qb)
-    if kind is NodeKind.IDENTIFIER:
+    if kind is _IDENTIFIER:
         # Qualifier and table-name identifiers compare alias-normalized so
         # consistent alias renames never create content errors.
         a_ref = FLAG_QUALIFIER in a.flags or FLAG_TABLE_NAME in a.flags
@@ -229,7 +231,7 @@ def shallow_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> bool:
             return (ctx.gen_aliases.get(a.content, a.content)
                     == ctx.gold_aliases.get(b.content, b.content))
         return a.content == b.content
-    if kind is NodeKind.LITERAL:
+    if kind is _LITERAL:
         return a.content == b.content and a.flags == b.flags
     if kind in _CONTENT_KINDS:
         return a.content == b.content
@@ -252,7 +254,8 @@ def recursively_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> b
     if shallow_equivalent(a, b, ctx):
         ca = _match_children(a)
         cb = _match_children(b)
-        if a.kind in (NodeKind.AND, NodeKind.OR):
+        kind = a.kind
+        if kind is _AND or kind is _OR:
             # every generated operand needs a distinct gold partner; extra
             # gold operands are omissions and omissions are not penalized
             result = len(ca) <= len(cb) and _greedy_bipartite_match(ca, cb, ctx)
@@ -261,9 +264,13 @@ def recursively_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> b
             # operands of a symmetric kind may also match crosswise, and those
             # of an anti-symmetric pair (the only unequal kinds that pass
             # shallow_equivalent) must
-            result = a.kind is b.kind and all(
-                recursively_equivalent(x, y, ctx) for x, y in zip(ca, cb))
-            if not result and (a.kind in SYMMETRIC_KINDS or a.kind is not b.kind):
+            result = kind is b.kind
+            if result:
+                for x, y in zip(ca, cb):
+                    if not recursively_equivalent(x, y, ctx):
+                        result = False
+                        break
+            if not result and (kind in SYMMETRIC_KINDS or kind is not b.kind):
                 result = recursively_equivalent(ca[0], cb[1], ctx) and recursively_equivalent(
                     ca[1], cb[0], ctx)
     ctx.memo[key] = result
@@ -352,7 +359,7 @@ def _first_pass(gen: SqlNode, gold: SqlNode, ctx: EquivalenceContext) -> dict[in
         return None
 
     def mark(node: SqlNode):
-        for d in node.walk():
+        for d in preorder(node):
             decided[d.id] = CORRECT
 
     todo: list[tuple[SqlNode, int, SqlNode | None, SqlNode | None]] = [(gen, 0, gold, None)]
@@ -378,7 +385,7 @@ def _first_pass(gen: SqlNode, gold: SqlNode, ctx: EquivalenceContext) -> dict[in
                 todo.append((c, depth + 1, below, seen))
         if x.kind in _LEAF_LIKE_KINDS:  # children that no pair visit reaches
             todo += [(c, depth + 1, None, seen)
-                     for c in x.children if c.kind is not NodeKind.TABLE_ALIAS]
+                     for c in x.children if c.kind is not _TABLE_ALIAS]
     return decided
 
 
@@ -404,13 +411,13 @@ def label_with_context(
     # its node is
     rescuers: dict[int, list[SqlNode]] = {}
     for gnode in gold_nodes if enable_rescue else ():
-        if gnode.kind is not NodeKind.ALIAS:
+        if gnode.kind is not _ALIAS:
             rescuers.setdefault(ctx.gold_keys[gnode.id], []).append(gnode)
 
     labels = {}
     prov = {}
     for node in reversed(gen_nodes):  # children first, so an alias finds its node decided
-        if node.kind is NodeKind.ALIAS:
+        if node.kind is _ALIAS:
             inner = node.children[0]
             labels[node.id], prov[node.id] = labels[inner.id], prov[inner.id]
             continue

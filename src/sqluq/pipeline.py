@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from sqluq import labeler
-from sqluq.ast_core import SqlNode, build_alias_map, parse_sql
+from sqluq.ast_core import NodeKind, SqlNode, build_alias_map, parse_sql
 from sqluq.featurizer import MANIFEST, NodeRecord, featurize_tree, node_logprob_scores
 from sqluq.gbdt import (
     EvalRow,
@@ -82,7 +82,8 @@ def load_dataset(path: str | Path) -> LoadResult:
 
     A line that is not UTF-8, is nested deeper than `json` can decode or
     holds an integer past int's digit limit is malformed, and so is a
-    query_id or db_id that is neither a string nor an integer.  A line whose
+    query_id or db_id that is neither a string nor an integer, and a
+    question that is neither null nor a string.  A line whose
     query_id an earlier record already has is skipped too, so no id can
     land on both sides of a split.
     """
@@ -131,6 +132,9 @@ def load_dataset(path: str | Path) -> LoadResult:
             bad_id = next((k for k in ("query_id", "db_id") if type(doc[k]) not in (str, int)), "")
             if bad_id:
                 skipped.append((lineno, f"{bad_id} is not a string or an integer"))
+                continue
+            if not isinstance(doc.get("question"), (str, type(None))):
+                skipped.append((lineno, "question is not a string"))
                 continue
             token_logprobs = None
             if doc.get("token_logprobs") is not None:
@@ -310,6 +314,12 @@ def load_schemas(schemas_dir: str | Path, db_ids: set[str]) -> dict[str, Schema 
     return schemas
 
 
+# Each kind's and provenance's name: on Python 3.11 `Enum.value` is a
+# Python-level descriptor, run twice per labeled node.
+_KIND_NAMES = {kind: kind.value for kind in NodeKind}
+_PROVENANCE_NAMES = {why: why.value for why in labeler.Provenance}
+
+
 def label_and_featurize(record: DatasetRecord, schema: Schema) -> LabeledQuery:
     """Label one generated/gold pair and featurize every generated node."""
     gen = parse_sql(record.generated_sql)
@@ -318,21 +328,12 @@ def label_and_featurize(record: DatasetRecord, schema: Schema) -> LabeledQuery:
     nodes, matrix = featurize_tree(gen, ctx.gen_aliases, schema)
     scores = (node_logprob_scores(nodes, record.token_logprobs) if record.token_logprobs
               else [None] * len(nodes))
-    node_records = []
-    provenance = []
-    for i, node in enumerate(nodes):
-        node_records.append(
-            NodeRecord(
-                query_id=record.query_id,
-                db_id=record.db_id,
-                node_id=node.id,
-                node_kind=node.kind.value,
-                features=matrix[i],
-                label=label_map.labels[node.id],
-                logprob_score=scores[i],
-            )
-        )
-        provenance.append(label_map.provenance[node.id].value)
+    query_id, db_id, labels = record.query_id, record.db_id, label_map.labels
+    node_records = [  # NodeRecord's fields in order, each row a view of the matrix
+        NodeRecord(query_id, db_id, node.id, _KIND_NAMES[node.kind], row, labels[node.id], score)
+        for node, row, score in zip(nodes, list(matrix), scores)
+    ]
+    provenance = [_PROVENANCE_NAMES[label_map.provenance[node.id]] for node in nodes]
     return LabeledQuery(
         record=record, node_records=node_records, nodes=nodes, label_provenance=provenance
     )

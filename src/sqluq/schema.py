@@ -184,10 +184,18 @@ class ScopeFrame:
 
     tables: tuple[str, ...]
     aliases: dict[str, str]  # case-folded alias -> base table
+    # carriers' answers by column, each with the schema it answers for
+    carried: dict[str, tuple[Schema, list[str]]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def carriers(self, column: str, schema: Schema) -> list[str]:
-        """The in-scope tables that have a column named `column`."""
-        return [name for name in self.tables if schema.has_column(column, name)]
+        """The in-scope tables that have a column named `column`, found once
+        per column while the frame is asked about one schema."""
+        found = self.carried.get(column)
+        if found is None or found[0] is not schema:
+            found = self.carried[column] = (
+                schema, [name for name in self.tables if schema.has_column(column, name)])
+        return found[1]
 
     def enter(self, select: SqlNode) -> ScopeFrame:
         """The frame of `select`, a query level nested in this one: its own

@@ -175,6 +175,27 @@ class TestLoadDataset:
             (6, "db_id is not a string or an integer"),
         ]
 
+    def test_questions_that_are_neither_null_nor_strings_are_skips(self, tmp_path):
+        lines = [
+            record_line("q1", question="How many?"),
+            record_line("q2", question={"x": [1, 2]}),
+            record_line("q3", question=None),
+            record_line("q4", question=7),
+            record_line("q5"),
+            record_line("q6", question=["a"]),
+            record_line("q7", question=""),
+            record_line("q8", question=False),
+        ]
+        result = load_dataset(write_lines(tmp_path / "d.jsonl", lines))
+        assert [(r.query_id, r.question) for r in result.records] == [
+            ("q1", "How many?"), ("q3", None), ("q5", None), ("q7", "")]
+        assert result.skipped == [
+            (2, "question is not a string"),
+            (4, "question is not a string"),
+            (6, "question is not a string"),
+            (8, "question is not a string"),
+        ]
+
     def test_an_integer_past_the_digit_limit_is_invalid_json(self, tmp_path):
         lines = [record_line("q1"), record_line("q2").replace('"q2"', "9" * 5000), record_line("q3")]
         result = load_dataset(write_lines(tmp_path / "d.jsonl", lines))

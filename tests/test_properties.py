@@ -156,13 +156,21 @@ class _NoKeys(dict):
 
 def equivalent_pairs_share_keys(gen_sql: str, gold_sql: str):
     """Assert that every recursively equivalent (generated, gold) node pair
-    has equal subtree keys; return the keyed context and the equivalent pairs."""
+    has equal subtree keys, and that each Alias wrapper has the key of the
+    node it wraps; return the keyed context and the equivalent pairs.  The
+    wrappers themselves are not compared: the checks take the wrapped node."""
     gen, gold = parse_sql(gen_sql), parse_sql(gold_sql)
     keyed = label_with_context(gen, gold)[1]
+    unwrapped = []
+    for tree, keys in ((gen, keyed.gen_keys), (gold, keyed.gold_keys)):
+        unwrapped.append([n for n in preorder(tree) if n.kind is not NodeKind.ALIAS])
+        for w in preorder(tree):
+            if w.kind is NodeKind.ALIAS:
+                assert keys[w.id] == keys[w.children[0].id], (gen_sql, gold_sql, w)
     plain = EquivalenceContext(keyed.gen_aliases, keyed.gold_aliases, _NoKeys(), _NoKeys())
     pairs = []
-    for a in preorder(gen):
-        for b in preorder(gold):
+    for a in unwrapped[0]:
+        for b in unwrapped[1]:
             if recursively_equivalent(a, b, plain):
                 assert keyed.gen_keys[a.id] == keyed.gold_keys[b.id], (gen_sql, gold_sql, a, b)
                 pairs.append((a, b))
@@ -189,6 +197,16 @@ def test_subtree_keys_are_sound_under_gold_transforms(seed):
 def test_subtree_keys_are_sound_on_planted_pairs():
     for pair in build_planted_corpus(50, seed=0):
         equivalent_pairs_share_keys(pair.record.generated_sql, pair.record.gold_sql)
+
+
+def test_subtree_keys_are_sound_under_alias_wrappers():
+    roots = []
+    for gen_sql, gold_sql in ALIASED_ITEM_PAIRS:
+        for pair in ((gen_sql, gold_sql), (gold_sql, gen_sql)):
+            _, pairs = equivalent_pairs_share_keys(*pair)
+            roots.append(any(a.id == b.id == 0 for a, b in pairs))
+    # every pair but the first, whose select items change order, matches at the root
+    assert roots == [False, False, True, True, True, True, True, True]
 
 
 def matched(pairs):
