@@ -186,7 +186,7 @@ class ScopeFrame:
     aliases: dict[str, str]  # case-folded alias -> base table
     # carriers' answers by column, each with the schema it answers for
     carried: dict[str, tuple[Schema, list[str]]] = field(
-        default_factory=dict, repr=False, compare=False)
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def carriers(self, column: str, schema: Schema) -> list[str]:
         """The in-scope tables that have a column named `column`, found once

@@ -247,6 +247,16 @@ def test_column_ambiguous_two_carriers(org_schema):
     assert not len(frame.carriers("salary", org_schema)) >= 2
 
 
+def test_carriers_answer_for_the_schema_asked(org_schema):
+    tree = parse_sql("SELECT id FROM department JOIN employee ON department.id = employee.department_id")
+    frame = level_frame([tree], build_alias_map(tree))
+    other = Schema(db_id="other", tables=(TableDef("employee", (ColumnDef("id", DataType.TEXT),)),))
+    for schema, expected in ((org_schema, ["department", "employee"]), (other, ["employee"]),
+                             (org_schema, ["department", "employee"])):
+        assert frame.carriers("id", schema) == expected
+        assert frame.carriers("id", schema) is frame.carriers("id", schema)  # found once
+
+
 def test_column_ambiguous_single_table_scope(org_schema):
     tree = parse_sql("SELECT id FROM employee")
     aliases = build_alias_map(tree)
