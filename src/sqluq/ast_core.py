@@ -3,6 +3,11 @@
 An alias map (build_alias_map) is a plain dict from case-folded alias to
 base table name; a name resolves through it as `aliases.get(name, name)`.
 
+Node kinds are the singleton members of NodeKind, a Constants class read
+without EnumType's lookup hook; iterating NodeKind gives them in definition
+order, the feature manifest's.  The parser builds the slotted nodes
+directly, and parse_sql sets their ids and depths in one walk.
+
 The parser covers the SQLite-flavoured subset needed for analysing
 SELECT queries: projections, FROM with joins and subqueries, WHERE,
 GROUP BY, HAVING, ORDER BY, LIMIT, aggregates, binary comparisons,
@@ -25,12 +30,40 @@ between `/*` and `*/`.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from dataclasses import dataclass
-from enum import Enum
 
 
-class NodeKind(Enum):
+class _ConstantsType(type):
+    def __iter__(cls):
+        return iter(cls._members)
+
+
+class Constants(metaclass=_ConstantsType):
+    """Named constants read like an Enum's members: each upper-case class
+    attribute `X = value` of a subclass becomes a singleton with `.name` "X"
+    and `.value`, hashed by identity; iterating the class gives them in order.
+    A member is a plain class attribute, so a read skips the Python-level
+    `__getattr__` hook that EnumType runs on Python 3.11 (about 5x slower)."""
+
+    __slots__ = ("name", "value")
+
+    def __init_subclass__(cls):
+        cls._members = ()
+        for name, value in list(vars(cls).items()):
+            if name.isupper():
+                member = object.__new__(cls)
+                member.name, member.value = name, value
+                setattr(cls, name, member)
+                cls._members += (member,)
+
+    def __repr__(self):
+        return f"{type(self).__name__}.{self.name}"
+
+    def __reduce__(self):  # a copy or an unpickled member is the singleton, as `is` tests need
+        return getattr, (type(self), self.name)
+
+
+class NodeKind(Constants):
     SELECT = "Select"
     FROM = "From"
     WHERE = "Where"
@@ -67,23 +100,6 @@ class NodeKind(Enum):
     ALIAS = "Alias"
     OTHER = "Other"
 
-    # Members are singletons, so identity hashes them.  Enum's own __hash__
-    # is a Python function that hashes the name, run on every set and dict
-    # lookup by kind.
-    __hash__ = object.__hash__
-
-
-# Kinds whose content field must be non-empty.
-CONTENT_KINDS = frozenset(
-    {
-        NodeKind.IDENTIFIER,
-        NodeKind.LITERAL,
-        NodeKind.TABLE,
-        NodeKind.COLUMN,
-        NodeKind.FUNC,
-        NodeKind.AGG,
-    }
-)
 
 # Binary operators: exactly two operands, in source order.
 BINARY_OP_KINDS = frozenset(
@@ -122,7 +138,7 @@ class UnsupportedConstruct(Exception):
         self.position = position
 
 
-@dataclass
+@dataclass(slots=True)
 class SqlNode:
     """A normalized AST node.
 
@@ -164,7 +180,8 @@ def preorder(tree: SqlNode) -> list[SqlNode]:
     while stack:
         node = stack.pop()
         nodes.append(node)
-        stack += node.children[::-1]
+        children = node.children
+        stack += children if len(children) == 1 else children[::-1]  # a lone child unsliced
     return nodes
 
 
@@ -184,19 +201,20 @@ AGGREGATE_NAMES = {"count", "sum", "avg", "min", "max", "total", "group_concat"}
 
 # Each match is the blanks and comments before one token, then the token,
 # whose group names its class; `end` and `bad` make every match succeed at
-# once, so matches are contiguous.  Numbers come before words because \w
-# (exactly str.isalnum() or '_') also matches digits.
+# once, so matches are contiguous.  Alternatives are tried in order, the most
+# common first: a word never starts with an ASCII digit, and a '.' before a
+# digit starts a number.
 _TOKEN_RE = re.compile(
-    r"""(?:[ \t\r\n]+|--[^\n]*|/\*.*?\*/)*
+    r"""[ \t\r\n]*(?:(?:--[^\n]*|/\*.*?\*/)[ \t\r\n]*)*
+    (?:(?P<word>[^\W0-9]\w*)
+    # a '/' that opens an unterminated comment is an error, not an operator
+    |(?P<op>==|!=|<>|<=|>=|[=<>+\-*(),;]|/(?!\*)|\.(?![0-9]))
     # ASCII digits only: SQLite reads other digits, like '٣', as name characters.
     # A trailing dot belongs to the next token; a glued word character is refused.
-    (?:(?P<num>(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?P<glued>\w)?)
+    |(?P<num>(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?P<glued>\w)?)
     # '' is an escaped quote; the lookahead keeps backtracking from closing inside one
     |(?P<str>'(?:[^']|'')*'(?!'))
     |(?P<qident>"[^"]*"|`[^`]*`|\[[^\]]*\])
-    |(?P<word>\w+)
-    # a '/' that opens an unterminated comment is an error, not an operator
-    |(?P<op>==|!=|<>|<=|>=|[=<>+\-*(),.;]|/(?!\*))
     |(?P<end>\Z)
     |(?P<bad>.))""",
     re.VERBOSE | re.DOTALL,
@@ -205,7 +223,6 @@ _TOKEN_RE = re.compile(
 # A keyword's or operator's kind is its own text, any other token's a class code.
 _END, _IDENT, _QIDENT, _NUM, _STR = range(5)
 _NAMES = frozenset({_IDENT, _QIDENT})
-_CLASS_NAMES = {_END: "end", _IDENT: "ident", _QIDENT: "qident", _NUM: "num", _STR: "str"}
 _UNTERMINATED = {"'": "unterminated string literal", '"': "unterminated quoted identifier",
                  "`": "unterminated quoted identifier", "[": "unterminated quoted identifier"}
 
@@ -261,23 +278,6 @@ def _lex(text: str) -> tuple[list, list[str], list[int], list[int], list[tuple[s
             return kinds, texts, starts, ends, flags
 
 
-# kind: kw | ident | qident | num | str | op | end; text: the normalized lexeme;
-# start, end: byte offsets; raw: a keyword's or name's source lexeme, else ""
-Token = namedtuple("Token", "kind text start end raw")
-
-
-def tokenize(text: str) -> list[Token]:
-    """The tokens of `text`, ending in one end token: a view of `_lex`."""
-    data = text.encode("utf-8")
-    tokens = []
-    for kind, norm, start, end, _ in zip(*_lex(text)):
-        name = _CLASS_NAMES.get(kind) or ("kw" if kind in KEYWORDS else "op")
-        quoted = name == "qident"
-        raw = data[start + quoted:end - quoted].decode() if name in ("kw", "ident", "qident") else ""
-        tokens.append(Token(name, norm, start, end, raw))
-    return tokens
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -313,31 +313,25 @@ _QUALIFIER_FLAGS = {_IDENT: (FLAG_QUALIFIER,), _QIDENT: (FLAG_QUOTED, FLAG_QUALI
 _LITERAL_FLAGS = {_NUM: (), _STR: (FLAG_STRING,), "null": (FLAG_NULL,)}
 
 
-def _node(kind: NodeKind, content: str | None, children: list[SqlNode],
-          span: tuple[int, int], flags: tuple[str, ...] = ()) -> SqlNode:
-    """A node whose id and depth parse_sql assigns."""
-    return SqlNode(-1, kind, content, children, span, -1, flags)
-
-
 def _reduce(entry: tuple, operands: list[SqlNode]):
     """Apply one operator stack entry to the operands on top of the stack."""
     _, kind, start, negated = entry
     rhs = operands.pop()
     if kind is NodeKind.NOT:
-        operands.append(_node(kind, None, [rhs], (start, rhs.span[1])))
+        operands.append(SqlNode(-1, kind, None, [rhs], (start, rhs.span[1]), -1))
         return
     lhs = operands.pop()
     if kind is NodeKind.AND or kind is NodeKind.OR:
         # n-ary normalization: chained AND/OR extend the left operand in place
         if lhs.kind is not kind:
-            lhs = _node(kind, None, [lhs], lhs.span)
+            lhs = SqlNode(-1, kind, None, [lhs], lhs.span, -1)
         lhs.children += rhs.children if rhs.kind is kind else [rhs]
         lhs.span = (lhs.span[0], rhs.span[1])
         operands.append(lhs)
         return
     items = rhs.children if kind is NodeKind.IN else [rhs]
-    node = _node(kind, None, [lhs, *items], (lhs.span[0], rhs.span[1]))
-    operands.append(_node(NodeKind.NOT, None, [node], node.span) if negated else node)
+    node = SqlNode(-1, kind, None, [lhs, *items], (lhs.span[0], rhs.span[1]), -1)
+    operands.append(SqlNode(-1, NodeKind.NOT, None, [node], node.span, -1) if negated else node)
 
 
 class _Parser:
@@ -362,18 +356,19 @@ class _Parser:
         start, i = S[self.i], self.i + 1
         children: list[SqlNode] = []
         if K[i] == "distinct":
-            children.append(_node(NodeKind.OTHER, "distinct", [], (S[i], E[i])))
+            children.append(SqlNode(-1, NodeKind.OTHER, "distinct", [], (S[i], E[i]), -1))
             i += 1
         while True:  # select items
             if K[i] == "*":
-                item = _node(NodeKind.STAR, None, [], (S[i], E[i]))
+                item = SqlNode(-1, NodeKind.STAR, None, [], (S[i], E[i]), -1)
                 i += 1
             else:
                 item = yield from self.operand(i)
                 i = self.i
                 alias = self.alias(i)
                 if alias is not None:
-                    item = _node(NodeKind.ALIAS, T[alias], [item], (item.span[0], E[alias]))
+                    item = SqlNode(-1, NodeKind.ALIAS, T[alias], [item],
+                                   (item.span[0], E[alias]), -1)
                     i = alias + 1
             children.append(item)
             if K[i] != ",":
@@ -388,18 +383,20 @@ class _Parser:
                 if K[i + 1] != "select":
                     raise ParseError("expected SELECT", S[i + 1])
                 self.i = i + 1
-                item = _node(NodeKind.SUBQUERY, None, [(yield)], (S[i], -1))
+                item = SqlNode(-1, NodeKind.SUBQUERY, None, [(yield)], (S[i], -1), -1)
                 i = self.i
             elif K[i] in _NAMES:
-                ident = _node(NodeKind.IDENTIFIER, T[i], [], (S[i], E[i]), _TABLE_FLAGS[K[i]] + F[i])
-                item = _node(NodeKind.TABLE, T[i], [ident], (S[i], -1), F[i])
+                ident = SqlNode(-1, NodeKind.IDENTIFIER, T[i], [], (S[i], E[i]), -1,
+                                _TABLE_FLAGS[K[i]] + F[i])
+                item = SqlNode(-1, NodeKind.TABLE, T[i], [ident], (S[i], -1), -1, F[i])
             else:
                 self.guard(i)
                 raise ParseError("expected table name", S[i])
             i += 1
             alias = self.alias(i)
             if alias is not None:
-                item.children.append(_node(NodeKind.TABLE_ALIAS, T[alias], [], (S[alias], E[alias])))
+                item.children.append(
+                    SqlNode(-1, NodeKind.TABLE_ALIAS, T[alias], [], (S[alias], E[alias]), -1))
                 i = alias + 1
             item.span = (item.span[0], E[i - 1])  # to the table, its ')' or its alias
             if join is not None:
@@ -408,8 +405,8 @@ class _Parser:
                     parts.append((yield from self.operand(i + 1)))
                     i = self.i
                 word = K[join]
-                item = _node(NodeKind.JOIN, "inner" if word == "join" else word, parts,
-                             (S[join], parts[-1].span[1]))
+                item = SqlNode(-1, NodeKind.JOIN, "inner" if word == "join" else word, parts,
+                               (S[join], parts[-1].span[1]), -1)
             items.append(item)
             if K[i] == ",":
                 join = None
@@ -424,7 +421,8 @@ class _Parser:
             else:
                 break
             i += 1
-        children.append(_node(NodeKind.FROM, None, items, (from_start, items[-1].span[1])))
+        children.append(
+            SqlNode(-1, NodeKind.FROM, None, items, (from_start, items[-1].span[1]), -1))
 
         for word, clause in (("where", NodeKind.WHERE), ("group", NodeKind.GROUP_BY),
                              ("having", NodeKind.HAVING), ("order", NodeKind.ORDER_BY)):
@@ -445,28 +443,29 @@ class _Parser:
                     if K[i] == "asc" or direction:
                         end = E[i]
                         i += 1
-                    item = _node(NodeKind.ORDERED, direction, [item], (item.span[0], end))
+                    item = SqlNode(-1, NodeKind.ORDERED, direction, [item], (item.span[0], end), -1)
                 items.append(item)
                 if K[i] != "," or not listed:
                     break
                 i += 1
-            children.append(_node(clause, None, items, (S[kw], items[-1].span[1])))
+            children.append(SqlNode(-1, clause, None, items, (S[kw], items[-1].span[1]), -1))
 
         if K[i] == "limit":
             kw, counts = i, []
             for what in ("LIMIT", "OFFSET"):  # each keyword, then its count
                 if K[i + 1] != _NUM:
                     raise ParseError(f"expected numeric literal for {what} count", S[i + 1])
-                counts.append(_node(NodeKind.LITERAL, T[i + 1], [], (S[i + 1], E[i + 1])))
+                counts.append(SqlNode(-1, NodeKind.LITERAL, T[i + 1], [], (S[i + 1], E[i + 1]), -1))
                 i += 2
                 if K[i] == "," and what == "LIMIT":
                     raise UnsupportedConstruct("LIMIT offset, count", S[i])
                 if K[i] != "offset":
                     break
-            children.append(_node(NodeKind.LIMIT, None, counts, (S[kw], counts[-1].span[1])))
+            children.append(
+                SqlNode(-1, NodeKind.LIMIT, None, counts, (S[kw], counts[-1].span[1]), -1))
         self.guard(i)
         self.i = i
-        return _node(NodeKind.SELECT, None, children, (start, children[-1].span[1]))
+        return SqlNode(-1, NodeKind.SELECT, None, children, (start, children[-1].span[1]), -1)
 
     def operand(self, i: int):
         """The expression at token i, as a generator that waits at each of its
@@ -524,7 +523,7 @@ class _Parser:
                     if star:
                         if distinct:  # as in SQLite, which refuses count(DISTINCT *)
                             raise ParseError("expected expression after DISTINCT", S[i])
-                        operands.append(_node(NodeKind.STAR, None, [], (S[i], E[i])))
+                        operands.append(SqlNode(-1, NodeKind.STAR, None, [], (S[i], E[i]), -1))
                         i += 1
                     if K[i] == ")":  # no more arguments: close the call below
                         want = after_in = False
@@ -532,25 +531,28 @@ class _Parser:
                         raise ParseError("expected ')'", S[i])
                     continue
                 if kind in _NAMES and K[i + 1] != ".":
-                    ident = _node(NodeKind.IDENTIFIER, T[i], [], (S[i], E[i]),
-                                  _COLUMN_FLAGS[kind] + F[i])
-                    operands.append(_node(NodeKind.COLUMN, T[i], [ident], (S[i], E[i]), F[i]))
+                    ident = SqlNode(-1, NodeKind.IDENTIFIER, T[i], [], (S[i], E[i]), -1,
+                                    _COLUMN_FLAGS[kind] + F[i])
+                    operands.append(
+                        SqlNode(-1, NodeKind.COLUMN, T[i], [ident], (S[i], E[i]), -1, F[i]))
                 elif kind in _NAMES:  # qualified: a column or a star
                     j = i + 2
                     if K[j] != "*" and K[j] not in _NAMES:
                         raise ParseError("expected column name after '.'", S[j])
-                    qual = [_node(NodeKind.IDENTIFIER, T[i], [], (S[i], E[i]),
-                                  _QUALIFIER_FLAGS[kind] + F[i])]
-                    operands.append(_node(NodeKind.STAR, None, qual, (S[i], E[j])) if K[j] == "*"
-                                    else _node(NodeKind.COLUMN, T[j], qual, (S[i], E[j]), F[j]))
+                    qual = [SqlNode(-1, NodeKind.IDENTIFIER, T[i], [], (S[i], E[i]), -1,
+                                    _QUALIFIER_FLAGS[kind] + F[i])]
+                    operands.append(
+                        SqlNode(-1, NodeKind.STAR, None, qual, (S[i], E[j]), -1) if K[j] == "*"
+                        else SqlNode(-1, NodeKind.COLUMN, T[j], qual, (S[i], E[j]), -1, F[j]))
                     i = j
                 elif kind in _LITERAL_FLAGS:
-                    operands.append(_node(NodeKind.LITERAL, T[i], [], (S[i], E[i]),
-                                          _LITERAL_FLAGS[kind]))
+                    operands.append(SqlNode(-1, NodeKind.LITERAL, T[i], [], (S[i], E[i]), -1,
+                                            _LITERAL_FLAGS[kind]))
                 elif kind == "-":
                     if K[i + 1] != _NUM:
                         raise UnsupportedConstruct("unary minus on non-literal", S[i])
-                    operands.append(_node(NodeKind.LITERAL, "-" + T[i + 1], [], (S[i], E[i + 1])))
+                    operands.append(
+                        SqlNode(-1, NodeKind.LITERAL, "-" + T[i + 1], [], (S[i], E[i + 1]), -1))
                     i += 1
                 else:
                     self.guard(i)
@@ -591,28 +593,30 @@ class _Parser:
             if K[i] != ")":
                 raise ParseError("expected ')'", S[i])
             ops.pop()
+            after_in = tag is _IN
+            if tag is _PAREN and not flag:  # grouping is dropped; the inner node keeps its span
+                i += 1
+                continue
             items = operands[count:]
             del operands[count:]
             if tag is _CALL:
                 if flag:
                     if not items:
                         raise ParseError("DISTINCT requires an argument", S[first + 2])
-                    items[0] = _node(NodeKind.OTHER, "distinct", [items[0]],
-                                     (S[first + 2], items[0].span[1]))
+                    items[0] = SqlNode(-1, NodeKind.OTHER, "distinct", [items[0]],
+                                       (S[first + 2], items[0].span[1]), -1)
                 if K[i + 1] == "over":
                     raise UnsupportedConstruct("window function", S[i + 1])
                 kind = NodeKind.AGG if T[first] in AGGREGATE_NAMES else NodeKind.FUNC
-                operands.append(_node(kind, T[first], items, (S[first], E[i]), F[first]))
-            elif tag is _PAREN and not flag:  # grouping is dropped; the inner node keeps its span
-                operands += items
+                operands.append(SqlNode(-1, kind, T[first], items, (S[first], E[i]), -1, F[first]))
             elif tag is _PAREN:
-                operands.append(_node(NodeKind.SUBQUERY, None, items, (S[first], E[i])))
+                operands.append(SqlNode(-1, NodeKind.SUBQUERY, None, items, (S[first], E[i]), -1))
             else:
                 if flag:
-                    items = [_node(NodeKind.SUBQUERY, None, items, (items[0].span[0], E[i]))]
-                operands.append(_node(NodeKind.IN, None, items, (S[first], E[i])))
+                    items = [SqlNode(-1, NodeKind.SUBQUERY, None, items,
+                                     (items[0].span[0], E[i]), -1)]
+                operands.append(SqlNode(-1, NodeKind.IN, None, items, (S[first], E[i]), -1))
                 _reduce(ops.pop(), operands)
-            after_in = tag is _IN
             i += 1
 
 
@@ -646,11 +650,13 @@ def parse_sql(text: str) -> SqlNode:
     if kinds[i] != _END:
         parser.guard(i)
         raise ParseError("unexpected trailing input", parser.starts[i])
-    root.depth = 0
-    for node_id, node in enumerate(preorder(root)):  # contiguous preorder ids, and depths
-        node.id = node_id
+    root.depth, stack, node_id = 0, [root], 0
+    while stack:  # contiguous preorder ids, and depths
+        node = stack.pop()
+        node.id, node_id = node_id, node_id + 1
         for child in node.children:
             child.depth = node.depth + 1
+        stack += node.children[::-1]
     return root
 
 
@@ -663,9 +669,13 @@ def build_alias_map(tree: SqlNode) -> dict[str, str]:
     nested ones, the later declaration wins.
     """
     aliases: dict[str, str] = {}
-    for node in preorder(tree):
+    stack = [tree]
+    while stack:  # preorder; a table's or column's children hold no table
+        node = stack.pop()
         if node.kind is NodeKind.TABLE:
             alias = next((c for c in node.children if c.kind is NodeKind.TABLE_ALIAS), None)
             if alias is not None and alias.content:
                 aliases[alias.content] = node.content
+        elif node.kind is not NodeKind.COLUMN:
+            stack += node.children[::-1]
     return aliases

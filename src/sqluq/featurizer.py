@@ -34,7 +34,6 @@ import hashlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from enum import IntEnum
 from operator import itemgetter
 
 import numpy as np
@@ -59,7 +58,7 @@ _NEAREST_MEMO_SIZE = 4096
 KIND_ORDER: tuple[NodeKind, ...] = tuple(NodeKind)
 
 
-class Compat(IntEnum):
+class Compat:  # a binary operator's operand type agreement, as its feature cell holds it
     UNKNOWN = 0  # neutral default
     COMPATIBLE = 1
     INCOMPATIBLE = 2
@@ -256,7 +255,7 @@ def _operand_class(node: SqlNode, frame: ScopeFrame, schema: Schema) -> str | No
     return _COMPAT_CLASSES.get(types.pop()) if len(types) == 1 else None
 
 
-def operand_type_compat(op_node: SqlNode, frame: ScopeFrame, schema: Schema) -> Compat:
+def operand_type_compat(op_node: SqlNode, frame: ScopeFrame, schema: Schema) -> int:
     """Type agreement of a binary operator's two operands."""
     left = _operand_class(op_node.children[0], frame, schema)
     right = _operand_class(op_node.children[1], frame, schema)
@@ -293,12 +292,8 @@ def node_logprob_scores(
     return scores
 
 
-_CLAUSE_KINDS = frozenset(
-    {
-        NodeKind.FROM, NodeKind.WHERE, NodeKind.GROUP_BY, NodeKind.HAVING,
-        NodeKind.ORDER_BY, NodeKind.LIMIT,
-    }
-)
+_CLAUSE_KINDS = frozenset({NodeKind.FROM, NodeKind.WHERE, NodeKind.GROUP_BY, NodeKind.HAVING,
+                           NodeKind.ORDER_BY, NodeKind.LIMIT})
 
 def _bare_aggregate(select: SqlNode) -> bool:
     """True when the SELECT list holds an aggregate call of this query level
@@ -326,17 +321,14 @@ def featurize_tree(
     # it changes at flat position row + column
     cells = array("d")
     name_memo = schema.name_memo
-    # the loop reads kinds from locals: a `NodeKind.X` lookup is a Python-level hook on 3.11
-    SELECT, COLUMN, TABLE, LIKE, IN, AGG = (
-        NodeKind.SELECT, NodeKind.COLUMN, NodeKind.TABLE, NodeKind.LIKE, NodeKind.IN, NodeKind.AGG)
     # (node, parent's kind, sibling index, scope frame, level's bare-aggregate
     #  bit, projected: inside its level's SELECT list and outside any aggregate
     #  call, the parent's operand_type_compat)
     stack = [(tree, None, 0, ScopeFrame(tables=(), aliases=aliases), False, False, None)]
     while stack:
         node, parent_kind, sibling, frame, bare_agg, projected, parent_compat = stack.pop()
-        kind = node.kind
-        is_select = kind is SELECT
+        kind, children = node.kind, node.children
+        is_select = kind is NodeKind.SELECT
         if is_select:
             frame = frame.enter(node)
             bare_agg = _bare_aggregate(node)
@@ -349,15 +341,15 @@ def featurize_tree(
         cells[row + _KIND_COLUMN[kind]] = 1.0
         cells[row + _DEPTH] = node.depth
         cells[row + _PARENT_KIND_COLUMN[parent_kind]] = 1.0
-        cells[row + _CHILD_COUNT] = len(node.children)
+        cells[row + _CHILD_COUNT] = len(children)
         cells[row + _SIBLING_INDEX] = sibling
         if kind in _NAME_KINDS:
             name, flags = node.content, node.flags  # content is case-folded
             column, table, digit, underscore, nearest = (
                 name_memo.get(name) or _name_facts(name, schema))
-            if kind is COLUMN:
+            if kind is NodeKind.COLUMN:
                 valid = column
-            elif kind is TABLE or FLAG_TABLE_NAME in flags:
+            elif kind is NodeKind.TABLE or FLAG_TABLE_NAME in flags:
                 valid = table
             elif FLAG_QUALIFIER in flags:
                 valid = name in frame.aliases or table
@@ -373,7 +365,7 @@ def featurize_tree(
             # case patterns come from parse-time flags
             cells[row + _ALL_CAPS] = FLAG_ALL_CAPS in flags
             cells[row + _MIXED_CASE] = FLAG_MIXED_CASE in flags
-            if kind is COLUMN:
+            if kind is NodeKind.COLUMN:
                 carriers = frame.carriers(name, schema)
                 cells[row + _COLUMN_IN_SCOPE] = bool(carriers)
                 cells[row + _AGGREGATE_CONTEXT] = bare_agg and projected
@@ -387,18 +379,18 @@ def featurize_tree(
             cells[row + _OPERAND_TYPE_COMPAT] = compat
         if parent_compat:
             cells[row + _PARENT_TYPE_COMPAT] = parent_compat
-        if kind is LIKE and len(node.children) >= 2:
-            pattern = node.children[1]
+        if kind is NodeKind.LIKE and len(children) >= 2:
+            pattern = children[1]
             if pattern.kind is NodeKind.LITERAL and FLAG_STRING in pattern.flags:
                 cells[row + _LIKE_HAS_WILDCARD] = "%" in pattern.content or "_" in pattern.content
                 cells[row + _LIKE_PATTERN_LENGTH] = len(pattern.content)
-        elif kind is IN:
-            items = node.children[1:]
+        elif kind is NodeKind.IN:
+            items = children[1:]
             if not (len(items) == 1 and items[0].kind is NodeKind.SUBQUERY):
                 cells[row + _IN_LIST_SIZE] = len(items)
-        for i in range(len(node.children) - 1, -1, -1):
-            child = node.children[i]
+        for i in range(len(children) - 1, -1, -1) if children else ():
+            child = children[i]
             in_list = child.kind not in _CLAUSE_KINDS if is_select else projected
             stack.append((child, kind, i, frame, bare_agg,
-                          in_list and child.kind is not AGG, compat))
+                          in_list and child.kind is not NodeKind.AGG, compat))
     return nodes, np.frombuffer(cells).reshape(len(nodes), _WIDTH)

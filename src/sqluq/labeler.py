@@ -54,17 +54,28 @@ child keys of a symmetric binary kind are sorted; And and Or keep no child
 keys, because a gold And may have more operands.  Unequal keys reject a
 pair at once.  The keys also bucket the gold nodes the rescue pass tries
 and the operands an And or Or match may pair; both trees are keyed first.
+
+Keys are hash-consed (Filliâtre & Conchon, 2006): a key numbers its key
+tuple in one table per pair, shared by both trees, so equal keys mean equal
+key tuples.  A node is exact when neither it nor any node compared below it
+is an And, Or, Identifier or qualified Column, the only nodes compared by
+something their key leaves out (a gold And's extra operands, alias-resolved
+names); a Column's, Table's or Star's children are never compared.  Two
+exact nodes are recursively equivalent exactly when their keys are equal,
+so such a pair is settled by its keys, before the memo and without recursion.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from enum import Enum
+from itertools import repeat
+from operator import attrgetter
 
 from sqluq.ast_core import (
     FLAG_QUALIFIER,
     FLAG_TABLE_NAME,
+    Constants,
     NodeKind,
     SqlNode,
     build_alias_map,
@@ -73,56 +84,35 @@ from sqluq.ast_core import (
 
 # Container kinds whose blame is suppressed when the gold tree contains a
 # node of the same kind ("only their children differ").
-SUPPRESSIBLE_KINDS = frozenset(
-    {
-        NodeKind.SELECT,
-        NodeKind.FROM,
-        NodeKind.WHERE,
-        NodeKind.GROUP_BY,
-        NodeKind.HAVING,
-        NodeKind.EQ,
-        NodeKind.NEQ,
-    }
-)
+SUPPRESSIBLE_KINDS = frozenset({NodeKind.SELECT, NodeKind.FROM, NodeKind.WHERE, NodeKind.GROUP_BY,
+                                NodeKind.HAVING, NodeKind.EQ, NodeKind.NEQ})
 
 # Operators whose operands may match in reverse order.
 SYMMETRIC_KINDS = frozenset(
-    {NodeKind.EQ, NodeKind.NEQ, NodeKind.ADD, NodeKind.MUL, NodeKind.AND, NodeKind.OR}
-)
+    {NodeKind.EQ, NodeKind.NEQ, NodeKind.ADD, NodeKind.MUL, NodeKind.AND, NodeKind.OR})
 
 # Anti-symmetric kinds keyed as their partner, with the operands swapped.
 _FOLDED_KINDS = {NodeKind.LT: NodeKind.GT, NodeKind.LTE: NodeKind.GTE}
 
 # Comparison pairs equivalent under operand swapping.
-ANTI_SYMMETRIC_PAIRS = frozenset(
-    pair for a, b in _FOLDED_KINDS.items() for pair in ((a, b), (b, a))
-)
+ANTI_SYMMETRIC_PAIRS = frozenset(p for a, b in _FOLDED_KINDS.items() for p in ((a, b), (b, a)))
 
 # Kinds whose identifier children restate information already captured by
 # the node-level content/qualifier rules, so child matching skips them.
 _LEAF_LIKE_KINDS = frozenset(
-    {NodeKind.COLUMN, NodeKind.TABLE, NodeKind.STAR, NodeKind.TABLE_ALIAS}
-)
+    {NodeKind.COLUMN, NodeKind.TABLE, NodeKind.STAR, NodeKind.TABLE_ALIAS})
 
 # Kinds whose content takes part in equivalence (Literal adds its flags).
-_CONTENT_KINDS = frozenset(
-    {
-        NodeKind.COLUMN, NodeKind.TABLE, NodeKind.FUNC, NodeKind.AGG, NodeKind.OTHER,
-        NodeKind.ORDERED, NodeKind.JOIN,
-    }
-)
+_CONTENT_KINDS = frozenset({NodeKind.COLUMN, NodeKind.TABLE, NodeKind.FUNC, NodeKind.AGG,
+                            NodeKind.OTHER, NodeKind.ORDERED, NodeKind.JOIN})
 
-# Kinds tested on every node.  On Python 3.11 a `NodeKind.X` lookup runs
-# EnumType.__getattr__'s Python-level hook, so the per-node loops read these.
-_ALIAS, _AND, _OR, _COLUMN, _IDENTIFIER, _LITERAL, _SUBQUERY, _TABLE_ALIAS = (
-    NodeKind.ALIAS, NodeKind.AND, NodeKind.OR, NodeKind.COLUMN, NodeKind.IDENTIFIER,
-    NodeKind.LITERAL, NodeKind.SUBQUERY, NodeKind.TABLE_ALIAS)
+_ID = attrgetter("id")  # a node's id, read in C
 
 CORRECT = 0
 ERROR = 1
 
 
-class Provenance(Enum):
+class Provenance(Constants):
     INITIAL = "Initial"
     FIRST_PASS = "FirstPass"
     SUPPRESSED = "Suppressed"
@@ -136,21 +126,20 @@ class LabelMap:
     labels: dict[int, int]
     provenance: dict[int, Provenance]
 
-    def error_ids(self) -> set[int]:
-        return {nid for nid, lab in self.labels.items() if lab == ERROR}
-
 
 @dataclass
 class EquivalenceContext:
-    """Alias maps, subtree keys and a memo cache for one (generated, gold)
-    pair.  Node ids restart at 0 in each tree, so each tree has its own key
-    map.  The equivalence checks take only nodes that label_with_context has
-    keyed, and never an Alias wrapper: callers pass the node it wraps."""
+    """Alias maps, subtree keys, exact node ids (empty: recursion decides) and
+    a memo cache for one (generated, gold) pair; ids restart at 0 in each tree.
+    The checks take only nodes that label_with_context has keyed, and never
+    an Alias wrapper: callers pass the node it wraps."""
 
     gen_aliases: dict[str, str]
     gold_aliases: dict[str, str]
     gen_keys: dict[int, int] = field(default_factory=dict)
     gold_keys: dict[int, int] = field(default_factory=dict)
+    gen_exact: set[int] = field(default_factory=set)
+    gold_exact: set[int] = field(default_factory=set)
     memo: dict[tuple[int, int], bool] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
@@ -161,9 +150,9 @@ def _match_children(node: SqlNode) -> list[SqlNode]:
     (alias wrappers unwrapped)."""
     if node.kind in _LEAF_LIKE_KINDS:
         return []
-    if node.kind is _SUBQUERY:
-        return [c for c in node.children if c.kind is not _TABLE_ALIAS]
-    return [c.children[0] if c.kind is _ALIAS else c for c in node.children]
+    if node.kind is NodeKind.SUBQUERY:
+        return [c for c in node.children if c.kind is not NodeKind.TABLE_ALIAS]
+    return [c.children[0] if c.kind is NodeKind.ALIAS else c for c in node.children]
 
 
 def _pair_children(node: SqlNode) -> list[SqlNode]:
@@ -175,36 +164,44 @@ def _pair_children(node: SqlNode) -> list[SqlNode]:
     keeps final labels independent of gold child order.
     """
     if node.kind in _LEAF_LIKE_KINDS:
-        return [c for c in node.children if c.kind is _TABLE_ALIAS]
-    return [c.children[0] if c.kind is _ALIAS else c for c in node.children]
+        return [c for c in node.children if c.kind is NodeKind.TABLE_ALIAS]
+    return [c.children[0] if c.kind is NodeKind.ALIAS else c for c in node.children]
 
 
-def _fill_keys(nodes: list[SqlNode], keys: dict[int, int]):
-    """Key every node of a preorder list, children before parents, by the
-    key rule in the module docstring.  An Alias's key is its wrapped node's,
-    so a child's key in `keys` is already that of the unwrapped child."""
+def _fill_keys(nodes: list[SqlNode], keys: dict[int, int], exact: set[int], table: dict):
+    """Key every node of a preorder list, children before parents, by the key
+    rule in the module docstring, numbering key tuples in the pair's `table`,
+    and add the exact nodes' ids to `exact`.  An Alias's key is its wrapped
+    node's, so a child's key in `keys` is already the unwrapped child's."""
     for node in reversed(nodes):
         kind = node.kind
-        if kind is _ALIAS:
-            keys[node.id] = keys[node.children[0].id]
-        elif kind is _AND or kind is _OR or kind is _IDENTIFIER:
-            keys[node.id] = hash(kind)
-        elif kind is _LITERAL:
-            keys[node.id] = hash((kind, node.content, node.flags))
-        else:
-            if kind in _LEAF_LIKE_KINDS:
-                child_keys = []
-            elif kind is _SUBQUERY:
-                child_keys = [keys[c.id] for c in node.children if c.kind is not _TABLE_ALIAS]
-            else:
-                child_keys = [keys[c.id] for c in node.children]
+        if kind in _LEAF_LIKE_KINDS:  # its children are never compared
+            key = (kind, node.content if kind in _CONTENT_KINDS else None)
+            if kind is not NodeKind.COLUMN or node.qualifier() is None:
+                exact.add(node.id)
+        elif kind is NodeKind.IDENTIFIER or kind is NodeKind.AND or kind is NodeKind.OR:
+            key = (kind,)
+        elif kind is NodeKind.LITERAL:
+            key = (kind, node.content, node.flags)
+            exact.add(node.id)
+        elif kind is NodeKind.ALIAS:
+            inner = node.children[0].id
+            keys[node.id] = keys[inner]
+            if inner in exact:
+                exact.add(node.id)
+            continue
+        else:  # a Subquery's TableAlias is never compared
+            children = node.children
+            child_keys = [keys[c.id] for c in children if c.kind is not NodeKind.TABLE_ALIAS]
+            if exact.issuperset(map(_ID, children)):
+                exact.add(node.id)
             if kind in SYMMETRIC_KINDS:
                 child_keys.sort()
             elif kind in _FOLDED_KINDS:
                 kind = _FOLDED_KINDS[kind]
                 child_keys.reverse()
-            content = node.content if kind in _CONTENT_KINDS else None
-            keys[node.id] = hash((kind, content, *child_keys))
+            key = (kind, node.content if kind in _CONTENT_KINDS else None, *child_keys)
+        keys[node.id] = table.setdefault(key, len(table))
 
 
 def shallow_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> bool:
@@ -215,14 +212,14 @@ def shallow_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> bool:
     if kind is not b.kind:
         return (kind, b.kind) in ANTI_SYMMETRIC_PAIRS
 
-    if kind is _COLUMN:
+    if kind is NodeKind.COLUMN:
         if a.content != b.content:
             return False
         qa, qb = a.qualifier(), b.qualifier()
         if qa is None or qb is None or qa == qb:
             return True
         return ctx.gen_aliases.get(qa, qa) == ctx.gold_aliases.get(qb, qb)
-    if kind is _IDENTIFIER:
+    if kind is NodeKind.IDENTIFIER:
         # Qualifier and table-name identifiers compare alias-normalized so
         # consistent alias renames never create content errors.
         a_ref = FLAG_QUALIFIER in a.flags or FLAG_TABLE_NAME in a.flags
@@ -231,7 +228,7 @@ def shallow_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> bool:
             return (ctx.gen_aliases.get(a.content, a.content)
                     == ctx.gold_aliases.get(b.content, b.content))
         return a.content == b.content
-    if kind is _LITERAL:
+    if kind is NodeKind.LITERAL:
         return a.content == b.content and a.flags == b.flags
     if kind in _CONTENT_KINDS:
         return a.content == b.content
@@ -244,6 +241,8 @@ def recursively_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> b
     keyed nodes, neither an Alias wrapper (see EquivalenceContext)."""
     if ctx.gen_keys[a.id] != ctx.gold_keys[b.id]:
         return False
+    if a.id in ctx.gen_exact and b.id in ctx.gold_exact:
+        return True  # equal exact keys: equivalent by the key rule alone
     key = (a.id, b.id)
     cached = ctx.memo.get(key)
     if cached is not None:
@@ -255,7 +254,7 @@ def recursively_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> b
         ca = _match_children(a)
         cb = _match_children(b)
         kind = a.kind
-        if kind is _AND or kind is _OR:
+        if kind is NodeKind.AND or kind is NodeKind.OR:
             # every generated operand needs a distinct gold partner; extra
             # gold operands are omissions and omissions are not penalized
             result = len(ca) <= len(cb) and _greedy_bipartite_match(ca, cb, ctx)
@@ -299,19 +298,23 @@ def _greedy_bipartite_match(
     return True
 
 
-def _first_pass(gen: SqlNode, gold: SqlNode, ctx: EquivalenceContext) -> dict[int, int]:
-    """The alignment's label of every generated node it writes, by the
-    closed form in the module docstring."""
+def _first_pass(gen: SqlNode, gold_nodes: list[SqlNode], ctx: EquivalenceContext,
+                size: int) -> list[int | None]:
+    """The alignment's label of each of the `size` generated nodes, by id, by
+    the closed form in the module docstring; None where it writes none.  A
+    gold id indexes `gold_nodes`, the gold tree in preorder."""
+    gold = gold_nodes[0]
     gold_kids: dict[int, list[SqlNode]] = {}
-    buckets: dict[tuple[int, int], list[SqlNode]] = {}  # (key, depth) -> gold nodes in preorder
-    stack = [(gold, 0)]
+    buckets: dict[tuple[int, int], list[int]] = {}  # (key, depth) -> gold ids in preorder
+    gold_keys, stack, depths = ctx.gold_keys, [gold], [0]
     while stack:
-        g, depth = stack.pop()
-        buckets.setdefault((ctx.gold_keys[g.id], depth), []).append(g)
-        gold_kids[g.id] = kids = _pair_children(g)
-        stack += [(h, depth + 1) for h in reversed(kids)]
+        g, depth = stack.pop(), depths.pop()
+        buckets.setdefault((gold_keys[g.id], depth), []).append(g.id)
+        gold_kids[g.id] = kids = _pair_children(g) if g.children else []
+        stack.extend(reversed(kids))
+        depths.extend(repeat(depth + 1, len(kids)))
 
-    decided: dict[int, int] = {}
+    decided: list[int | None] = [None] * size
     up: dict[int, SqlNode] = {}  # a blamed node's pair children -> it
     # Q(x) as far as it is found, and where its search of L(x) stopped: an
     # index into Q(parent) and one into that member's pair children
@@ -351,16 +354,18 @@ def _first_pass(gen: SqlNode, gold: SqlNode, ctx: EquivalenceContext) -> dict[in
         it as with `seen`."""
         bucket = buckets.get((ctx.gen_keys[x.id], depth), [])
         floor = -1 if seen is None else seen.id
-        i = bisect_left(bucket, latest.id, key=lambda g: g.id)
-        while i and bucket[i - 1].id > floor:
+        i = bisect_left(bucket, latest.id)
+        while i and bucket[i - 1] > floor:
             i -= 1
-            if recursively_equivalent(x, bucket[i], ctx):
-                return bucket[i]
+            if recursively_equivalent(x, gold_nodes[bucket[i]], ctx):
+                return gold_nodes[bucket[i]]
         return None
 
-    def mark(node: SqlNode):
-        for d in preorder(node):
-            decided[d.id] = CORRECT
+    def mark(node: SqlNode):  # node's subtree is ids node.id to its last node's, in preorder
+        last = node
+        while last.children:
+            last = last.children[-1]
+        decided[node.id:last.id + 1] = [CORRECT] * (last.id + 1 - node.id)
 
     todo: list[tuple[SqlNode, int, SqlNode | None, SqlNode | None]] = [(gen, 0, gold, None)]
     while todo:
@@ -383,9 +388,10 @@ def _first_pass(gen: SqlNode, gold: SqlNode, ctx: EquivalenceContext) -> dict[in
             for c in kids:
                 up[c.id] = x
                 todo.append((c, depth + 1, below, seen))
-        if x.kind in _LEAF_LIKE_KINDS:  # children that no pair visit reaches
-            todo += [(c, depth + 1, None, seen)
-                     for c in x.children if c.kind is not _TABLE_ALIAS]
+        if seen is not None and x.kind in _LEAF_LIKE_KINDS:  # children no pair visit reaches
+            for c in x.children:
+                if c.kind is not NodeKind.TABLE_ALIAS:
+                    mark(c)
     return decided
 
 
@@ -399,11 +405,11 @@ def label_with_context(
     hit/miss counts.
     """
     ctx = EquivalenceContext(build_alias_map(gen), build_alias_map(gold))
-    gold_nodes = preorder(gold)
-    _fill_keys(gold_nodes, ctx.gold_keys)
-    gen_nodes = preorder(gen)
-    _fill_keys(gen_nodes, ctx.gen_keys)
-    first = _first_pass(gen, gold, ctx)
+    table: dict[tuple, int] = {}  # key tuple -> key, shared by both trees
+    gold_nodes, gen_nodes = preorder(gold), preorder(gen)
+    _fill_keys(gold_nodes, ctx.gold_keys, ctx.gold_exact, table)
+    _fill_keys(gen_nodes, ctx.gen_keys, ctx.gen_exact, table)
+    first = _first_pass(gen, gold_nodes, ctx, len(gen_nodes))
 
     gold_kinds = {n.kind for n in gold_nodes}
     # gold nodes by key, for rescue; alias wrappers sit out: a generated one
@@ -411,19 +417,17 @@ def label_with_context(
     # its node is
     rescuers: dict[int, list[SqlNode]] = {}
     for gnode in gold_nodes if enable_rescue else ():
-        if gnode.kind is not _ALIAS:
+        if gnode.kind is not NodeKind.ALIAS:
             rescuers.setdefault(ctx.gold_keys[gnode.id], []).append(gnode)
 
-    labels = {}
-    prov = {}
+    labels, prov = {}, {}
     for node in reversed(gen_nodes):  # children first, so an alias finds its node decided
-        if node.kind is _ALIAS:
+        if node.kind is NodeKind.ALIAS:
             inner = node.children[0]
             labels[node.id], prov[node.id] = labels[inner.id], prov[inner.id]
             continue
-        if node.id in first:
-            label, why = first[node.id], Provenance.FIRST_PASS
-        else:
+        label, why = first[node.id], Provenance.FIRST_PASS
+        if label is None:
             label, why = ERROR, Provenance.INITIAL
         if label == ERROR and node.kind in SUPPRESSIBLE_KINDS and node.kind in gold_kinds:
             label, why = CORRECT, Provenance.SUPPRESSED

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from sqluq import labeler
-from sqluq.ast_core import NodeKind, SqlNode, build_alias_map, parse_sql
+from sqluq.ast_core import SqlNode, build_alias_map, parse_sql
 from sqluq.featurizer import MANIFEST, NodeRecord, featurize_tree, node_logprob_scores
 from sqluq.gbdt import (
     EvalRow,
@@ -314,12 +314,6 @@ def load_schemas(schemas_dir: str | Path, db_ids: set[str]) -> dict[str, Schema 
     return schemas
 
 
-# Each kind's and provenance's name: on Python 3.11 `Enum.value` is a
-# Python-level descriptor, run twice per labeled node.
-_KIND_NAMES = {kind: kind.value for kind in NodeKind}
-_PROVENANCE_NAMES = {why: why.value for why in labeler.Provenance}
-
-
 def label_and_featurize(record: DatasetRecord, schema: Schema) -> LabeledQuery:
     """Label one generated/gold pair and featurize every generated node."""
     gen = parse_sql(record.generated_sql)
@@ -330,10 +324,10 @@ def label_and_featurize(record: DatasetRecord, schema: Schema) -> LabeledQuery:
               else [None] * len(nodes))
     query_id, db_id, labels = record.query_id, record.db_id, label_map.labels
     node_records = [  # NodeRecord's fields in order, each row a view of the matrix
-        NodeRecord(query_id, db_id, node.id, _KIND_NAMES[node.kind], row, labels[node.id], score)
+        NodeRecord(query_id, db_id, node.id, node.kind.value, row, labels[node.id], score)
         for node, row, score in zip(nodes, list(matrix), scores)
     ]
-    provenance = [_PROVENANCE_NAMES[label_map.provenance[node.id]] for node in nodes]
+    provenance = [label_map.provenance[node.id].value for node in nodes]
     return LabeledQuery(
         record=record, node_records=node_records, nodes=nodes, label_provenance=provenance
     )

@@ -1,9 +1,10 @@
+import copy
+import pickle
 import sys
 
 import pytest
 
 from sqluq.ast_core import (
-    CONTENT_KINDS,
     NodeKind,
     ParseError,
     UnsupportedConstruct,
@@ -286,6 +287,21 @@ def test_number_apart_from_a_word_still_parses():
     tree = parse_sql("SELECT 1 a, 3.5 AS b FROM t")
     assert [(n.kind, n.content, n.children[0].content) for n in tree.children[:2]] == [
         (NodeKind.ALIAS, "a", "1"), (NodeKind.ALIAS, "b", "3.5")]
+
+
+def test_kinds_are_singletons_through_copies_and_pickles():
+    tree = parse_sql("SELECT a FROM t WHERE a = 1")
+    for twin in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert [n.kind for n in preorder(twin)] == [n.kind for n in preorder(tree)]
+        assert all(a.kind is b.kind for a, b in zip(preorder(twin), preorder(tree)))
+    assert copy.copy(NodeKind.AND) is NodeKind.AND
+    assert [k.name for k in NodeKind][:3] == ["SELECT", "FROM", "WHERE"]
+    assert NodeKind.GROUP_BY.value == "GroupBy" and repr(NodeKind.AND) == "NodeKind.AND"
+
+
+# Kinds whose content field must be non-empty.
+CONTENT_KINDS = frozenset({NodeKind.IDENTIFIER, NodeKind.LITERAL, NodeKind.TABLE,
+                           NodeKind.COLUMN, NodeKind.FUNC, NodeKind.AGG})
 
 
 def test_content_populated_exactly_for_content_kinds():

@@ -75,11 +75,20 @@ def test_label_invalid_sql_exit_code_1(runner):
 
 
 def test_label_too_deep_to_compare_is_a_validation_error(runner):
-    # the equivalence check still recurses once per level of the chain
-    chain = "SELECT " + " + ".join(["amount"] * 1000) + " FROM sale"
+    # a qualified column is compared through the alias maps, so the
+    # equivalence check recurses once per level of the chain
+    chain = "SELECT " + " + ".join(["s.amount"] * 1000) + " FROM sale AS s"
     result = runner.invoke(main, ["label", "--generated", chain, "--gold", chain])
     assert result.exit_code == 1
     assert result.stderr.startswith("error: RecursionError: ")
+    assert "Traceback" not in result.output
+
+
+def test_label_of_an_unqualified_1000_term_chain_exits_0(runner):
+    # the chain holds no And, Or or qualified column, so equal keys settle it
+    chain = "SELECT " + " + ".join(["amount"] * 1000) + " FROM sale"
+    result = runner.invoke(main, ["label", "--generated", chain, "--gold", chain])
+    assert result.exit_code == 0, result.output
     assert "Traceback" not in result.output
 
 

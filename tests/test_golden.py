@@ -20,8 +20,9 @@ import numpy as np
 import pytest
 
 from test_featurizer import ORACLE_QUERIES
+from tokens import tokenize
 
-from sqluq.ast_core import ParseError, UnsupportedConstruct, build_alias_map, parse_sql, tokenize
+from sqluq.ast_core import ParseError, UnsupportedConstruct, build_alias_map, parse_sql
 from sqluq.corpus import CASES, run_corpus
 from sqluq.featurizer import MANIFEST, featurize_tree
 from sqluq.gbdt import train_matrix

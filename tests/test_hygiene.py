@@ -1,7 +1,9 @@
 """Source checks that no installed linter makes: every name a sqluq module
 imports is read in that module, every module-level private function or
-class is referenced somewhere in src/, tests/ or scripts/, and every name
-the package exports exists.
+class is referenced somewhere in src/, tests/ or scripts/, every public
+module-level name is read outside tests/ or exported, no module but
+ast_core binds a node kind to a name of its own, and every name the
+package exports exists.
 
 A deletion that leaves an import or a helper behind fails here."""
 
@@ -106,3 +108,93 @@ def test_every_exported_name_resolves():
     assert len(set(sqluq.__all__)) == len(sqluq.__all__)
     for name in sqluq.__all__:
         assert hasattr(sqluq, name), name
+
+
+def kind_member_bindings(source: str) -> list[str]:
+    """The names `source` binds to a single `NodeKind` member, as a module
+    constant or a local: `X = NodeKind.A` and `X, Y = NodeKind.A, NodeKind.B`."""
+    def is_member(value):
+        owner = getattr(value, "value", None)
+        return (isinstance(value, ast.Attribute) and value.attr.isupper()
+                and (getattr(owner, "id", None) == "NodeKind"
+                     or getattr(owner, "attr", None) == "NodeKind"))
+
+    bound = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            pairs = [(target, node.value) for target in node.targets]
+        elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)):
+            pairs = [(node.target, node.value)]
+        else:
+            continue
+        while pairs:
+            target, value = pairs.pop()
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs += zip(target.elts, value.elts)
+            elif isinstance(target, ast.Name) and is_member(value):
+                bound.append(target.id)
+    return bound
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "ast_core.py"],
+                         ids=[p.name for p in SOURCES if p.name != "ast_core.py"])
+def test_no_module_keeps_a_copy_of_a_kind(path):
+    # a kind is a plain class attribute, bound once in ast_core
+    assert kind_member_bindings(path.read_text(encoding="utf-8")) == []
+
+
+def test_kind_copies_are_found():
+    source = (
+        "A = NodeKind.SELECT\n"
+        "B, (C, D) = NodeKind.AND, (NodeKind.OR, 1)\n"
+        "E: object = ast_core.NodeKind.STAR\n"
+        "def f(node):\n    x = NodeKind.COLUMN\n    return (y := NodeKind.IN)\n"
+        "F = {NodeKind.AND}\nG = tuple(NodeKind)\nH = node.kind is NodeKind.AND\n"
+        "I = NodeKind.AND.value\nJ = Other.AND\n"
+    )
+    assert sorted(kind_member_bindings(source)) == ["A", "B", "C", "E", "x", "y"]
+
+
+# Public names that nothing outside tests/ reads, and why each stays.
+TEST_ONLY_ALLOWED = {
+    # click registers each command on the `main` group, which the entry point runs
+    ("cli.py", "label_cmd"), ("cli.py", "featurize_cmd"), ("cli.py", "predict_cmd"),
+    ("cli.py", "corpus_test_cmd"),
+}
+# every file whose reads keep a public name alive
+PUBLIC_READERS = sorted(p for d in ("src", "scripts", "perfbench")
+                        for p in (ROOT / d).rglob("*.py"))
+
+
+def public_names(source: str) -> list[str]:
+    """The public names `source` defines at module level: functions,
+    classes and assigned names that do not start with an underscore."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_no_public_name_is_read_by_tests_alone():
+    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in PUBLIC_READERS))
+    unread = [(path.name, name) for path in SOURCES
+              for name in public_names(path.read_text(encoding="utf-8"))
+              if name not in read and name not in sqluq.__all__]
+    assert sorted(set(unread) - TEST_ONLY_ALLOWED) == []
+
+
+def test_public_names_are_found():
+    source = (
+        "import os\nfrom m import imported\n"
+        "KINDS = frozenset()\nA, (B, _c) = 1, (2, 3)\nD: int = 4\n_E = 5\n"
+        "def tokenize(text):\n    local = 1\n    return tokenize(text)\n"
+        "class Token:\n    field = 1\ndef _helper():\n    pass\n"
+    )
+    assert public_names(source) == ["KINDS", "A", "B", "D", "tokenize", "Token"]
+    # tokenize reads only itself, so only KINDS, A and Token are read elsewhere
+    read = names_read(source) | names_read("from m import KINDS, Token\nprint(m.A)\n")
+    assert [n for n in public_names(source) if n not in read] == ["B", "D", "tokenize"]

@@ -243,7 +243,8 @@ class TestRescueAblation:
             gold = parse_sql(gold_sql)
             with_rescue = label_with_context(gen, gold, enable_rescue=True)[0]
             without = label_with_context(gen, gold, enable_rescue=False)[0]
-            assert with_rescue.error_ids() <= without.error_ids()
+            assert {n for n, lab in with_rescue.labels.items() if lab} <= {
+                n for n, lab in without.labels.items() if lab}
 
     def test_rescue_off_overblames_documented_siblings(self):
         gen = parse_sql("SELECT * FROM t WHERE a = 1")

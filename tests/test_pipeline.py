@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqluq.ast_core import parse_sql, tokenize
+from sqluq.ast_core import parse_sql
 from sqluq.featurizer import MANIFEST
 from sqluq.gbdt import DegenerateLabels, GbdtConfig, GbdtModel, predict_proba
 from sqluq.pipeline import (
@@ -25,6 +25,7 @@ from sqluq.pipeline import (
     write_dataset,
 )
 from sqluq.synth import SYNTH_SCHEMA, build_planted_corpus
+from tokens import tokenize
 
 
 def write_lines(path, lines):
@@ -318,9 +319,9 @@ class TestRunExperiment:
         assert result.records_in == result.records_labeled + result.records_skipped
 
     def test_any_record_failure_is_a_typed_skip(self, tmp_path, schemas_dir):
-        # labeling recurses once per tree level, so a 1,000-term chain
-        # exceeds the interpreter's recursion limit
-        chain = "SELECT " + " + ".join(["a"] * 1000) + " FROM t"
+        # labeling recurses once per tree level of a chain of qualified
+        # columns, so a 1,000-term one exceeds the interpreter's recursion limit
+        chain = "SELECT " + " + ".join(["s.a"] * 1000) + " FROM t AS s"
         lines = [record_line(f"q{i}") for i in range(6)]
         lines.append(record_line("qdeep", gen=chain, gold=chain))
         lines.append(record_line("qbad", gen="SELECT FROM"))
@@ -468,6 +469,19 @@ def test_predict_sql_on_a_3000_term_chain():
     assert [n.id for n in nodes] == list(range(len(nodes)))
     assert proba.shape == (len(nodes),)
     assert max(n.depth for n in nodes) >= 3000
+
+
+def test_unqualified_10000_term_chain_labels_and_featurizes():
+    # no And, Or or qualified column: exact keys settle every pair without recursion
+    sql = "SELECT " + " + ".join(["amount"] * 10000) + " FROM sale"
+    labeled = label_and_featurize(DatasetRecord("q", "synth", sql, sql), SYNTH_SCHEMA)
+    assert len(labeled.node_records) == len(labeled.nodes) > 3 * 10000
+    assert not any(nr.label for nr in labeled.node_records)
+    changed = DatasetRecord("q", "synth", sql, sql.replace("amount FROM", "price FROM"))
+    labeled = label_and_featurize(changed, SYNTH_SCHEMA)
+    # the outermost Add; its last column is rescued by any gold `amount`
+    blamed = [node for nr, node in zip(labeled.node_records, labeled.nodes) if nr.label]
+    assert [(node.id, node.kind.value) for node in blamed] == [(1, "Add")]
 
 
 def test_logprob_scores_of_a_4000_term_chain_take_linear_time():

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 
 from sqluq import labeler
-from sqluq.ast_core import NodeKind, parse_sql, preorder, tokenize
+from sqluq.ast_core import NodeKind, parse_sql, preorder
 from sqluq.corpus import CASES
 from sqluq.labeler import (
     CORRECT,
@@ -21,6 +21,7 @@ from sqluq.labeler import (
 from sqluq.synth import build_planted_corpus
 
 from test_golden import SCOPED_PAIRS, wide_deep_pairs
+from tokens import tokenize
 from querygen import (
     TABLES,
     add_gold_only_material,
@@ -98,7 +99,8 @@ def test_monotone_rescue(seed):
     gold = parse_sql(gold_sql)
     with_rescue = label_with_context(gen, gold, enable_rescue=True)[0]
     without = label_with_context(gen, gold, enable_rescue=False)[0]
-    assert with_rescue.error_ids() <= without.error_ids()
+    assert {n for n, lab in with_rescue.labels.items() if lab} <= {
+        n for n, lab in without.labels.items() if lab}
 
 
 # Blanks and comments put between tokens.  Some hold non-ASCII text, as does
@@ -250,6 +252,50 @@ def test_key_of_literal_holds_its_flags():
     for a, b in zip(*literals):
         assert a.content == b.content
         assert (keyed.gen_keys[a.id] == keyed.gold_keys[b.id]) == (a.flags == b.flags)
+
+
+def exact_pairs_agree_with_recursion(gen_sql: str, gold_sql: str) -> int:
+    """Assert that no And, Or, Identifier or qualified Column is exact, and
+    that for every (generated, gold) pair of exact nodes, equal keys agree
+    with the recursive definition alone; return the pairs with equal keys.
+    Alias wrappers sit out: the checks take the node a wrapper holds."""
+    gen, gold = parse_sql(gen_sql), parse_sql(gold_sql)
+    keyed = label_with_context(gen, gold)[1]
+    exact = []
+    for tree, ids in ((gen, keyed.gen_exact), (gold, keyed.gold_exact)):
+        nodes = [n for n in preorder(tree) if n.id in ids and n.kind is not NodeKind.ALIAS]
+        for n in nodes:
+            assert n.kind not in (NodeKind.AND, NodeKind.OR, NodeKind.IDENTIFIER), (gen_sql, n)
+            assert n.kind is not NodeKind.COLUMN or n.qualifier() is None, (gen_sql, n)
+        exact.append(nodes)
+    plain = EquivalenceContext(keyed.gen_aliases, keyed.gold_aliases, _NoKeys(), _NoKeys())
+    equal_keys = 0
+    for a in exact[0]:
+        for b in exact[1]:
+            equal = keyed.gen_keys[a.id] == keyed.gold_keys[b.id]
+            assert equal == recursively_equivalent(a, b, plain), (gen_sql, gold_sql, a, b)
+            equal_keys += equal
+    return equal_keys
+
+
+@KEY_SETTINGS
+@given(seeds)
+def test_exact_keys_settle_only_what_recursion_would_on_random_pairs(seed):
+    rng = random.Random(seed)
+    exact_pairs_agree_with_recursion(*random_pair(rng))
+    draft = random_draft(rng, with_alias_prob=0.7)
+    for gold in (swap_symmetric_operands(draft), flip_antisymmetric(draft),
+                 rename_alias(draft, "zz9"), add_gold_only_material(draft, rng)):
+        exact_pairs_agree_with_recursion(draft.render(), gold.render())
+
+
+def test_exact_keys_settle_only_what_recursion_would_on_fixed_pairs():
+    planted = [(p.record.generated_sql, p.record.gold_sql) for p in build_planted_corpus(50, seed=0)]
+    equal_keys = 0
+    for gen_sql, gold_sql in planted + list(ALIASED_ITEM_PAIRS) + list(SCOPED_PAIRS):
+        equal_keys += exact_pairs_agree_with_recursion(gen_sql, gold_sql)
+        equal_keys += exact_pairs_agree_with_recursion(gold_sql, gen_sql)
+    assert equal_keys > 0
 
 
 def forward_first_pass(gen, gold) -> dict[int, int]:
