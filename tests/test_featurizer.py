@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import chain, product
 from types import SimpleNamespace
@@ -286,7 +287,11 @@ class TestShape:
         assert np.array_equal(m1, m2)
 
     def test_manifest_hash_stable(self):
-        assert MANIFEST.version_hash == MANIFEST.version_hash
+        # the digest is pinned, and checked against OpenSSL's SHA-256 of the
+        # same name=default lines, whichever module computes it in the package
+        lines = "\n".join(f"{n}={d}" for n, d in zip(MANIFEST.names, MANIFEST.defaults))
+        assert MANIFEST.version_hash == "c9003fa7cf9f49ec"
+        assert MANIFEST.version_hash == hashlib.sha256(lines.encode("utf-8")).hexdigest()[:16]
         assert len(MANIFEST.names) == len(set(MANIFEST.names))
 
 
