@@ -154,6 +154,7 @@ class SqlNode:
     span: tuple[int, int]
     depth: int
     flags: tuple[str, ...] = ()
+    qualifier: str | None = None  # a Column's or Star's qualifier name (`x` in `x.a`)
 
     def walk(self):
         """This node and every descendant in preorder."""
@@ -161,13 +162,6 @@ class SqlNode:
 
     def descriptor(self) -> tuple[str, str | None]:
         return (self.kind.value, self.content)
-
-    def qualifier(self) -> str | None:
-        """The qualifier of a column or star reference (`x` in `x.a`)."""
-        for child in self.children:
-            if child.kind is NodeKind.IDENTIFIER and FLAG_QUALIFIER in child.flags:
-                return child.content
-        return None
 
     def __repr__(self):  # compact, content-first
         inner = f"({self.content})" if self.content is not None else ""
@@ -541,9 +535,8 @@ class _Parser:
                         raise ParseError("expected column name after '.'", S[j])
                     qual = [SqlNode(-1, NodeKind.IDENTIFIER, T[i], [], (S[i], E[i]), -1,
                                     _QUALIFIER_FLAGS[kind] + F[i])]
-                    operands.append(
-                        SqlNode(-1, NodeKind.STAR, None, qual, (S[i], E[j]), -1) if K[j] == "*"
-                        else SqlNode(-1, NodeKind.COLUMN, T[j], qual, (S[i], E[j]), -1, F[j]))
+                    kind, text = (NodeKind.STAR, None) if K[j] == "*" else (NodeKind.COLUMN, T[j])
+                    operands.append(SqlNode(-1, kind, text, qual, (S[i], E[j]), -1, F[j], T[i]))
                     i = j
                 elif kind in _LITERAL_FLAGS:
                     operands.append(SqlNode(-1, NodeKind.LITERAL, T[i], [], (S[i], E[i]), -1,

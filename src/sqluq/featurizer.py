@@ -30,13 +30,20 @@ array becomes the matrix without a copy.
 
 from __future__ import annotations
 
-import hashlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
+
+try:  # CPython's builtin SHA-256 (3.12+, then 3.10-3.11): hashlib would map OpenSSL's libcrypto
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from sqluq.ast_core import (
     BINARY_OP_KINDS,
@@ -120,7 +127,7 @@ def _build_manifest() -> FeatureManifest:
     add("like_has_wildcard")
     add("like_pattern_length")
     add("in_list_size")
-    digest = hashlib.sha256(
+    digest = sha256(
         "\n".join(f"{n}={d}" for n, d in zip(names, defaults)).encode("utf-8")
     ).hexdigest()[:16]
     return FeatureManifest(names=tuple(names), defaults=tuple(defaults), version_hash=digest)
@@ -246,9 +253,8 @@ def _operand_class(node: SqlNode, frame: ScopeFrame, schema: Schema) -> str | No
         return "text" if FLAG_STRING in node.flags else "num"
     if node.kind is not NodeKind.COLUMN:
         return None
-    qualifier = node.qualifier()
-    if qualifier is not None:
-        table = frame.aliases.get(qualifier, qualifier)
+    if node.qualifier is not None:
+        table = frame.aliases.get(node.qualifier, node.qualifier)
         return _COMPAT_CLASSES.get(schema.column_type(table, node.content))
     # one type among the carriers first: a DATE carrier beside a TEXT one is unknown
     types = {schema.column_type(t, node.content) for t in frame.carriers(node.content, schema)}
@@ -369,10 +375,9 @@ def featurize_tree(
                 carriers = frame.carriers(name, schema)
                 cells[row + _COLUMN_IN_SCOPE] = bool(carriers)
                 cells[row + _AGGREGATE_CONTEXT] = bare_agg and projected
-                qualifier = node.qualifier()
-                if qualifier is not None:
+                if node.qualifier is not None:
                     cells[row + _QUALIFIER_SCOPE_VALID] = (
-                        qualifier in frame.aliases or qualifier in frame.tables)
+                        node.qualifier in frame.aliases or node.qualifier in frame.tables)
                 else:
                     cells[row + _COLUMN_AMBIGUOUS] = len(carriers) >= 2
         if compat:  # None and Compat.UNKNOWN keep the default, 0

@@ -177,7 +177,7 @@ def _fill_keys(nodes: list[SqlNode], keys: dict[int, int], exact: set[int], tabl
         kind = node.kind
         if kind in _LEAF_LIKE_KINDS:  # its children are never compared
             key = (kind, node.content if kind in _CONTENT_KINDS else None)
-            if kind is not NodeKind.COLUMN or node.qualifier() is None:
+            if kind is not NodeKind.COLUMN or node.qualifier is None:
                 exact.add(node.id)
         elif kind is NodeKind.IDENTIFIER or kind is NodeKind.AND or kind is NodeKind.OR:
             key = (kind,)
@@ -215,7 +215,7 @@ def shallow_equivalent(a: SqlNode, b: SqlNode, ctx: EquivalenceContext) -> bool:
     if kind is NodeKind.COLUMN:
         if a.content != b.content:
             return False
-        qa, qb = a.qualifier(), b.qualifier()
+        qa, qb = a.qualifier, b.qualifier
         if qa is None or qb is None or qa == qb:
             return True
         return ctx.gen_aliases.get(qa, qa) == ctx.gold_aliases.get(qb, qb)

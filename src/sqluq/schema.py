@@ -30,6 +30,7 @@ class DataType(Enum):
     DATE = "DATE"
     BOOL = "BOOL"
     OTHER = "OTHER"
+    __hash__ = object.__hash__  # hashed in C, by identity, not by Enum's Python-level hook
 
 
 # Raw SQL type names coarsened into the five buckets.

@@ -43,6 +43,7 @@ def test_table_alias_and_qualified_column():
     qual = col.children[0]
     assert qual.kind is NodeKind.IDENTIFIER and qual.content == "x"
     assert "qualifier" in qual.flags
+    assert col.qualifier == "x"
     table = tree.children[1].children[0]
     assert table.kind is NodeKind.TABLE and table.content == "artist"
     alias = [c for c in table.children if c.kind is NodeKind.TABLE_ALIAS]
@@ -317,6 +318,26 @@ def test_content_populated_exactly_for_content_kinds():
             assert node.content, f"{node.kind} missing content"
         elif node.kind not in structural_with_content:
             assert node.content is None, f"{node.kind} unexpectedly carries content"
+
+
+def test_qualifier_is_recorded_exactly_on_qualified_columns_and_stars():
+    tree = parse_sql(
+        'SELECT x.a, b, X.*, * , count(*), "Q".c FROM t1 AS x JOIN q ON q.b = x.a '
+        "WHERE x.a IN (SELECT y.c FROM t2 AS y WHERE c > 1)"
+    )
+    qualified = []
+    for node in preorder(tree):
+        # the qualifier Identifier child is the source of truth
+        names = [c.content for c in node.children
+                 if c.kind is NodeKind.IDENTIFIER and "qualifier" in c.flags]
+        assert node.qualifier == (names[0] if names else None), node
+        if node.qualifier is not None:
+            qualified.append((node.kind, node.qualifier))
+    assert qualified == [
+        (NodeKind.COLUMN, "x"), (NodeKind.STAR, "x"), (NodeKind.COLUMN, "q"),
+        (NodeKind.COLUMN, "q"), (NodeKind.COLUMN, "x"), (NodeKind.COLUMN, "x"),
+        (NodeKind.COLUMN, "y"),
+    ]
 
 
 def test_count_distinct_star_is_a_parse_error():

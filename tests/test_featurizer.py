@@ -1,6 +1,10 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from itertools import chain, product
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -293,6 +297,16 @@ class TestShape:
         assert MANIFEST.version_hash == "c9003fa7cf9f49ec"
         assert MANIFEST.version_hash == hashlib.sha256(lines.encode("utf-8")).hexdigest()[:16]
         assert len(MANIFEST.names) == len(set(MANIFEST.names))
+
+    def test_manifest_hash_falls_back_to_hashlib(self):
+        # an interpreter without the builtin SHA-256 modules hashes with hashlib, alike
+        code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+                "from sqluq.featurizer import MANIFEST\n"
+                "print(MANIFEST.version_hash, 'hashlib' in sys.modules)")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert run.stdout.split() == ["c9003fa7cf9f49ec", "True"]
 
 
 class TestStructuralFeatures:
@@ -639,7 +653,8 @@ def ref_featurize_node(node, tree, aliases, schema, parent, sibling):
         vec[_IDX["column_in_scope"]] = float(
             any(schema.has_column(node.content, t) for t in ref_known_tables(frame, schema))
         )
-        qualifier = node.qualifier()
+        # from the tree, not from the parser's recorded field
+        qualifier = next((c.content for c in node.children if FLAG_QUALIFIER in c.flags), None)
         if qualifier is not None:
             vec[_IDX["qualifier_scope_valid"]] = float(
                 qualifier in frame.aliases

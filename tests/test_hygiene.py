@@ -2,12 +2,14 @@
 imports is read in that module, every module-level private function or
 class is referenced somewhere in src/, tests/ or scripts/, every public
 module-level name is read outside tests/ or exported, no module but
-ast_core binds a node kind to a name of its own, and every name the
-package exports exists.
+ast_core binds a node kind to a name of its own, every name the
+package exports exists, and importing the package loads no OpenSSL.
 
 A deletion that leaves an import or a helper behind fails here."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,6 +110,15 @@ def test_every_exported_name_resolves():
     assert len(set(sqluq.__all__)) == len(sqluq.__all__)
     for name in sqluq.__all__:
         assert hasattr(sqluq, name), name
+
+
+def test_importing_the_package_loads_no_openssl():
+    # hashlib maps OpenSSL's libcrypto, about 3.6 MB of every process's peak RSS
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "import sqluq, sqluq.cli, sqluq.synth\n"
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def kind_member_bindings(source: str) -> list[str]:

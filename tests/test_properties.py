@@ -266,7 +266,7 @@ def exact_pairs_agree_with_recursion(gen_sql: str, gold_sql: str) -> int:
         nodes = [n for n in preorder(tree) if n.id in ids and n.kind is not NodeKind.ALIAS]
         for n in nodes:
             assert n.kind not in (NodeKind.AND, NodeKind.OR, NodeKind.IDENTIFIER), (gen_sql, n)
-            assert n.kind is not NodeKind.COLUMN or n.qualifier() is None, (gen_sql, n)
+            assert n.kind is not NodeKind.COLUMN or n.qualifier is None, (gen_sql, n)
         exact.append(nodes)
     plain = EquivalenceContext(keyed.gen_aliases, keyed.gold_aliases, _NoKeys(), _NoKeys())
     equal_keys = 0
