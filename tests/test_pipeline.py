@@ -211,6 +211,49 @@ class TestLoadDataset:
         assert result.records[1].generated_sql == "SELECT b FROM t"
         assert result.skipped == [(3, "duplicate query_id 'q1' (first on line 1)")]
 
+    def test_every_skip_reason_is_pinned(self, tmp_path):
+        try:
+            int("9" * 5000)
+        except ValueError as exc:
+            too_many_digits = f"invalid JSON: {exc}"
+        no_gold = {"query_id": "q4", "db_id": "db1", "generated_sql": "SELECT a FROM t"}
+        cases = [  # (line, its skip reason or None)
+            (json.dumps({"format": "sqluq-dataset", "version": 1}), None),
+            (record_line("q1"), None),
+            ("", None),
+            (record_line("q2").encode().replace(b"SELECT a", b"SELECT \xff"), "invalid UTF-8"),
+            ("{oops", "invalid JSON: Expecting property name enclosed in double quotes"),
+            (record_line("q3").replace('"q3"', "9" * 5000), too_many_digits),
+            ("[" * 100_000, "invalid JSON: nested too deep"),
+            ("[1, 2]", "record is not an object"),
+            (json.dumps(no_gold), "missing fields: gold_sql"),
+            (record_line("q5", gold=7), "not a string: gold_sql"),
+            (record_line(1.5), "query_id is not a string or an integer"),
+            (record_line("q6", question=7), "question is not a string"),
+            (record_line("q7", token_logprobs={"0": -0.5}), "token_logprobs is not a list"),
+            (record_line("q8", gen="SELECT \ud800", token_logprobs=[[0, 6, -0.5]]),
+             "generated_sql is not valid Unicode"),
+            (record_line("q9", token_logprobs=[[0, 6, -0.5], [True, 6, -0.5]]),
+             "malformed token_logprobs entry"),
+            (record_line("q10", token_logprobs=[[0, 99, -0.5]]),
+             "token span (0, 99) outside generated_sql"),
+            (record_line("q11", token_logprobs=[[0, 6, float("-inf")]]),
+             "non-finite token logprob -inf"),
+            (record_line("q12", token_logprobs=[[0, 6, 0.5]]), "positive token logprob 0.5"),
+            (record_line("q1"), "duplicate query_id 'q1' (first on line 2)"),
+            # missing fields come before a bad entry, and a bad entry before a duplicate id
+            (json.dumps({**no_gold, "token_logprobs": [[0, 99, -0.5]]}), "missing fields: gold_sql"),
+            (record_line("q1", token_logprobs=[[0, 6, 0.5]]), "positive token logprob 0.5"),
+            (record_line("q13", token_logprobs=[[0, 6, -0.5]]), None),
+        ]
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b"\n".join(
+            line if isinstance(line, bytes) else line.encode() for line, _ in cases) + b"\n")
+        result = load_dataset(path)
+        assert [r.query_id for r in result.records] == ["q1", "q13"]
+        assert result.skipped == [
+            (lineno, reason) for lineno, (_, reason) in enumerate(cases, start=1) if reason]
+
     def test_split_of_a_dataset_with_repeated_ids_is_disjoint(self, tmp_path):
         lines = [record_line(f"q{i % 5}") for i in range(10)]
         result = load_dataset(write_lines(tmp_path / "d.jsonl", lines))
