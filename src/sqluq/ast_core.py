@@ -156,13 +156,6 @@ class SqlNode:
     flags: tuple[str, ...] = ()
     qualifier: str | None = None  # a Column's or Star's qualifier name (`x` in `x.a`)
 
-    def walk(self):
-        """This node and every descendant in preorder."""
-        return iter(preorder(self))
-
-    def descriptor(self) -> tuple[str, str | None]:
-        return (self.kind.value, self.content)
-
     def __repr__(self):  # compact, content-first
         inner = f"({self.content})" if self.content is not None else ""
         return f"{self.kind.value}{inner}#{self.id}"

@@ -12,7 +12,7 @@ import sys
 import click
 
 from sqluq import labeler
-from sqluq.ast_core import ParseError, UnsupportedConstruct, parse_sql
+from sqluq.ast_core import ParseError, UnsupportedConstruct, parse_sql, preorder
 from sqluq.corpus import CASES, run_corpus
 from sqluq.gbdt import GbdtConfig, GbdtModel, ManifestMismatch, render_eval_table
 from sqluq.pipeline import (
@@ -55,7 +55,7 @@ def label_cmd(generated: str, gold: str, no_rescue: bool):
     except RecursionError as exc:  # the equivalence check recurses once per tree level
         _fail(EXIT_VALIDATION, f"RecursionError: {exc}")
     click.echo(json.dumps({"format": "sqluq-labeled-nodes", "version": 1}))
-    for node in gen_tree.walk():
+    for node in preorder(gen_tree):
         row = node_row(
             node,
             label=label_map.labels[node.id],

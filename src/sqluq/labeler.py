@@ -443,4 +443,4 @@ def label_with_context(
 
 def error_descriptors(tree: SqlNode, label_map: LabelMap) -> list[tuple[str, str | None]]:
     """(kind, content) descriptors of the blamed nodes, in preorder."""
-    return [n.descriptor() for n in preorder(tree) if label_map.labels[n.id] == ERROR]
+    return [(n.kind.value, n.content) for n in preorder(tree) if label_map.labels[n.id] == ERROR]

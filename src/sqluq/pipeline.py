@@ -4,6 +4,8 @@ Datasets are line-delimited JSON, one record per line, optionally led by
 a header line ({"format": "sqluq-dataset", ...}).  Record fields:
 query_id, db_id, generated_sql, gold_sql, optional question, optional
 token_logprobs as [start, end, logprob] byte spans over generated_sql.
+One function reads each line; a line that holds no record raises
+DatasetLineError, whose message is the reason the line is skipped.
 Schemas live one JSON file per db_id inside a schemas directory.
 
 run_experiment parses, labels, and featurizes every record (skipping and
@@ -43,6 +45,10 @@ class UnknownDbId(Exception):
     """Split spec names a db_id that the dataset does not contain."""
 
 
+class DatasetLineError(ValueError):
+    """A dataset line holds no record; the message says why."""
+
+
 class MissingSchema(Exception):
     """A record's db_id has no schema file in the schemas directory; the
     record is skipped."""
@@ -64,29 +70,82 @@ class LoadResult:
     skipped: list[tuple[int, str]]  # (line number, reason)
 
 
-def _token_entry(item) -> tuple[int, int, float] | None:
-    """A token_logprobs entry as (start, end, logprob), or None unless it is
-    a list of two JSON integers and a JSON number.  A boolean is neither,
-    and an integer past the float range is no logprob."""
-    if not (isinstance(item, list) and len(item) == 3 and type(item[0]) is int
-            and type(item[1]) is int and type(item[2]) in (int, float)):
-        return None
+def _read_record(line: str) -> DatasetRecord | None:
+    """The record on one stripped, non-empty dataset line, or None for the
+    header line; any other line raises DatasetLineError, whose message
+    names the first of the checks below that the line fails."""
     try:
-        return item[0], item[1], float(item[2])
-    except OverflowError:
+        line.encode("utf-8")
+        doc = json.loads(line)
+    except UnicodeEncodeError:
+        raise DatasetLineError("invalid UTF-8") from None
+    except json.JSONDecodeError as exc:
+        raise DatasetLineError(f"invalid JSON: {exc.msg}") from None
+    except ValueError as exc:  # an integer past int's digit limit
+        raise DatasetLineError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DatasetLineError("invalid JSON: nested too deep") from None
+    if not isinstance(doc, dict):
+        raise DatasetLineError("record is not an object")
+    if doc.get("format") == DATASET_FORMAT:
         return None
+    # only an absent field, null or "" is missing: a query_id of 0 is an id
+    missing = [
+        k for k in ("query_id", "db_id", "generated_sql", "gold_sql")
+        if doc.get(k) is None or doc[k] == ""
+    ]
+    if missing:
+        raise DatasetLineError(f"missing fields: {', '.join(missing)}")
+    not_strings = [k for k in ("generated_sql", "gold_sql") if not isinstance(doc[k], str)]
+    if not_strings:
+        raise DatasetLineError(f"not a string: {', '.join(not_strings)}")
+    # a boolean is not an integer
+    bad_id = next((k for k in ("query_id", "db_id") if type(doc[k]) not in (str, int)), "")
+    if bad_id:
+        raise DatasetLineError(f"{bad_id} is not a string or an integer")
+    if not isinstance(doc.get("question"), (str, type(None))):
+        raise DatasetLineError("question is not a string")
+    token_logprobs = None
+    if doc.get("token_logprobs") is not None:
+        if not isinstance(doc["token_logprobs"], list):
+            raise DatasetLineError("token_logprobs is not a list")
+        try:
+            gen_len = len(doc["generated_sql"].encode("utf-8"))
+        except UnicodeEncodeError:  # a lone surrogate, from an escape such as \ud800
+            raise DatasetLineError("generated_sql is not valid Unicode") from None
+        token_logprobs = []
+        for item in doc["token_logprobs"]:
+            # two JSON integers and a JSON number; a boolean is neither
+            if not (isinstance(item, list) and len(item) == 3 and type(item[0]) is int
+                    and type(item[1]) is int and type(item[2]) in (int, float)):
+                raise DatasetLineError("malformed token_logprobs entry")
+            start, end, lp = item
+            try:
+                lp = float(lp)
+            except OverflowError:  # an integer past the float range is no logprob
+                raise DatasetLineError("malformed token_logprobs entry") from None
+            if not (0 <= start < end <= gen_len):
+                raise DatasetLineError(f"token span ({start}, {end}) outside generated_sql")
+            if not math.isfinite(lp):
+                raise DatasetLineError(f"non-finite token logprob {lp}")
+            if lp > 0.0:
+                raise DatasetLineError(f"positive token logprob {lp}")
+            token_logprobs.append((start, end, lp))
+    return DatasetRecord(
+        query_id=str(doc["query_id"]),
+        db_id=str(doc["db_id"]),
+        generated_sql=doc["generated_sql"],
+        gold_sql=doc["gold_sql"],
+        question=doc.get("question"),
+        token_logprobs=token_logprobs,
+    )
 
 
 def load_dataset(path: str | Path) -> LoadResult:
-    """Read a JSONL dataset, skipping and reporting malformed lines.
-
-    A line that is not UTF-8, is nested deeper than `json` can decode or
-    holds an integer past int's digit limit is malformed, and so is a
-    query_id or db_id that is neither a string nor an integer, and a
-    question that is neither null nor a string.  A line whose
+    """Read a JSONL dataset, skipping and reporting, with the reason
+    `_read_record` raises, each line that holds no record.  A line whose
     query_id an earlier record already has is skipped too, so no id can
-    land on both sides of a split.
-    """
+    land on both sides of a split."""
     records: list[DatasetRecord] = []
     skipped: list[tuple[int, str]] = []
     first_line: dict[str, int] = {}  # query_id -> line of its record
@@ -97,93 +156,16 @@ def load_dataset(path: str | Path) -> LoadResult:
             if not line:
                 continue
             try:
-                line.encode("utf-8")
-                doc = json.loads(line)
-            except UnicodeEncodeError:
-                skipped.append((lineno, "invalid UTF-8"))
-                continue
-            except json.JSONDecodeError as exc:
-                skipped.append((lineno, f"invalid JSON: {exc.msg}"))
-                continue
-            except ValueError as exc:  # an integer past int's digit limit
-                skipped.append((lineno, f"invalid JSON: {exc}"))
-                continue
-            except RecursionError:
-                skipped.append((lineno, "invalid JSON: nested too deep"))
-                continue
-            if not isinstance(doc, dict):
-                skipped.append((lineno, "record is not an object"))
-                continue
-            if doc.get("format") == DATASET_FORMAT:
-                continue  # header line
-            # only an absent field, null or "" is missing: a query_id of 0 is an id
-            missing = [
-                k for k in ("query_id", "db_id", "generated_sql", "gold_sql")
-                if doc.get(k) is None or doc[k] == ""
-            ]
-            if missing:
-                skipped.append((lineno, f"missing fields: {', '.join(missing)}"))
-                continue
-            not_strings = [k for k in ("generated_sql", "gold_sql") if not isinstance(doc[k], str)]
-            if not_strings:
-                skipped.append((lineno, f"not a string: {', '.join(not_strings)}"))
-                continue
-            # a boolean is not an integer
-            bad_id = next((k for k in ("query_id", "db_id") if type(doc[k]) not in (str, int)), "")
-            if bad_id:
-                skipped.append((lineno, f"{bad_id} is not a string or an integer"))
-                continue
-            if not isinstance(doc.get("question"), (str, type(None))):
-                skipped.append((lineno, "question is not a string"))
-                continue
-            token_logprobs = None
-            if doc.get("token_logprobs") is not None:
-                if not isinstance(doc["token_logprobs"], list):
-                    skipped.append((lineno, "token_logprobs is not a list"))
+                record = _read_record(line)
+                if record is None:
                     continue
-                try:
-                    gen_len = len(doc["generated_sql"].encode("utf-8"))
-                except UnicodeEncodeError:  # a lone surrogate, from an escape such as \ud800
-                    skipped.append((lineno, "generated_sql is not valid Unicode"))
-                    continue
-                spans = []
-                bad = None
-                for item in doc["token_logprobs"]:
-                    entry = _token_entry(item)
-                    if entry is None:
-                        bad = "malformed token_logprobs entry"
-                        break
-                    start, end, lp = entry
-                    if not (0 <= start < end <= gen_len):
-                        bad = f"token span ({start}, {end}) outside generated_sql"
-                        break
-                    if not math.isfinite(lp):
-                        bad = f"non-finite token logprob {lp}"
-                        break
-                    if lp > 0.0:
-                        bad = f"positive token logprob {lp}"
-                        break
-                    spans.append((start, end, lp))
-                if bad:
-                    skipped.append((lineno, bad))
-                    continue
-                token_logprobs = spans
-            query_id = str(doc["query_id"])
-            if query_id in first_line:
-                reason = f"duplicate query_id {query_id!r} (first on line {first_line[query_id]})"
-                skipped.append((lineno, reason))
-                continue
-            first_line[query_id] = lineno
-            records.append(
-                DatasetRecord(
-                    query_id=query_id,
-                    db_id=str(doc["db_id"]),
-                    generated_sql=doc["generated_sql"],
-                    gold_sql=doc["gold_sql"],
-                    question=doc.get("question"),
-                    token_logprobs=token_logprobs,
-                )
-            )
+                first = first_line.setdefault(record.query_id, lineno)
+                if first != lineno:
+                    raise DatasetLineError(
+                        f"duplicate query_id {record.query_id!r} (first on line {first})")
+                records.append(record)
+            except DatasetLineError as exc:
+                skipped.append((lineno, str(exc)))
     return LoadResult(records=records, skipped=skipped)
 
 

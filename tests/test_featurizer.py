@@ -762,6 +762,6 @@ def test_operand_type_compat_computed_once_per_operator(monkeypatch):
     for pair in build_planted_corpus(300, seed=0):
         tree = parse_sql(pair.record.generated_sql)
         featurize_tree(tree, build_alias_map(tree), SYNTH_SCHEMA)
-        operators += [n for n in tree.walk() if n.kind in BINARY_OP_KINDS]
+        operators += [n for n in preorder(tree) if n.kind in BINARY_OP_KINDS]
     assert len(operators) == 277
     assert calls == operators

@@ -22,7 +22,13 @@ import pytest
 from test_featurizer import ORACLE_QUERIES
 from tokens import tokenize
 
-from sqluq.ast_core import ParseError, UnsupportedConstruct, build_alias_map, parse_sql
+from sqluq.ast_core import (
+    ParseError,
+    UnsupportedConstruct,
+    build_alias_map,
+    parse_sql,
+    preorder,
+)
 from sqluq.corpus import CASES, run_corpus
 from sqluq.featurizer import MANIFEST, featurize_tree
 from sqluq.gbdt import train_matrix
@@ -214,7 +220,7 @@ def parse_line(sql: str) -> str:
         return f"{type(exc).__name__} {exc.position}\n"
     return " ".join(
         repr((n.id, n.kind.value, n.content, n.span, n.depth, n.flags, len(n.children)))
-        for n in tree.walk()
+        for n in preorder(tree)
     ) + "\n"
 
 

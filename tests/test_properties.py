@@ -308,7 +308,7 @@ def forward_first_pass(gen, gold) -> dict[int, int]:
 
     def align(x, g):
         if recursively_equivalent(x, g, ctx):
-            written.update((d.id, CORRECT) for d in x.walk())
+            written.update((d.id, CORRECT) for d in preorder(x))
             return
         written[x.id] = ERROR
         for c in _pair_children(x):
